@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ._markers import BOTTOM, Bottom
-from .core import ELTScalar, parse_rational
+from .core import ELTScalar, integer_grids, parse_rational
 from .errors import InfeasibleAssignment, NotSquare, ParseError
 from .matrix import ELTMatrix
 
@@ -127,29 +128,32 @@ def hungarian_scaling(t: TropicalMatrix) -> HungarianResult:
     Raises InfeasibleAssignment when no permutation avoids -inf.  The
     returned alphas make the row-scaled matrix critical: adding
     alpha_i to row i turns every sigma entry into a column maximum.
+    The search runs on the entries scaled to ints over their common
+    denominator d; the duals and the value are divided by d at the end.
     """
     n = _require_square_grid(t)
-    u: List[Fraction] = []
+    d, (w,) = integer_grids(t)
+    u: List[int] = []
     for i in range(n):
-        finite = [x for x in t[i] if not isinstance(x, Bottom)]
+        finite = [x for x in w[i] if x is not None]
         if not finite:
             raise InfeasibleAssignment(f"row {i} has no finite entry")
         u.append(max(finite))
-    v: List[Fraction] = [Fraction(0)] * n
+    v: List[int] = [0] * n
     match_col: List[Optional[int]] = [None] * n
     match_row: List[Optional[int]] = [None] * n
 
     for r in range(n):
         tree_rows = {r}
         tree_cols: set[int] = set()
-        slack: List[Optional[Fraction]] = [None] * n
+        slack: List[Optional[int]] = [None] * n
         way: List[int] = [0] * n
         for j in range(n):
-            if not isinstance(t[r][j], Bottom):
-                slack[j] = u[r] + v[j] - t[r][j]
+            if w[r][j] is not None:
+                slack[j] = u[r] + v[j] - w[r][j]
                 way[j] = r
         while True:
-            delta: Optional[Fraction] = None
+            delta: Optional[int] = None
             for j in range(n):
                 if j not in tree_cols and slack[j] is not None:
                     if delta is None or slack[j] < delta:
@@ -182,22 +186,22 @@ def hungarian_scaling(t: TropicalMatrix) -> HungarianResult:
             tree_cols.add(j_next)
             i_next = match_col[j_next]
             tree_rows.add(i_next)
+            row = w[i_next]
             for j in range(n):
-                if j in tree_cols or isinstance(t[i_next][j], Bottom):
+                if j in tree_cols or row[j] is None:
                     continue
-                cand = u[i_next] + v[j] - t[i_next][j]
+                cand = u[i_next] + v[j] - row[j]
                 if slack[j] is None or cand < slack[j]:
                     slack[j] = cand
                     way[j] = i_next
 
     sigma = tuple(match_row[i] for i in range(n))
-    value = sum((t[i][sigma[i]] for i in range(n)), Fraction(0))
     return HungarianResult(
-        tuple(-u[i] for i in range(n)),
+        tuple(Fraction(-x, d) for x in u),
         sigma,
-        tuple(u),
-        tuple(v),
-        value,
+        tuple(Fraction(x, d) for x in u),
+        tuple(Fraction(x, d) for x in v),
+        Fraction(sum(w[i][sigma[i]] for i in range(n)), d),
     )
 
 
@@ -225,37 +229,49 @@ def critical_scaling_elt(a: ELTMatrix) -> ELTMatrix:
 def _strongly_connected_components(
     n: int, adj: Sequence[Sequence[int]]
 ) -> List[List[int]]:
+    """Kosaraju's two depth-first passes, on explicit stacks of
+    neighbour iterators so that no path length meets the recursion
+    limit.  Components come in the order of the second pass, each
+    listed in the order its vertices are reached."""
     order: List[int] = []
     seen = [False] * n
-
-    def forward(v: int) -> None:
-        seen[v] = True
-        for w in adj[v]:
-            if not seen[w]:
-                forward(w)
-        order.append(v)
-
-    for v in range(n):
-        if not seen[v]:
-            forward(v)
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, todo = stack[-1]
+            for w in todo:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
     radj: List[List[int]] = [[] for _ in range(n)]
     for v in range(n):
         for w in adj[v]:
             radj[w].append(v)
     comp = [-1] * n
     comps: List[List[int]] = []
-
-    def backward(v: int, c: int) -> None:
-        comp[v] = c
-        comps[c].append(v)
-        for w in radj[v]:
-            if comp[w] < 0:
-                backward(w, c)
-
-    for v in reversed(order):
-        if comp[v] < 0:
-            comps.append([])
-            backward(v, len(comps) - 1)
+    for root in reversed(order):
+        if comp[root] >= 0:
+            continue
+        members = [root]
+        comp[root] = len(comps)
+        comps.append(members)
+        stack = [iter(radj[root])]
+        while stack:
+            for w in stack[-1]:
+                if comp[w] < 0:
+                    comp[w] = comp[root]
+                    members.append(w)
+                    stack.append(iter(radj[w]))
+                    break
+            else:
+                stack.pop()
     return comps
 
 
@@ -264,54 +280,53 @@ def karp_max_mean_cycle(t: TropicalMatrix) -> Optional[Fraction]:
     the digraph is acyclic.
 
     Runs the Karp recurrence from a fixed source within each strongly
-    connected component and takes max over min over walk lengths.
+    connected component and takes max over min over walk lengths.  The
+    walk weights are ints, the entries scaled by their common
+    denominator d.  A vertex a walk cannot reach holds ``low``, so far
+    below every true weight that a step from it stays under ``floor``
+    and is put back to ``low``.
     """
     n = _require_square_grid(t)
-    adj = [
-        [j for j in range(n) if not isinstance(t[i][j], Bottom)]
-        for i in range(n)
-    ]
-    best: Optional[Fraction] = None
+    d, (w,) = integer_grids(t)
+    adj = [[j for j in range(n) if w[i][j] is not None] for i in range(n)]
+    best: Optional[Tuple[int, int]] = None
     for verts in _strongly_connected_components(n, adj):
-        if len(verts) == 1:
-            v = verts[0]
-            if isinstance(t[v][v], Bottom):
-                continue
-        index = {v: k for k, v in enumerate(verts)}
-        edges = [
-            (index[a], index[b], t[a][b])
-            for a in verts
-            for b in adj[a]
-            if b in index
-        ]
+        if len(verts) == 1 and w[verts[0]][verts[0]] is None:
+            continue
         m = len(verts)
-        dist: List[List[Optional[Fraction]]] = [
-            [None] * m for _ in range(m + 1)
-        ]
-        dist[0][0] = Fraction(0)
-        for k in range(1, m + 1):
-            row_prev = dist[k - 1]
-            row = dist[k]
-            for a, b, w in edges:
-                if row_prev[a] is not None:
-                    cand = row_prev[a] + w
-                    if row[b] is None or cand > row[b]:
-                        row[b] = cand
+        index = {v: k for k, v in enumerate(verts)}
+        sources: List[List[int]] = [[] for _ in verts]
+        weights: List[List[int]] = [[] for _ in verts]
+        for a in verts:
+            for b in adj[a]:
+                if b in index:
+                    sources[index[b]].append(index[a])
+                    weights[index[b]].append(w[a][b])
+        reach = m * max(abs(x) for ws in weights for x in ws)
+        floor = -reach
+        low = floor - reach - 1
+        dist = [[0] + [low] * (m - 1)]
+        for _ in range(m):
+            step = dist[-1].__getitem__
+            row = [max(map(add, map(step, srcs), ws)) for srcs, ws in zip(sources, weights)]
+            dist.append([x if x >= floor else low for x in row])
         for vtx in range(m):
             full = dist[m][vtx]
-            if full is None:
+            if full == low:
                 continue
-            worst: Optional[Fraction] = None
+            worst: Optional[Tuple[int, int]] = None
             for k in range(m):
                 part = dist[k][vtx]
-                if part is None:
+                if part == low:
                     continue
-                ratio = (full - part) / (m - k)
-                if worst is None or ratio < worst:
+                ratio = (full - part, m - k)
+                if worst is None or ratio[0] * worst[1] < worst[0] * ratio[1]:
                     worst = ratio
-            if worst is not None and (best is None or worst > best):
+            if worst is not None and (
+                best is None or worst[0] * best[1] > best[0] * worst[1]
+            ):
                 best = worst
-    return best
+    return None if best is None else Fraction(best[0], best[1] * d)
 
 
 # ---------------------------------------------------------------------------

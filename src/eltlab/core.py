@@ -20,10 +20,11 @@ the ring is passed to those operations explicitly.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from fractions import Fraction
-from typing import Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ._markers import BOTTOM, TOP, Bottom, Top  # re-exported
 from .errors import NonInvertible, ParseError
@@ -69,6 +70,35 @@ def layer(x: ELTScalar) -> Fraction:
 def tangible(x: ELTScalar) -> Union[Fraction, Bottom]:
     """Tangible projection; -inf maps to the BOTTOM marker."""
     return x.tangible
+
+
+IntGrid = List[List[Optional[int]]]
+
+
+def integer_grids(
+    *grids: Sequence[Sequence[Union[Fraction, Bottom]]]
+) -> Tuple[int, List[IntGrid]]:
+    """Put grids of rationals over one common denominator.
+
+    Returns ``(d, scaled)``: d is the least common multiple of the
+    denominators of every rational in the grids (1 when there are
+    none), and ``scaled`` holds each grid with a rational x replaced by
+    the int x*d and BOTTOM by None.  Loops over the scaled grids then
+    run on exact ints and divide by d once at the end.
+    """
+    d = math.lcm(*{
+        x.denominator
+        for grid in grids for row in grid for x in row
+        if x is not BOTTOM
+    })
+    scaled = [
+        [
+            [None if x is BOTTOM else x.numerator * (d // x.denominator) for x in row]
+            for row in grid
+        ]
+        for grid in grids
+    ]
+    return d, scaled
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +221,6 @@ def parse_rational(text: str, position: int | None = None) -> Fraction:
             raise ParseError(f"rational {text!r} is not reduced", position)
         return value
     return Fraction(int(t))
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def parse_scalar(text: str) -> ELTScalar:

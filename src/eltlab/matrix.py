@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ._markers import BOTTOM, Bottom
 from .core import (
@@ -29,6 +30,7 @@ from .core import (
     ONE,
     Q_RING,
     format_scalar,
+    integer_grids,
     invert,
     parse_scalar,
 )
@@ -40,8 +42,6 @@ from .errors import (
     ZeroVector,
 )
 from .poly import ELTPolynomial, MonomialStatus, RootDescription, elt_roots
-
-MINUS_ONE = ELTScalar(0, -1)
 
 Vector = Tuple[ELTScalar, ...]
 
@@ -127,13 +127,7 @@ class ELTMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        cols = other.transpose().rows
-        out = []
-        for row in self._rows:
-            out.append(
-                [_dot(row, col) for col in cols]
-            )
-        return ELTMatrix(out)
+        return ELTMatrix(_products(self._rows, tuple(zip(*other._rows))))
 
     def scale(self, c: ELTScalar) -> "ELTMatrix":
         """Entrywise product with the scalar c."""
@@ -145,7 +139,7 @@ class ELTMatrix:
             raise DimensionMismatch(
                 f"cannot apply {self.nrows}x{self.ncols} to a vector of length {len(v)}"
             )
-        return tuple(_dot(row, v) for row in self._rows)
+        return tuple(row[0] for row in _products(self._rows, (tuple(v),)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ELTMatrix):
@@ -200,11 +194,50 @@ class ELTMatrix:
         return cls(grid)
 
 
-def _dot(xs: Sequence[ELTScalar], ys: Sequence[ELTScalar]) -> ELTScalar:
-    acc = NEG_INF
-    for x, y in zip(xs, ys):
-        acc = acc + x * y
-    return acc
+def _products(
+    rows: Sequence[Sequence[ELTScalar]], cols: Sequence[Sequence[ELTScalar]]
+) -> List[List[ELTScalar]]:
+    """Every row times every column, ``sum_j row[j] * col[j]``.
+
+    Runs on exact ints: tangibles over the lcm d of all their
+    denominators, layers over the lcm of each side's layer
+    denominators, so a term is an int tangible sum with an int layer
+    product.  A -inf entry gets the tangible ``low``, far enough below
+    every finite one that a term through it stays under ``floor``, the
+    least finite term; an entry with no term at or above it is -inf.
+    """
+    d, (row_t, col_t) = integer_grids(
+        [[x.tangible for x in row] for row in rows],
+        [[x.tangible for x in col] for col in cols],
+    )
+    d_row, (row_l,) = integer_grids([[x.layer for x in row] for row in rows])
+    d_col, (col_l,) = integer_grids([[x.layer for x in col] for col in cols])
+    reach = sum(
+        max((abs(x) for line in grid for x in line if x is not None), default=0)
+        for grid in (row_t, col_t)
+    )
+    floor = -reach
+    low = -2 * reach - 1
+    row_t = [[low if x is None else x for x in line] for line in row_t]
+    col_t = [[low if x is None else x for x in line] for line in col_t]
+    d_layer = d_row * d_col
+    out = []
+    for rt, rl in zip(row_t, row_l):
+        out_row = []
+        for ct, cl in zip(col_t, col_l):
+            sums = list(map(add, rt, ct))
+            best = max(sums)
+            if best < floor:
+                out_row.append(NEG_INF)
+                continue
+            if sums.count(best) == 1:
+                j = sums.index(best)
+                layer = rl[j] * cl[j]
+            else:
+                layer = sum(a * b for s, a, b in zip(sums, rl, cl) if s == best)
+            out_row.append(ELTScalar(Fraction(best, d), Fraction(layer, d_layer)))
+        out.append(out_row)
+    return out
 
 
 def _parse_dim(line: str, label: str) -> int:

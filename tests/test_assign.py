@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eltlab import ELTMatrix, ELTScalar, NEG_INF
 from eltlab.assign import (
@@ -163,3 +164,70 @@ def test_best_cycle_mean_matches_brute_force():
         cycles = simple_cycles(elt_lift(t))
         expected = max((c.mean for c in cycles), default=None)
         assert karp_max_mean_cycle(t) == expected
+
+
+tropical_entries = st.one_of(
+    st.just(BOTTOM),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12)),
+)
+
+
+@st.composite
+def square_grids(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    return tropical_matrix([[draw(tropical_entries) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def acyclic_grids(draw, max_n=6):
+    """Finite entries only from earlier to later vertices of a random order."""
+    n = draw(st.integers(1, max_n))
+    rank = draw(st.permutations(range(n)))
+    return tropical_matrix(
+        [
+            [draw(tropical_entries) if rank[i] < rank[j] else BOTTOM for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+@settings(deadline=None)
+@given(square_grids())
+def test_hungarian_duals_certify_the_best_permutation(t):
+    n = len(t)
+    best = brute_best_assignment(t)
+    if best is None:
+        with pytest.raises(InfeasibleAssignment):
+            hungarian_scaling(t)
+        return
+    res = hungarian_scaling(t)
+    assert res.value == best
+    assert sorted(res.sigma) == list(range(n))
+    assert res.alphas == tuple(-u for u in res.row_duals)
+    for i in range(n):
+        for j in range(n):
+            if t[i][j] is not BOTTOM:
+                assert res.row_duals[i] + res.col_duals[j] >= t[i][j]
+        assert res.row_duals[i] + res.col_duals[res.sigma[i]] == t[i][res.sigma[i]]
+
+
+@settings(deadline=None)
+@given(square_grids())
+def test_best_cycle_mean_is_the_best_simple_cycle_mean(t):
+    expected = max((c.mean for c in simple_cycles(elt_lift(t))), default=None)
+    assert karp_max_mean_cycle(t) == expected
+
+
+@given(acyclic_grids())
+def test_best_cycle_mean_of_an_acyclic_graph_is_none(t):
+    assert karp_max_mean_cycle(t) is None
+
+
+def test_best_cycle_mean_of_a_long_cycle():
+    # one cycle through 1,100 vertices: longer than the default
+    # recursion limit, so no step may recurse per vertex
+    n = 1100
+    t = tropical_matrix(
+        [[Fraction(i, 7) if j == (i + 1) % n else BOTTOM for j in range(n)] for i in range(n)]
+    )
+    assert karp_max_mean_cycle(t) == Fraction(1099, 14)

@@ -113,6 +113,31 @@ def test_assignment_scaling(capsys):
     assert out.endswith("value: 0\n")
 
 
+def test_mixed_denominator_outputs_are_pinned(capsys):
+    # denominators 2, 3 and 7, tangible ties and -inf entries; two
+    # permutations reach the assignment value, so sigma and the duals
+    # pin the Hungarian tie-break as well
+    code, out, _ = run(capsys, "hungarian", fixture("mixed.mat"), "--machine")
+    assert code == 0
+    assert out == (
+        "alphas: -1/2, 13/42, -4/3, -4/3\n"
+        "sigma: 0->1, 1->2, 2->3, 3->0\n"
+        "value: 47/14\n"
+        "u: 1/2, -13/42, 4/3, 4/3\n"
+        "v: 1/6, 0, 1/6, 1/6\n"
+    )
+    code, out, _ = run(capsys, "qinv", fixture("mixed.mat"))
+    assert code == 0
+    assert out == (
+        "-4/3^[3], -11/21^[54/17], -13/6^[-9/17], -3/2^[1/3]\n"
+        "-1/2^[-3], 13/42^[-54/17], -4/3^[9/17], -4/3^[-1/3]\n"
+        "-4/3^[9/34], 1/7^[-18/17], -3/2^[3/17], -13/6^[1/34]\n"
+        "-4/3^[9/17], 1/7^[-2/17], -3/2^[6/17], -13/6^[1/17]\n"
+    )
+    code, out, _ = run(capsys, "nilpotent", fixture("mixed.mat"))
+    assert (code, out) == (0, "no\n")
+
+
 def test_leading_term(capsys):
     code, out, _ = run(capsys, "eltrop", fixture("lead.ser"))
     assert (code, out) == (0, "3/2^[2]\n")
@@ -177,7 +202,7 @@ def test_fixture_files_round_trip():
     from eltlab.puiseux import format_series, parse_series
     from eltlab.assign import format_tropical_matrix, parse_tropical_matrix
 
-    for name in ("a.mat", "aat.mat", "apb.mat", "ata.mat", "nilp.mat", "sym.mat", "tri.mat"):
+    for name in ("a.mat", "aat.mat", "apb.mat", "ata.mat", "mixed.mat", "nilp.mat", "sym.mat", "tri.mat"):
         text = (FIXTURES / name).read_text()
         assert ELTMatrix.from_text(text).to_text() + "\n" == text
     poly_text = (FIXTURES / "char.poly").read_text()

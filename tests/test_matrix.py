@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eltlab import ELTMatrix, ELTScalar, NEG_INF, ONE, Z_RING
 from eltlab.core import parse_scalar
@@ -53,6 +54,66 @@ A_EXAMPLE = M("1^[1], 1^[1]\n2^[1], 3^[1]")
 SYM = M("1^[1], 2^[1]\n2^[1], 3^[1]")
 NILP = M("0^[1], 1^[0]\n0^[0], 0^[1]")
 TRI = M("1^[1], 2^[1], -inf\n-inf, 3^[1], 0^[2]\n1^[0], -inf, 2^[1]")
+
+
+def fold_dot(xs, ys):
+    """Reference row-by-column product, one scalar operation at a time."""
+    acc = NEG_INF
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+@st.composite
+def product_operands(draw):
+    """A*B and A*v operands whose tangibles come from a palette of at
+    most three rationals with denominators 1..12, so that tangible ties
+    are common; layers include zero and negative values, and A and B
+    may each have an all -inf row and an all -inf column."""
+    palette = draw(
+        st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 12)), min_size=1, max_size=3)
+    )
+    entries = st.one_of(
+        st.just(NEG_INF),
+        st.builds(
+            ELTScalar,
+            st.sampled_from(palette),
+            st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+        ),
+    )
+
+    def grid(nrows, ncols):
+        rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, nrows - 1))] = [NEG_INF] * ncols
+        if draw(st.booleans()):
+            j = draw(st.integers(0, ncols - 1))
+            for row in rows:
+                row[j] = NEG_INF
+        return ELTMatrix(rows)
+
+    p, q, r = (draw(st.integers(1, 5)) for _ in range(3))
+    return grid(p, q), grid(q, r), tuple(draw(entries) for _ in range(q))
+
+
+@given(product_operands())
+def test_products_match_the_scalar_fold(operands):
+    a, b, v = operands
+    cols = b.transpose().rows
+    assert (a * b).rows == tuple(tuple(fold_dot(row, col) for col in cols) for row in a.rows)
+    assert a.apply(v) == tuple(fold_dot(row, v) for row in a.rows)
+
+
+def test_product_examples():
+    assert M("1/2^[3]") * M("-1/3^[-1/2]") == M("1/6^[-3/2]")
+    assert M("1/2^[3]") * M("-inf") == M("-inf")
+    # a tangible tie adds the layer products, here to layer zero
+    tie = M("1/2^[1], 1/4^[1]") * M("0^[1]\n1/4^[-1]")
+    assert tie == M("1/2^[0]")
+    assert M("1/2^[1], -inf\n-inf, -inf").apply((S("1^[2]"), S("5^[1]"))) == (
+        S("3/2^[2]"),
+        NEG_INF,
+    )
 
 
 def test_construction_validation():
