@@ -78,24 +78,43 @@ def is_critical(t: TropicalMatrix) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Perfect matching over column-critical positions.
 
     Returns (True, sigma) with sigma mapping rows to columns, or
-    (False, None).  Ties resolve toward lower column indices.
+    (False, None).  Ties resolve toward lower column indices.  The
+    augmenting paths are searched on explicit stacks, so their length
+    does not meet the recursion limit.
     """
     n = _require_square_grid(t)
     mask = column_critical_positions(t)
+    cols = [[j for j in range(n) if row[j]] for row in mask]
     match_col: List[Optional[int]] = [None] * n
-
-    def augment(i: int, banned: set) -> bool:
-        for j in range(n):
-            if mask[i][j] and j not in banned:
-                banned.add(j)
-                if match_col[j] is None or augment(match_col[j], banned):
-                    match_col[j] = i
-                    return True
-        return False
-
-    for i in range(n):
-        if not augment(i, set()):
+    for root in range(n):
+        # Kuhn's augmenting-path search on explicit stacks: rows[k]
+        # scans the iterator todo[k]; picked[k] is the column it took,
+        # held by rows[k + 1]
+        banned = [False] * n
+        rows = [root]
+        picked: List[int] = []
+        todo = [iter(cols[root])]
+        while todo:
+            for j in todo[-1]:
+                if not banned[j]:
+                    banned[j] = True
+                    picked.append(j)
+                    break
+            else:
+                todo.pop()
+                rows.pop()
+                if picked:
+                    picked.pop()
+                continue
+            holder = match_col[j]
+            if holder is None:
+                break
+            rows.append(holder)
+            todo.append(iter(cols[holder]))
+        if not todo:
             return False, None
+        for i, j in zip(rows, picked):
+            match_col[j] = i
     sigma = [0] * n
     for j, i in enumerate(match_col):
         assert i is not None

@@ -1,13 +1,10 @@
-"""Scalar algebra: backend selection, layer rings, inversion, text format.
+"""Scalar algebra: kernel selection, layer rings, inversion, text format.
 
 The scalar type itself lives in a kernel module.  Two kernels exist
 with identical APIs: eltlab._kernel (Cython) and eltlab._pykernel
-(pure Python).  Selection happens once at import:
-
-* ELTLAB_BACKEND=auto (default): compiled kernel if importable, else
-  the pure one,
-* ELTLAB_BACKEND=c: compiled kernel, ImportError if absent,
-* ELTLAB_BACKEND=py: pure kernel unconditionally.
+(pure Python).  The compiled one is used when it is importable (that
+is, when it was built), the pure one otherwise; ``BACKEND`` names the
+choice, "c" or "py".
 
 Everything downstream (matrices, polynomials, the CLI) imports the
 scalar type from here and never from a kernel directly.
@@ -21,7 +18,6 @@ the ring is passed to those operations explicitly.
 from __future__ import annotations
 
 import math
-import os
 import re
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -30,24 +26,10 @@ from ._markers import BOTTOM, TOP, Bottom, Top  # re-exported
 from .errors import NonInvertible, ParseError
 
 
-def _load_backend():
-    choice = os.environ.get("ELTLAB_BACKEND", "auto").strip().lower() or "auto"
-    if choice in ("auto",):
-        try:
-            from . import _kernel as kernel
-        except ImportError:
-            from . import _pykernel as kernel
-        return kernel
-    if choice in ("c", "compiled"):
-        from . import _kernel as kernel
-        return kernel
-    if choice in ("py", "python", "pure"):
-        from . import _pykernel as kernel
-        return kernel
-    raise ValueError(f"ELTLAB_BACKEND={choice!r}: expected auto, c or py")
-
-
-_backend = _load_backend()
+try:
+    from . import _kernel as _backend
+except ImportError:
+    from . import _pykernel as _backend
 
 ELTScalar = _backend.ELTScalar
 NEG_INF = _backend.NEG_INF
@@ -109,24 +91,6 @@ class LayerRing:
     """The rational layer ring (a field; every nonzero layer is a unit)."""
 
     name = "Q"
-
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def is_zero(self, a: Fraction) -> bool:
-        return a == 0
 
     def contains(self, a: Fraction) -> bool:
         return isinstance(a, Fraction)

@@ -7,10 +7,10 @@ this module report those layers exactly.
 
 Highlights: a permanent-style determinant split into even and odd
 permutation sums, the adjoint and the quasi-inverse (inverse up to
-quasi-identities), two independent characteristic polynomial routes,
+quasi-identities), the characteristic polynomial by principal minors,
 a Cayley-Hamilton check up to layer-zero slack, eigenpair
 verification, the essential trace with its spectral-dominance report,
-nilpotency of index at most n^2, and cycle utilities used as oracles.
+nilpotency of index at most n^2, and simple-cycle enumeration.
 """
 
 from __future__ import annotations
@@ -406,7 +406,7 @@ def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial, two routes
+# characteristic polynomial
 
 
 def charpoly(a: ELTMatrix) -> ELTPolynomial:
@@ -427,38 +427,6 @@ def charpoly(a: ELTMatrix) -> ELTPolynomial:
         if not acc.is_neg_inf:
             coeffs[n - k] = acc
     return ELTPolynomial(coeffs)
-
-
-def charpoly_symbolic(a: ELTMatrix) -> ELTPolynomial:
-    """det(L*I + (-)A) expanded with polynomial entries.
-
-    An independent route kept for cross-checking: the permutation sum
-    is evaluated over single-variable polynomials instead of scalars.
-    """
-    n = _require_square(a)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cells: Dict[int, ELTScalar] = {}
-            neg = -a.entry(i, j)
-            if not neg.is_neg_inf:
-                cells[0] = neg
-            if i == j:
-                cells[1] = cells[1] + ONE if 1 in cells else ONE
-            row.append(ELTPolynomial(cells))
-        entries.append(row)
-    total = ELTPolynomial.zero()
-    for perm in itertools.permutations(range(n)):
-        prod = ELTPolynomial.constant(ONE)
-        for i, j in enumerate(perm):
-            prod = prod * entries[i][j]
-            if prod.is_zero:
-                break
-        if _parity(perm):
-            prod = -prod
-        total = total + prod
-    return total
 
 
 def poly_at_matrix(p: ELTPolynomial, a: ELTMatrix) -> ELTMatrix:
@@ -551,52 +519,37 @@ class CycleInfo:
 
 
 def simple_cycles(a: ELTMatrix) -> Tuple[CycleInfo, ...]:
-    """All simple cycles of the digraph of finite entries."""
+    """All simple cycles of the digraph of finite entries, each found
+    from its smallest vertex; no path length meets the recursion limit."""
     n = _require_square(a)
     adj = [
         [j for j in range(n) if not a.entry(i, j).is_neg_inf] for i in range(n)
     ]
     found: list[CycleInfo] = []
-
-    def visit(start: int, path: list[int], used: set[int]) -> None:
-        v = path[-1]
-        for w in adj[v]:
-            if w == start:
-                weight = ONE
-                for x, y in zip(path, path[1:] + [start]):
-                    weight = weight * a.entry(x, y)
-                found.append(
-                    CycleInfo(tuple(path), weight, Fraction(weight.tangible, len(path)))
-                )
-            elif w > start and w not in used:
-                used.add(w)
-                path.append(w)
-                visit(start, path, used)
-                path.pop()
-                used.discard(w)
-
-    for s in range(n):
-        visit(s, [s], {s})
+    for start in range(n):
+        # depth-first over paths from start through larger vertices, on
+        # a stack of neighbour iterators that runs beside the path
+        path = [start]
+        used = {start}
+        todo = [iter(adj[start])]
+        while todo:
+            for w in todo[-1]:
+                if w == start:
+                    weight = ONE
+                    for x, y in zip(path, path[1:] + [start]):
+                        weight = weight * a.entry(x, y)
+                    found.append(
+                        CycleInfo(tuple(path), weight, Fraction(weight.tangible, len(path)))
+                    )
+                elif w > start and w not in used:
+                    used.add(w)
+                    path.append(w)
+                    todo.append(iter(adj[w]))
+                    break
+            else:
+                todo.pop()
+                used.discard(path.pop())
     return tuple(found)
-
-
-def power_entry_paths(a: ELTMatrix, k: int, i: int, j: int) -> ELTScalar:
-    """Entry (i, j) of A^k as an explicit sum over length-k paths."""
-    n = _require_square(a)
-    if k < 0:
-        raise ValueError("path length must be nonnegative")
-    if k == 0:
-        return ONE if i == j else NEG_INF
-    acc = NEG_INF
-    for mids in itertools.product(range(n), repeat=k - 1):
-        walk = (i,) + mids + (j,)
-        prod = ONE
-        for x, y in zip(walk, walk[1:]):
-            prod = prod * a.entry(x, y)
-            if prod.is_neg_inf:
-                break
-        acc = acc + prod
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from typing import Optional
 
 from .core import ELTScalar, NEG_INF
 from .matrix import ELTMatrix, Vector
-from .poly import ELTPolynomial
 from .puiseux import PuiseuxSeries
 
 LAYER_CHOICES = tuple(Fraction(v) for v in (-2, -1, 0, 1, 2))
@@ -79,17 +78,6 @@ def random_series(rng: random.Random, max_terms: int = 4) -> PuiseuxSeries:
         coeff = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
         terms.append((exp, Fraction(coeff)))
     return PuiseuxSeries(terms)
-
-
-def random_monic_polynomial(rng: random.Random, degree: int) -> ELTPolynomial:
-    """Leading coefficient 0^[1]; lower coefficients random, possibly
-    absent."""
-    coeffs = {degree: ELTScalar(0, 1)}
-    for d in range(degree):
-        c = random_scalar(rng)
-        if not c.is_neg_inf:
-            coeffs[d] = c
-    return ELTPolynomial(coeffs)
 
 
 def random_nilpotent_matrix(rng: random.Random, n: int) -> ELTMatrix:

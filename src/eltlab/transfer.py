@@ -25,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ._markers import BOTTOM, Bottom
 from .core import ELTScalar, NEG_INF, ONE, format_scalar
 from .errors import ParseError, UnboundVariable
+from .matrix import _parity
 from .rand import random_scalar
 
 # ---------------------------------------------------------------------------
@@ -648,15 +649,6 @@ def matmul_expression(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def _parity(perm: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return inv & 1
 
 
 def det_expression(m: ExprMatrix) -> PolyExpression:

@@ -25,7 +25,6 @@ from eltlab.matrix import (
     adjoint,
     cayley_hamilton_check,
     charpoly,
-    charpoly_symbolic,
     det,
     eigen_candidates,
     eigen_verify,
@@ -54,6 +53,7 @@ from eltlab.transfer import (
     run_suite,
     symbolic_matrix,
 )
+from oracles import charpoly_symbolic
 
 SEED = 20250823
 

@@ -105,6 +105,40 @@ def test_criticality_check():
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from((0, 0, 1, None)), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+))
+def test_is_critical_finds_a_critical_permutation_when_one_exists(grid):
+    t = tropical_matrix([[BOTTOM if x is None else x for x in row] for row in grid])
+    n = len(t)
+    mask = column_critical_positions(t)
+    exists = any(
+        all(mask[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n))
+    )
+    ok, sigma = is_critical(t)
+    assert ok == exists
+    if ok:
+        assert sorted(sigma) == list(range(n))
+        assert all(mask[i][sigma[i]] for i in range(n))
+    else:
+        assert sigma is None
+
+
+def test_is_critical_on_a_long_augmenting_chain():
+    # row i holds zeros at columns i - 1 and i, so the search for row i
+    # walks back through all earlier rows before it takes column i: a
+    # path longer than the default recursion limit
+    n = 1100
+    t = tropical_matrix(
+        [[Fraction(0) if j in (i - 1, i) else BOTTOM for j in range(n)] for i in range(n)]
+    )
+    assert is_critical(t) == (True, tuple(range(n)))
+
+
 def test_scaling_makes_matrices_critical():
     rng = random.Random(137)
     done = 0

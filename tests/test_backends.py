@@ -1,13 +1,13 @@
 """The compiled kernel and the pure Python kernel agree operation for operation."""
 
 import importlib
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
+
+import eltlab
+from eltlab import core
 
 pykernel = importlib.import_module("eltlab._pykernel")
 try:
@@ -79,32 +79,11 @@ def test_kernel_contract(mod):
         one ** -1
 
 
-def selected_backend(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("ELTLAB_BACKEND", None)
+def test_backend_selection():
+    """The compiled kernel whenever it imports, the pure one otherwise."""
+    if ckernel is not None:
+        assert eltlab.BACKEND == "c"
+        assert core.ELTScalar is ckernel.ELTScalar
     else:
-        env["ELTLAB_BACKEND"] = env_value
-    return subprocess.run(
-        [sys.executable, "-c", "import eltlab; print(eltlab.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def test_backend_selection_env_var():
-    proc = selected_backend("py")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "py"
-    proc = selected_backend("zzz")
-    assert proc.returncode != 0
-
-
-@needs_compiled
-def test_backend_selection_compiled():
-    proc = selected_backend("c")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "c"
-    proc = selected_backend("auto")
-    assert proc.stdout.strip() == "c"
+        assert eltlab.BACKEND == "py"
+        assert core.ELTScalar is pykernel.ELTScalar

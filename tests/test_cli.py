@@ -103,6 +103,21 @@ def test_cycles(capsys):
     )
 
 
+def test_cycles_of_a_long_cycle(capsys, tmp_path):
+    n = 1100
+    path = tmp_path / "ring.mat"
+    path.write_text(
+        "\n".join(
+            ", ".join("1^[1]" if j == (i + 1) % n else "-inf" for j in range(n))
+            for i in range(n)
+        )
+    )
+    code, out, _ = run(capsys, "cycles", str(path))
+    assert code == 0
+    route = "->".join(str(v) for v in range(n))
+    assert out == f"cycle {route}: weight {n}^[1] mean 1\n"
+
+
 def test_assignment_scaling(capsys):
     code, out, _ = run(capsys, "hungarian", fixture("trop.mat"))
     assert code == 0

@@ -21,7 +21,6 @@ from eltlab.matrix import (
     adjoint,
     cayley_hamilton_check,
     charpoly,
-    charpoly_symbolic,
     det,
     det_pair,
     eigen_candidates,
@@ -32,7 +31,6 @@ from eltlab.matrix import (
     is_nilpotent,
     parse_vector,
     poly_at_matrix,
-    power_entry_paths,
     quasi_identity_check,
     quasi_inverse,
     simple_cycles,
@@ -45,6 +43,7 @@ from eltlab.rand import (
     random_nilpotent_matrix,
     random_vector,
 )
+from oracles import charpoly_symbolic, power_entry_paths
 
 S = parse_scalar
 M = ELTMatrix.from_text
@@ -309,6 +308,18 @@ def test_simple_cycles_canonical_listing():
         ((2,), S("2^[1]"), Fraction(2)),
     ]
     assert all(c.length == len(c.vertices) for c in cycles)
+
+
+def test_simple_cycles_of_a_long_cycle():
+    # one cycle through 1,100 vertices: longer than the default
+    # recursion limit, so the path search may not recurse per vertex
+    n = 1100
+    a = ELTMatrix(
+        [[S("1^[1]") if j == (i + 1) % n else NEG_INF for j in range(n)] for i in range(n)]
+    )
+    (cyc,) = simple_cycles(a)
+    assert cyc.vertices == tuple(range(n))
+    assert (cyc.weight, cyc.mean) == (ELTScalar(n, 1), Fraction(1))
 
 
 def test_power_entries_match_best_paths():
