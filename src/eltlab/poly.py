@@ -358,9 +358,7 @@ def _layer_solutions(equation: Dict[int, Fraction], ring: LayerRing) -> LayerSol
         return LayerSolutions(True)
     if max(nonzero) == 0:
         return LayerSolutions(False, ())
-    denom = 1
-    for s in nonzero.values():
-        denom = denom * s.denominator // math.gcd(denom, s.denominator)
+    denom = math.lcm(*(s.denominator for s in nonzero.values()))
     int_coeffs = {d: int(s * denom) for d, s in nonzero.items()}
     return LayerSolutions(False, _rational_roots(int_coeffs, ring))
 

@@ -1,26 +1,29 @@
-"""Formal polynomial identities checked across three interpretations.
+"""Formal polynomial identities checked symbolically and in two layered
+models.
 
 An expression is a pair (P+, P-) of positive trees built from 0, 1,
 variables x1..xm, sums, and products; the pair stands for P+ - P-.
 A proposed identity P = Q is verified in two stages.  The classical
 hypothesis is checked symbolically: both sides are expanded to exact
 integer-coefficient monomial tables and compared, never sampled.  The
-layered conclusions (balance, surpassing, or equality) are then
-sampled over the max-plus and scalar models with seeded generators so
+layered conclusion (surpassing or equality) is then sampled in the
+max-plus model and then the ELT model, on one seeded generator, so
 that any failure is reproducible.
 
-The canned suites encode the determinant, adjoint, and characteristic
-polynomial identities componentwise, plus a mutation control with one
-deliberately corrupted sign that the symbolic stage must reject.
+The canned families encode the determinant, adjoint, and
+characteristic polynomial identities componentwise, plus a mutation
+control with one deliberately corrupted sign that the symbolic stage
+must reject.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ._markers import BOTTOM, Bottom
 from .core import ELTScalar, NEG_INF, ONE, format_scalar
@@ -359,14 +362,6 @@ def expand(e: PolyExpression, nvars: Optional[int] = None) -> MonomialTable:
     return MonomialTable(nvars, entries)
 
 
-def appears(e: PolyExpression, exponents: Sequence[int]) -> bool:
-    return expand(e).appears(exponents)
-
-
-def disjoint_support(e: PolyExpression) -> bool:
-    return expand(e).has_disjoint_support
-
-
 def ring_equal(p: PolyExpression, q: PolyExpression) -> bool:
     """Exact identity of both sides as integer polynomials."""
     nvars = max(num_variables(p), num_variables(q))
@@ -377,33 +372,9 @@ def ring_equal(p: PolyExpression, q: PolyExpression) -> bool:
 # evaluation models
 
 
-class RingModel:
-    """Exact integers with genuine negation."""
-
-    name = "ring"
-    zero = 0
-    one = 1
-
-    def add(self, a: int, b: int) -> int:
-        return a + b
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b
-
-    def neg(self, a: int) -> int:
-        return -a
-
-    def sample(self, rng: random.Random) -> int:
-        return rng.randint(-9, 9)
-
-    def show(self, a: int) -> str:
-        return str(a)
-
-
 class MaxPlusModel:
     """Rationals with max and plus; negation is trivial."""
 
-    name = "maxplus"
     zero = BOTTOM
     one = Fraction(0)
 
@@ -428,7 +399,6 @@ class MaxPlusModel:
 class ELTModel:
     """Layered scalars; negation flips the layer."""
 
-    name = "elt"
     zero = NEG_INF
     one = ONE
 
@@ -448,23 +418,13 @@ class ELTModel:
         return format_scalar(a)
 
 
-RING_MODEL = RingModel()
 MAXPLUS_MODEL = MaxPlusModel()
 ELT_MODEL = ELTModel()
 
 
-def evaluate(e: PolyExpression, model, assignment: Union[Mapping[int, object], Sequence[object]]):
-    """Evaluate pos and neg in the model and combine with its negation."""
-
-    def lookup(index: int):
-        if isinstance(assignment, Mapping):
-            if index not in assignment:
-                raise UnboundVariable(f"no value bound for x{index}")
-            return assignment[index]
-        if index > len(assignment):
-            raise UnboundVariable(f"no value bound for x{index}")
-        return assignment[index - 1]
-
+def evaluate(e: PolyExpression, model, assignment: Sequence[object]):
+    """Evaluate pos and neg in the model, with x_k bound to
+    assignment[k - 1], and combine them with the model's negation."""
     memo: Dict[int, object] = {}
 
     def walk(node: Node):
@@ -474,7 +434,9 @@ def evaluate(e: PolyExpression, model, assignment: Union[Mapping[int, object], S
         if isinstance(node, Const):
             out = model.zero if node.value == 0 else model.one
         elif isinstance(node, Var):
-            out = lookup(node.index)
+            if node.index > len(assignment):
+                raise UnboundVariable(f"no value bound for x{node.index}")
+            out = assignment[node.index - 1]
         elif isinstance(node, Add):
             out = walk(node.args[0])
             for arg in node.args[1:]:
@@ -514,109 +476,61 @@ class CheckReport:
         )
 
 
-def _sample_assignment(model, rng: random.Random, nvars: int) -> Tuple[object, ...]:
-    return tuple(model.sample(rng) for _ in range(nvars))
+# relation -> its sampled stages (label, model, holds(lhs, rhs)), run in
+# this order on one generator
+_STAGES = {
+    "surpass": (
+        ("maxplus", MAXPLUS_MODEL, operator.ge),
+        ("elt", ELT_MODEL, lambda lhs, rhs: lhs.surpasses(rhs)),
+    ),
+    "equal": (
+        ("maxplus", MAXPLUS_MODEL, operator.eq),
+        ("elt", ELT_MODEL, operator.eq),
+    ),
+}
 
 
-def _run_sampled(
+def check_identity(
     p: PolyExpression,
     q: PolyExpression,
-    model,
-    holds,
-    trials: int,
-    rng: random.Random,
-    label: str,
-    failures: List[str],
-) -> bool:
-    nvars = max(num_variables(p), num_variables(q))
-    ok = True
-    for trial in range(trials):
-        values = _sample_assignment(model, rng, nvars)
-        lhs = evaluate(p, model, values)
-        rhs = evaluate(q, model, values)
-        if not holds(lhs, rhs):
-            ok = False
-            if len(failures) < 3:
-                shown = ", ".join(
-                    f"x{k + 1}={model.show(v)}" for k, v in enumerate(values)
-                )
-                failures.append(
-                    f"{label} trial {trial}: {shown}: "
-                    f"lhs={model.show(lhs)} rhs={model.show(rhs)}"
-                )
-    return ok
-
-
-def check_nabla(
-    p: PolyExpression, q: PolyExpression, trials: int = 1000, seed: int = 42
-) -> CheckReport:
-    """Symbolic ring identity plus sampled balance: every scalar
-    instance of p + (-)q must have layer zero."""
-    rng = random.Random(seed)
-    failures: List[str] = []
-    ring_ok = ring_equal(p, q)
-    elt_ok = _run_sampled(
-        p, q, ELT_MODEL,
-        lambda lhs, rhs: (lhs + (-rhs)).layer == 0,
-        trials, rng, "elt", failures,
-    )
-    return CheckReport(
-        "nabla", ring_ok, True, elt_ok, None, trials, seed, tuple(failures)
-    )
-
-
-def check_surpass(
-    p: PolyExpression,
-    q: PolyExpression,
+    relation: str,
     trials: int = 1000,
     seed: int = 42,
     strong: bool = False,
 ) -> CheckReport:
-    """Symbolic ring identity, sampled tangible dominance, sampled
-    scalar surpassing; in strong mode additionally requires the right
-    side to have disjoint monomial support."""
+    """Symbolic ring identity, then the relation sampled in the
+    max-plus and ELT models: tangible dominance and scalar surpassing
+    for "surpass", equality in both for "equal".  In strong mode the
+    right side must also have disjoint monomial support.  At most
+    three sampled counterexamples are kept."""
     rng = random.Random(seed)
-    failures: List[str] = []
+    nvars = max(num_variables(p), num_variables(q))
     ring_ok = ring_equal(p, q)
-    maxplus_ok = _run_sampled(
-        p, q, MAXPLUS_MODEL,
-        lambda lhs, rhs: lhs >= rhs,
-        trials, rng, "maxplus", failures,
-    )
-    elt_ok = _run_sampled(
-        p, q, ELT_MODEL,
-        lambda lhs, rhs: lhs.surpasses(rhs),
-        trials, rng, "elt", failures,
-    )
-    strong_ok = disjoint_support(q) if strong else None
+    failures: List[str] = []
+    verdicts = []
+    for label, model, holds in _STAGES[relation]:
+        ok = True
+        for trial in range(trials):
+            values = tuple(model.sample(rng) for _ in range(nvars))
+            lhs = evaluate(p, model, values)
+            rhs = evaluate(q, model, values)
+            if not holds(lhs, rhs):
+                ok = False
+                if len(failures) < 3:
+                    shown = ", ".join(
+                        f"x{k + 1}={model.show(v)}" for k, v in enumerate(values)
+                    )
+                    failures.append(
+                        f"{label} trial {trial}: {shown}: "
+                        f"lhs={model.show(lhs)} rhs={model.show(rhs)}"
+                    )
+        verdicts.append(ok)
+    maxplus_ok, elt_ok = verdicts
+    strong_ok = expand(q).has_disjoint_support if strong else None
     if strong_ok is False:
         failures.append("strong: right side has overlapping monomial support")
     return CheckReport(
-        "surpass", ring_ok, maxplus_ok, elt_ok, strong_ok, trials, seed,
-        tuple(failures),
-    )
-
-
-def check_equal(
-    p: PolyExpression, q: PolyExpression, trials: int = 1000, seed: int = 42
-) -> CheckReport:
-    """Symbolic ring identity plus sampled equality in both layered
-    models."""
-    rng = random.Random(seed)
-    failures: List[str] = []
-    ring_ok = ring_equal(p, q)
-    maxplus_ok = _run_sampled(
-        p, q, MAXPLUS_MODEL,
-        lambda lhs, rhs: lhs == rhs,
-        trials, rng, "maxplus", failures,
-    )
-    elt_ok = _run_sampled(
-        p, q, ELT_MODEL,
-        lambda lhs, rhs: lhs == rhs,
-        trials, rng, "elt", failures,
-    )
-    return CheckReport(
-        "equal", ring_ok, maxplus_ok, elt_ok, None, trials, seed,
+        relation, ring_ok, maxplus_ok, elt_ok, strong_ok, trials, seed,
         tuple(failures),
     )
 
@@ -651,15 +565,20 @@ def matmul_expression(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
     return tuple(out)
 
 
-def det_expression(m: ExprMatrix) -> PolyExpression:
-    """Permutation expansion with signs carried by the pair algebra."""
-    n = len(m)
-    total = PolyExpression.zero()
-    for perm in itertools.permutations(range(n)):
+def _det_terms(m: ExprMatrix) -> Iterator[Tuple[bool, PolyExpression]]:
+    """(odd, product) for each permutation term of det(m)."""
+    for perm in itertools.permutations(range(len(m))):
         prod = PolyExpression.one()
         for i, j in enumerate(perm):
             prod = prod * m[i][j]
-        total = total + (-prod if _parity(perm) else prod)
+        yield bool(_parity(perm)), prod
+
+
+def det_expression(m: ExprMatrix) -> PolyExpression:
+    """Permutation expansion with signs carried by the pair algebra."""
+    total = PolyExpression.zero()
+    for odd, prod in _det_terms(m):
+        total = total + (-prod if odd else prod)
     return total
 
 
@@ -729,52 +648,74 @@ class CannedIdentity:
     strong: bool = False
 
 
+def _det_mult(n: int) -> CannedIdentity:
+    a = symbolic_matrix(n)
+    b = symbolic_matrix(n, n * n)
+    det_ab = det_expression(matmul_expression(a, b))
+    return CannedIdentity(
+        f"det-mult-n{n}", "surpass",
+        ((det_ab, det_expression(a) * det_expression(b)),), strong=True,
+    )
+
+
+def _det_and_a_adj(n: int) -> Tuple[PolyExpression, ExprMatrix]:
+    """det(A) and A*adj(A) for the symbolic n x n matrix A."""
+    a = symbolic_matrix(n)
+    return det_expression(a), matmul_expression(a, adjoint_expression(a))
+
+
+def _a_adj(n: int) -> CannedIdentity:
+    det_a, a_adj = _det_and_a_adj(n)
+    comps = tuple(
+        (a_adj[i][j], det_a if i == j else PolyExpression.zero())
+        for i in range(n)
+        for j in range(n)
+    )
+    return CannedIdentity(f"a-adj-n{n}", "surpass", comps, strong=True)
+
+
+def _det_a_adj(n: int) -> CannedIdentity:
+    det_a, a_adj = _det_and_a_adj(n)
+    return CannedIdentity(
+        f"det-a-adj-n{n}", "equal", ((det_expression(a_adj), det_a**n),)
+    )
+
+
+def _a_adj_sq(n: int) -> CannedIdentity:
+    det_a, a_adj = _det_and_a_adj(n)
+    sq = matmul_expression(a_adj, a_adj)
+    comps = tuple(
+        (sq[i][j], det_a * a_adj[i][j])
+        for i in range(n)
+        for j in range(n)
+    )
+    return CannedIdentity(f"a-adj-sq-n{n}", "equal", comps)
+
+
+def _cayley_hamilton(n: int) -> CannedIdentity:
+    ch = charpoly_at_self(symbolic_matrix(n))
+    comps = tuple(
+        (ch[i][j], PolyExpression.zero())
+        for i in range(n)
+        for j in range(n)
+    )
+    return CannedIdentity(f"cayley-hamilton-n{n}", "surpass", comps, strong=True)
+
+
+# family name -> builder of its identity for n x n matrices, in suite order
+FAMILIES: Dict[str, Callable[[int], CannedIdentity]] = {
+    "det-mult": _det_mult,
+    "a-adj": _a_adj,
+    "det-a-adj": _det_a_adj,
+    "a-adj-sq": _a_adj_sq,
+    "cayley-hamilton": _cayley_hamilton,
+}
+
+SUITE_FAMILIES = (*FAMILIES, "mutation-control")
+
+
 def canned_identities(sizes: Sequence[int] = (2, 3)) -> Tuple[CannedIdentity, ...]:
-    suites = []
-    for n in sizes:
-        a = symbolic_matrix(n)
-        b = symbolic_matrix(n, n * n)
-        det_a = det_expression(a)
-        det_b = det_expression(b)
-        det_ab = det_expression(matmul_expression(a, b))
-        suites.append(
-            CannedIdentity(
-                f"det-mult-n{n}", "surpass",
-                ((det_ab, det_a * det_b),), strong=True,
-            )
-        )
-        a_adj = matmul_expression(a, adjoint_expression(a))
-        comps = []
-        for i in range(n):
-            for j in range(n):
-                rhs = det_a if i == j else PolyExpression.zero()
-                comps.append((a_adj[i][j], rhs))
-        suites.append(
-            CannedIdentity(f"a-adj-n{n}", "surpass", tuple(comps), strong=True)
-        )
-        suites.append(
-            CannedIdentity(
-                f"det-a-adj-n{n}", "equal",
-                ((det_expression(a_adj), det_a**n),),
-            )
-        )
-        sq = matmul_expression(a_adj, a_adj)
-        comps = tuple(
-            (sq[i][j], det_a * a_adj[i][j])
-            for i in range(n)
-            for j in range(n)
-        )
-        suites.append(CannedIdentity(f"a-adj-sq-n{n}", "equal", comps))
-        ch = charpoly_at_self(a)
-        comps = tuple(
-            (ch[i][j], PolyExpression.zero())
-            for i in range(n)
-            for j in range(n)
-        )
-        suites.append(
-            CannedIdentity(f"cayley-hamilton-n{n}", "surpass", comps, strong=True)
-        )
-    return tuple(suites)
+    return tuple(build(n) for n in sizes for build in FAMILIES.values())
 
 
 def corrupted_det_mult(n: int = 2) -> CannedIdentity:
@@ -785,15 +726,9 @@ def corrupted_det_mult(n: int = 2) -> CannedIdentity:
     det_ab = det_expression(matmul_expression(a, b))
     total = PolyExpression.zero()
     flipped = False
-    for perm in itertools.permutations(range(n)):
-        prod = PolyExpression.one()
-        for i, j in enumerate(perm):
-            prod = prod * b[i][j]
-        if _parity(perm) and not flipped:
-            flipped = True
-        elif _parity(perm):
-            prod = -prod
-        total = total + prod
+    for odd, prod in _det_terms(b):
+        total = total + (-prod if odd and flipped else prod)
+        flipped = flipped or odd
     return CannedIdentity(
         f"mutated-det-mult-n{n}", "surpass",
         ((det_ab, det_expression(a) * total),), strong=True,
@@ -813,33 +748,11 @@ class SuiteRecord:
 
 
 def run_identity(ident: CannedIdentity, trials: int = 1000, seed: int = 42) -> SuiteRecord:
-    reports = []
-    for p, q in ident.components:
-        if ident.relation == "surpass":
-            reports.append(check_surpass(p, q, trials, seed, strong=ident.strong))
-        elif ident.relation == "equal":
-            reports.append(check_equal(p, q, trials, seed))
-        else:
-            reports.append(check_nabla(p, q, trials, seed))
-    ok = all(r.ok for r in reports)
-    return SuiteRecord(ident.name, ok, seed, tuple(reports))
-
-
-SUITE_FAMILIES = (
-    "det-mult",
-    "a-adj",
-    "det-a-adj",
-    "a-adj-sq",
-    "cayley-hamilton",
-    "mutation-control",
-)
-
-
-def _family(name: str) -> str:
-    head, sep, tail = name.rpartition("-n")
-    if sep and tail.isdigit():
-        return head
-    return name
+    reports = tuple(
+        check_identity(p, q, ident.relation, trials, seed, ident.strong)
+        for p, q in ident.components
+    )
+    return SuiteRecord(ident.name, all(r.ok for r in reports), seed, reports)
 
 
 def run_suite(
@@ -848,15 +761,18 @@ def run_suite(
     seed: int = 42,
     sizes: Sequence[int] = (2, 3),
 ) -> List[SuiteRecord]:
-    """Run the canned identity families requested by name (all when
-    names is None), plus the mutation control, which passes exactly
-    when the corrupted identity is detected as failing."""
-    wanted = None if names is None else set(names)
-    records = []
-    for ident in canned_identities(sizes):
-        if wanted is None or _family(ident.name) in wanted:
-            records.append(run_identity(ident, trials, seed))
-    if wanted is None or "mutation-control" in wanted:
+    """Run the families requested by name (all when names is None),
+    sizes outer and families inner, plus the mutation control, which
+    passes exactly when the corrupted identity is detected as failing.
+    Only the requested identities are built."""
+    wanted = SUITE_FAMILIES if names is None else set(names)
+    records = [
+        run_identity(build(n), trials, seed)
+        for n in sizes
+        for family, build in FAMILIES.items()
+        if family in wanted
+    ]
+    if "mutation-control" in wanted:
         mutated = run_identity(corrupted_det_mult(), trials=10, seed=seed)
         records.append(
             SuiteRecord("mutation-control", not mutated.ok, seed, mutated.reports)

@@ -48,7 +48,7 @@ from eltlab.rand import (
 from eltlab.transfer import (
     corrupted_det_mult,
     det_expression,
-    disjoint_support,
+    expand,
     run_identity,
     run_suite,
     symbolic_matrix,
@@ -368,8 +368,8 @@ def test_criterion_14_transfer_harness():
     records = run_suite(trials=120, seed=42)
     all_pass = len(records) == 11 and all(r.ok for r in records)
     mutation = run_identity(corrupted_det_mult(), trials=40, seed=42)
-    disjoint = disjoint_support(det_expression(symbolic_matrix(2))) and disjoint_support(
-        det_expression(symbolic_matrix(3))
+    disjoint = all(
+        expand(det_expression(symbolic_matrix(n))).has_disjoint_support for n in (2, 3)
     )
     ok = all_pass and not mutation.ok and disjoint
     _criterion(14, "canned identity suites pass and the mutated sign is caught", ok,

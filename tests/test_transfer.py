@@ -1,24 +1,23 @@
-"""Polynomial identity checking across the ring, max-plus, and layered models."""
+"""Polynomial identity checking: symbolic over the integers, sampled in
+the max-plus and layered models."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from eltlab.core import BOTTOM, NEG_INF, tangible
+from eltlab.core import BOTTOM, NEG_INF, ELTScalar, tangible
 from eltlab.errors import ParseError, UnboundVariable
 from eltlab.transfer import (
     ELT_MODEL,
+    FAMILIES,
     MAXPLUS_MODEL,
-    RING_MODEL,
     SUITE_FAMILIES,
-    appears,
+    CheckReport,
     canned_identities,
-    check_equal,
-    check_surpass,
+    check_identity,
     corrupted_det_mult,
     det_expression,
-    disjoint_support,
     evaluate,
     expand,
     format_expression,
@@ -78,7 +77,7 @@ def test_expansion_collects_signed_monomials():
         (1, 1): (0, 2),
     }
     assert tab.appears((2, 0)) and not tab.appears((3, 0))
-    assert appears(E("x1*x1"), (2, 0))
+    assert expand(E("x1*x1")).appears((2, 0))
 
 
 def test_ring_equality_of_expressions():
@@ -89,26 +88,22 @@ def test_ring_equality_of_expressions():
 
 
 def test_disjoint_support():
-    m = symbolic_matrix(2)
-    assert disjoint_support(det_expression(m))
-    assert disjoint_support(det_expression(symbolic_matrix(3)))
-    assert not disjoint_support(E("x1 - x1"))
+    assert expand(det_expression(symbolic_matrix(2))).has_disjoint_support
+    assert expand(det_expression(symbolic_matrix(3))).has_disjoint_support
+    assert not expand(E("x1 - x1")).has_disjoint_support
 
 
 def test_evaluation_in_each_model():
     e = E("x1*x2 + x3")
-    assert evaluate(e, RING_MODEL, [3, 5, 4]) == 19
     assert evaluate(e, MAXPLUS_MODEL, [Fraction(3), Fraction(5), Fraction(4)]) == 8
     assert evaluate(e, MAXPLUS_MODEL, [BOTTOM, Fraction(5), Fraction(4)]) == 4
-    from eltlab import ELTScalar
-
     elt = evaluate(e, ELT_MODEL, [ELTScalar(3, 1), ELTScalar(5, 1), ELTScalar(4, 2)])
     assert elt == ELTScalar(8, 1)
 
 
 def test_evaluation_requires_enough_values():
     with pytest.raises(UnboundVariable):
-        evaluate(E("x1*x3"), RING_MODEL, [1, 2])
+        evaluate(E("x1*x3"), MAXPLUS_MODEL, [Fraction(1), Fraction(2)])
 
 
 def test_tangible_projection_commutes_with_evaluation():
@@ -124,12 +119,31 @@ def test_tangible_projection_commutes_with_evaluation():
 
 
 def test_check_reports():
-    good = check_equal(E("x1*(x2 + x3)"), E("x1*x2 + x1*x3"), trials=40, seed=3)
+    good = check_identity(E("x1*(x2 + x3)"), E("x1*x2 + x1*x3"), "equal", trials=40, seed=3)
     assert good.ring_ok and good.maxplus_ok and good.elt_ok
     assert good.counterexamples == ()
-    bad = check_equal(E("x1 + x2"), E("x1*x2"), trials=40, seed=3)
-    assert not bad.ring_ok
-    assert 1 <= len(bad.counterexamples) <= 3
+    # failing reports pinned field by field, counterexamples included
+    bad = [check_identity(E("x1 + x2"), E("x1*x2"), "equal", trials=40, seed=s) for s in (3, 11)]
+    assert bad == [
+        CheckReport("equal", False, False, False, None, 40, 3, (
+            "maxplus trial 0: x1=8, x2=-6: lhs=8 rhs=2",
+            "maxplus trial 1: x1=9, x2=10: lhs=10 rhs=19",
+            "maxplus trial 2: x1=-8, x2=-10: lhs=-8 rhs=-18",
+        )),
+        CheckReport("equal", False, False, False, None, 40, 11, (
+            "maxplus trial 0: x1=7, x2=4: lhs=7 rhs=11",
+            "maxplus trial 1: x1=8, x2=-5: lhs=8 rhs=3",
+            "maxplus trial 2: x1=5, x2=-5: lhs=5 rhs=0",
+        )),
+    ]
+    assert not any(r.ok for r in bad)
+    surpass = check_identity(E("x1*x2 - x3"), E("x3"), "surpass", trials=20, seed=5, strong=True)
+    assert surpass == CheckReport("surpass", False, True, False, True, 20, 5, (
+        "elt trial 0: x1=-8^[0], x2=-1^[-1], x3=10^[-1]: lhs=10^[1] rhs=10^[-1]",
+        "elt trial 1: x1=5^[-1], x2=-inf, x3=9^[2]: lhs=9^[-2] rhs=9^[2]",
+        "elt trial 2: x1=-9^[-1], x2=1^[0], x3=10^[1]: lhs=10^[-1] rhs=10^[1]",
+    ))
+    assert not surpass.ok
 
 
 def test_strong_surpass_requires_disjoint_support():
@@ -138,10 +152,17 @@ def test_strong_surpass_requires_disjoint_support():
     prod = matmul_expression(m2, b2)
     lhs = det_expression(prod)
     rhs = det_expression(m2) * det_expression(b2)
-    rep = check_surpass(lhs, rhs, trials=40, seed=5, strong=True)
+    rep = check_identity(lhs, rhs, "surpass", trials=40, seed=5, strong=True)
     assert rep.elt_ok and rep.strong_ok
-    overlapping = check_surpass(E("x1 + x1"), E("x1 - x1"), trials=10, seed=5, strong=True)
+    overlapping = check_identity(E("x1 + x1"), E("x1 - x1"), "surpass", trials=10, seed=5, strong=True)
     assert overlapping.strong_ok is False
+    # the strong-support message comes after the sampled counterexamples
+    assert overlapping.counterexamples == (
+        "elt trial 2: x1=2^[-1]: lhs=2^[-2] rhs=2^[0]",
+        "elt trial 3: x1=-6^[2]: lhs=-6^[4] rhs=-6^[0]",
+        "elt trial 4: x1=4^[-1]: lhs=4^[-2] rhs=4^[0]",
+        "strong: right side has overlapping monomial support",
+    )
 
 
 def test_canned_identity_catalogue():
@@ -177,12 +198,25 @@ def test_suite_runs_every_family():
     ]
     assert all(r.ok for r in records)
     assert records[0].line == "PASS det-mult-n2 21"
-    assert set(SUITE_FAMILIES) >= {"det-mult", "mutation-control"}
+    assert SUITE_FAMILIES == (*FAMILIES, "mutation-control")
+    assert SUITE_FAMILIES == (
+        "det-mult", "a-adj", "det-a-adj", "a-adj-sq", "cayley-hamilton", "mutation-control",
+    )
 
 
 def test_suite_family_selection_is_exact():
     records = run_suite(names=["a-adj"], trials=5, seed=2)
     assert [r.name for r in records] == ["a-adj-n2", "a-adj-n3"]
+    records = run_suite(["det-mult"], 5, 7, (3,))
+    assert [r.name for r in records] == ["det-mult-n3"]
+    records = run_suite(["mutation-control"], 5, 7)
+    assert [r.name for r in records] == ["mutation-control"]
+    assert records[0].ok and records[0].reports[0].trials == 10
+    records = run_suite(["cayley-hamilton", "det-a-adj"], 5, 7)
+    assert [r.name for r in records] == [
+        "det-a-adj-n2", "cayley-hamilton-n2", "det-a-adj-n3", "cayley-hamilton-n3",
+    ]
+    assert run_suite([], 5, 7) == []
 
 
 def test_mutated_identity_is_detected():
