@@ -10,6 +10,15 @@ layered conclusion (surpassing or equality) is then sampled in the
 max-plus model and then the ELT model, on one seeded generator, so
 that any failure is reproducible.
 
+Each expression is compiled once, on an explicit stack, into a
+straight-line program: a topologically ordered list of binary sums and
+products over slots, one slot per distinct subtree.  Sampling runs that
+program on plain ints, since every sampled tangible and layer is an
+integer and so is every value computed from them: a max-plus value is
+an int, an ELT value a (tangible, layer) pair of ints, and -inf is
+None in both.  Scalars are built only to decide surpassing and to print
+counterexamples.  Expansion runs the same program over monomial tables.
+
 The canned families encode the determinant, adjoint, and
 characteristic polynomial identities componentwise, plus a mutation
 control with one deliberately corrupted sign that the symbolic stage
@@ -22,14 +31,11 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from ._markers import BOTTOM, Bottom
-from .core import ELTScalar, NEG_INF, ONE, format_scalar
+from .core import ELTScalar, NEG_INF, format_scalar
 from .errors import ParseError, UnboundVariable
 from .matrix import _parity
-from .rand import random_scalar
 
 # ---------------------------------------------------------------------------
 # positive expression trees
@@ -92,11 +98,12 @@ def _node_mul(a: Node, b: Node) -> Node:
 class PolyExpression:
     """Pair of positive trees standing for pos - neg."""
 
-    __slots__ = ("pos", "neg")
+    __slots__ = ("pos", "neg", "_program")
 
     def __init__(self, pos: Node, neg: Node = _ZERO):
         self.pos = pos
         self.neg = neg
+        self._program: Optional[_Program] = None  # set by _compile
 
     @classmethod
     def zero(cls) -> "PolyExpression":
@@ -191,10 +198,15 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
+# deepest parenthesis nesting the recursive-descent parser accepts
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -229,9 +241,15 @@ class _Parser:
             self.take("var")
             return Var(int(value[1:]))
         if kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {_MAX_NESTING} levels", at
+                )
             self.take("(")
+            self.depth += 1
             node = self.expr()
             self.take(")")
+            self.depth -= 1
             return node
         raise ParseError(f"expected a factor, found {value!r}", at)
 
@@ -267,18 +285,79 @@ def format_expression(e: PolyExpression) -> str:
 
 
 # ---------------------------------------------------------------------------
+# straight-line programs
+
+
+# (is_product, left slot, right slot), in program order
+Ops = List[Tuple[bool, int, int]]
+
+
+class _Program(NamedTuple):
+    """An expression compiled to binary sums and products over slots.
+
+    Slot 0 holds zero, slot 1 holds one and slot k + 1 holds x_k, for k
+    up to ``top``, the highest variable index.  Op i, a triple
+    (is_product, left slot, right slot), writes slot 2 + top + i.
+    ``pos`` and ``neg`` are the slots of the two trees."""
+
+    top: int
+    ops: Ops
+    pos: int
+    neg: int
+
+
+def _compile(e: PolyExpression) -> _Program:
+    """The program of e, built on the first call and cached on e.
+
+    The trees are walked pos first, on an explicit stack, in
+    post-order.  A subtree shared by identity gets one slot, and an
+    n-ary sum or product folds left in argument order."""
+    if e._program is not None:
+        return e._program
+    order: List[Node] = []  # distinct sums and products, children first
+    seen = set()
+    top = 0
+    stack: List[Tuple[Node, bool]] = [(e.neg, False), (e.pos, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if children_done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Var):
+                top = max(top, node.index)
+            elif not isinstance(node, Const):
+                stack.append((node, True))
+                stack.extend((arg, False) for arg in reversed(node.args))
+    slots: Dict[int, int] = {}
+
+    def slot(node: Node) -> int:
+        if isinstance(node, Const):
+            return 0 if node.value == 0 else 1
+        if isinstance(node, Var):
+            return node.index + 1
+        return slots[id(node)]
+
+    ops: Ops = []
+    for node in order:
+        product = isinstance(node, Mul)
+        acc = 1 if product else 0  # the empty product and sum
+        if node.args:
+            acc = slot(node.args[0])
+            for arg in node.args[1:]:
+                ops.append((product, acc, slot(arg)))
+                acc = top + 1 + len(ops)
+        slots[id(node)] = acc
+    e._program = _Program(top, ops, slot(e.pos), slot(e.neg))
+    return e._program
+
+
+# ---------------------------------------------------------------------------
 # exact expansion
 
 
 def num_variables(e: PolyExpression) -> int:
-    def walk(node: Node) -> int:
-        if isinstance(node, Var):
-            return node.index
-        if isinstance(node, (Add, Mul)):
-            return max((walk(a) for a in node.args), default=0)
-        return 0
-
-    return max(walk(e.pos), walk(e.neg))
+    return _compile(e).top
 
 
 Exponents = Tuple[int, ...]
@@ -319,46 +398,35 @@ def _pad(key: Exponents, nvars: int) -> Exponents:
     return key + (0,) * (nvars - len(key))
 
 
-def _expand_node(node: Node, nvars: int, memo: Dict[int, Dict[Exponents, int]]) -> Dict[Exponents, int]:
-    cached = memo.get(id(node))
-    if cached is not None:
-        return cached
-    if isinstance(node, Const):
-        out = {} if node.value == 0 else {(0,) * nvars: 1}
-    elif isinstance(node, Var):
-        key = tuple(1 if k == node.index - 1 else 0 for k in range(nvars))
-        out = {key: 1}
-    elif isinstance(node, Add):
-        out = {}
-        for arg in node.args:
-            for key, c in _expand_node(arg, nvars, memo).items():
+def _run_monomials(ops: Ops, v: List[Dict[Exponents, int]]) -> None:
+    """Run a program over monomial tables (exponents -> count),
+    appending one table per op to v."""
+    for product, a, b in ops:
+        x = v[a]
+        y = v[b]
+        if product:
+            out: Dict[Exponents, int] = {}
+            for k1, c1 in x.items():
+                for k2, c2 in y.items():
+                    key = tuple(map(operator.add, k1, k2))
+                    out[key] = out.get(key, 0) + c1 * c2
+        else:
+            out = dict(x)
+            for key, c in y.items():
                 out[key] = out.get(key, 0) + c
-    else:
-        out = {(0,) * nvars: 1}
-        for arg in node.args:
-            part = _expand_node(arg, nvars, memo)
-            nxt: Dict[Exponents, int] = {}
-            for k1, c1 in out.items():
-                for k2, c2 in part.items():
-                    key = tuple(a + b for a, b in zip(k1, k2))
-                    nxt[key] = nxt.get(key, 0) + c1 * c2
-            out = nxt
-    memo[id(node)] = out
-    return out
+        v.append(out)
 
 
 def expand(e: PolyExpression, nvars: Optional[int] = None) -> MonomialTable:
+    top, ops, pos, neg = _compile(e)
     if nvars is None:
-        nvars = num_variables(e)
-    memo: Dict[int, Dict[Exponents, int]] = {}
-    plus = _expand_node(e.pos, nvars, memo)
-    minus = _expand_node(e.neg, nvars, memo)
-    entries: Dict[Exponents, Tuple[int, int]] = {}
-    for key, c in plus.items():
-        entries[key] = (c, 0)
-    for key, c in minus.items():
-        p, _ = entries.get(key, (0, 0))
-        entries[key] = (p, c)
+        nvars = top
+    v: List[Dict[Exponents, int]] = [{}, {(0,) * nvars: 1}]
+    v.extend({tuple(int(k == i) for k in range(nvars)): 1} for i in range(top))
+    _run_monomials(ops, v)
+    entries = {key: (c, 0) for key, c in v[pos].items()}
+    for key, c in v[neg].items():
+        entries[key] = (entries.get(key, (0, 0))[0], c)
     return MonomialTable(nvars, entries)
 
 
@@ -370,52 +438,98 @@ def ring_equal(p: PolyExpression, q: PolyExpression) -> bool:
 
 # ---------------------------------------------------------------------------
 # evaluation models
+#
+# Each model runs a program on plain values, with None for -inf, and
+# returns the sum of pos and the negation of neg.
+
+
+def _dominates(x: Optional[int], y: Optional[int]) -> bool:
+    """x >= y on the ints with None below every int."""
+    return y is None or (x is not None and x >= y)
 
 
 class MaxPlusModel:
-    """Rationals with max and plus; negation is trivial."""
+    """Ints with max and plus, None for -inf; negation is trivial."""
 
-    zero = BOTTOM
-    one = Fraction(0)
+    zero = None
+    one = 0
 
-    def add(self, a, b):
-        return max(a, b)
-
-    def mul(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return a
-
-    def sample(self, rng: random.Random):
+    def sample(self, rng: random.Random) -> Optional[int]:
         if rng.randrange(10) == 0:
-            return BOTTOM
-        return Fraction(rng.randint(-10, 10))
+            return None
+        return rng.randint(-10, 10)
 
-    def show(self, a) -> str:
-        return "-inf" if isinstance(a, Bottom) else str(a)
+    def show(self, a: Optional[int]) -> str:
+        return "-inf" if a is None else str(a)
+
+    def run(self, ops: Ops, v: list, pos: int, neg: int) -> Optional[int]:
+        append = v.append
+        for product, a, b in ops:
+            x = v[a]
+            y = v[b]
+            if x is None:
+                append(None if product else y)
+            elif y is None:
+                append(None if product else x)
+            elif product:
+                append(x + y)
+            else:
+                append(x if x >= y else y)
+        x = v[pos]
+        y = v[neg]
+        return x if _dominates(x, y) else y
+
+
+Pair = Optional[Tuple[int, int]]
+
+# rand.LAYER_CHOICES as ints: a choice over either takes the same draw
+_LAYERS = (-2, -1, 0, 1, 2)
+
+
+def _scalar(a: Pair) -> ELTScalar:
+    """The ELT scalar tangible^[layer] of a pair, -inf for None."""
+    return NEG_INF if a is None else ELTScalar(*a)
 
 
 class ELTModel:
-    """Layered scalars; negation flips the layer."""
+    """(tangible, layer) pairs of ints, None for -inf; negation flips
+    the layer."""
 
-    zero = NEG_INF
-    one = ONE
+    zero = None
+    one = (0, 1)
 
-    def add(self, a: ELTScalar, b: ELTScalar) -> ELTScalar:
-        return a + b
+    def sample(self, rng: random.Random) -> Pair:
+        if rng.randrange(10) == 0:
+            return None
+        return rng.randint(-10, 10), rng.choice(_LAYERS)
 
-    def mul(self, a: ELTScalar, b: ELTScalar) -> ELTScalar:
-        return a * b
+    def show(self, a: Pair) -> str:
+        return format_scalar(_scalar(a))
 
-    def neg(self, a: ELTScalar) -> ELTScalar:
-        return -a
-
-    def sample(self, rng: random.Random) -> ELTScalar:
-        return random_scalar(rng)
-
-    def show(self, a: ELTScalar) -> str:
-        return format_scalar(a)
+    def run(self, ops: Ops, v: list, pos: int, neg: int) -> Pair:
+        append = v.append
+        for product, a, b in ops:
+            x = v[a]
+            y = v[b]
+            if x is None:
+                append(None if product else y)
+            elif y is None:
+                append(None if product else x)
+            elif product:
+                append((x[0] + y[0], x[1] * y[1]))
+            elif x[0] != y[0]:
+                append(x if x[0] > y[0] else y)
+            else:
+                append((x[0], x[1] + y[1]))
+        x = v[pos]
+        y = v[neg]
+        if y is None:
+            return x
+        if x is None or x[0] < y[0]:
+            return y[0], -y[1]
+        if x[0] > y[0]:
+            return x
+        return x[0], x[1] - y[1]
 
 
 MAXPLUS_MODEL = MaxPlusModel()
@@ -425,30 +539,10 @@ ELT_MODEL = ELTModel()
 def evaluate(e: PolyExpression, model, assignment: Sequence[object]):
     """Evaluate pos and neg in the model, with x_k bound to
     assignment[k - 1], and combine them with the model's negation."""
-    memo: Dict[int, object] = {}
-
-    def walk(node: Node):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Const):
-            out = model.zero if node.value == 0 else model.one
-        elif isinstance(node, Var):
-            if node.index > len(assignment):
-                raise UnboundVariable(f"no value bound for x{node.index}")
-            out = assignment[node.index - 1]
-        elif isinstance(node, Add):
-            out = walk(node.args[0])
-            for arg in node.args[1:]:
-                out = model.add(out, walk(arg))
-        else:
-            out = walk(node.args[0])
-            for arg in node.args[1:]:
-                out = model.mul(out, walk(arg))
-        memo[id(node)] = out
-        return out
-
-    return model.add(walk(e.pos), model.neg(walk(e.neg)))
+    top, ops, pos, neg = _compile(e)
+    if top > len(assignment):
+        raise UnboundVariable(f"no value bound for x{top}")
+    return model.run(ops, [model.zero, model.one, *assignment[:top]], pos, neg)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +574,8 @@ class CheckReport:
 # this order on one generator
 _STAGES = {
     "surpass": (
-        ("maxplus", MAXPLUS_MODEL, operator.ge),
-        ("elt", ELT_MODEL, lambda lhs, rhs: lhs.surpasses(rhs)),
+        ("maxplus", MAXPLUS_MODEL, _dominates),
+        ("elt", ELT_MODEL, lambda lhs, rhs: _scalar(lhs).surpasses(_scalar(rhs))),
     ),
     "equal": (
         ("maxplus", MAXPLUS_MODEL, operator.eq),

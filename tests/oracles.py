@@ -1,15 +1,20 @@
 """Brute-force routes that the library's algorithms are checked against.
 
-They enumerate what the library computes by other means (every
-permutation, every walk), so they are exponential and live with the
-tests, not in ``eltlab``.
+They compute what the library computes by other means (every
+permutation, every walk, every subtree scalar by scalar), so they are
+slow, exponential or recursive, and live with the tests, not in
+``eltlab``.
 """
 
 import itertools
-from typing import Dict
+from fractions import Fraction
+from typing import Dict, Sequence
 
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, NEG_INF, ONE
+from eltlab.core import BOTTOM
+from eltlab.errors import UnboundVariable
 from eltlab.matrix import _parity
+from eltlab.transfer import Add, Const, PolyExpression, Var
 
 
 def charpoly_symbolic(a: ELTMatrix) -> ELTPolynomial:
@@ -61,3 +66,69 @@ def power_entry_paths(a: ELTMatrix, k: int, i: int, j: int) -> ELTScalar:
                 break
         acc = acc + prod
     return acc
+
+
+class FoldMaxPlusModel:
+    """Rationals with max and plus, BOTTOM for -inf; negation is trivial."""
+
+    zero = BOTTOM
+    one = Fraction(0)
+
+    def add(self, a, b):
+        return max(a, b)
+
+    def mul(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return a
+
+
+class FoldELTModel:
+    """Layered scalars; negation flips the layer."""
+
+    zero = NEG_INF
+    one = ONE
+
+    def add(self, a: ELTScalar, b: ELTScalar) -> ELTScalar:
+        return a + b
+
+    def mul(self, a: ELTScalar, b: ELTScalar) -> ELTScalar:
+        return a * b
+
+    def neg(self, a: ELTScalar) -> ELTScalar:
+        return -a
+
+
+FOLD_MAXPLUS = FoldMaxPlusModel()
+FOLD_ELT = FoldELTModel()
+
+
+def fold_evaluate(e: PolyExpression, model, assignment: Sequence[object]):
+    """Recursive evaluation over the trees, scalar by scalar: a second
+    route to ``transfer.evaluate``, which runs a compiled program on
+    ints.  Recursion bounds the depth it can take."""
+    memo: Dict[int, object] = {}
+
+    def walk(node):
+        got = memo.get(id(node))
+        if got is not None:
+            return got
+        if isinstance(node, Const):
+            out = model.zero if node.value == 0 else model.one
+        elif isinstance(node, Var):
+            if node.index > len(assignment):
+                raise UnboundVariable(f"no value bound for x{node.index}")
+            out = assignment[node.index - 1]
+        elif isinstance(node, Add):
+            out = walk(node.args[0])
+            for arg in node.args[1:]:
+                out = model.add(out, walk(arg))
+        else:
+            out = walk(node.args[0])
+            for arg in node.args[1:]:
+                out = model.mul(out, walk(arg))
+        memo[id(node)] = out
+        return out
+
+    return model.add(walk(e.pos), model.neg(walk(e.neg)))

@@ -5,15 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eltlab.core import BOTTOM, NEG_INF, ELTScalar, tangible
+from eltlab.core import BOTTOM, NEG_INF, ELTScalar
 from eltlab.errors import ParseError, UnboundVariable
 from eltlab.transfer import (
     ELT_MODEL,
     FAMILIES,
     MAXPLUS_MODEL,
     SUITE_FAMILIES,
+    Add,
     CheckReport,
+    Const,
+    Mul,
+    PolyExpression,
+    Var,
     canned_identities,
     check_identity,
     corrupted_det_mult,
@@ -29,6 +35,7 @@ from eltlab.transfer import (
     run_suite,
     symbolic_matrix,
 )
+from oracles import FOLD_ELT, FOLD_MAXPLUS, fold_evaluate
 
 E = parse_expression
 
@@ -47,6 +54,23 @@ def test_format_round_trip():
 def test_redundant_parentheses_are_accepted():
     assert E("((x1))*(x2)") == E("x1*x2")
     assert num_variables(E("x2*x7")) == 7
+
+
+@pytest.mark.parametrize("depth", [101, 400, 5000])
+def test_parse_rejects_deep_nesting(depth):
+    with pytest.raises(ParseError) as info:
+        parse_expression("(" * depth + "x1" + ")" * depth)
+    assert info.value.position == 100  # the 101st "("
+
+
+def test_nesting_up_to_the_bound_round_trips():
+    assert E("(" * 100 + "x1" + ")" * 100) == E("x1")
+    text = "x1"
+    for _ in range(100):
+        text = f"x1*(x2 + {text})"
+    e = E(text)
+    assert E(format_expression(e)) == e
+    assert num_variables(e) == 2
 
 
 @pytest.mark.parametrize(
@@ -94,16 +118,22 @@ def test_disjoint_support():
 
 
 def test_evaluation_in_each_model():
+    # max-plus values are ints, ELT values (tangible, layer) pairs of
+    # ints, and None is -inf in both
     e = E("x1*x2 + x3")
-    assert evaluate(e, MAXPLUS_MODEL, [Fraction(3), Fraction(5), Fraction(4)]) == 8
-    assert evaluate(e, MAXPLUS_MODEL, [BOTTOM, Fraction(5), Fraction(4)]) == 4
-    elt = evaluate(e, ELT_MODEL, [ELTScalar(3, 1), ELTScalar(5, 1), ELTScalar(4, 2)])
-    assert elt == ELTScalar(8, 1)
+    assert evaluate(e, MAXPLUS_MODEL, [3, 5, 4]) == 8
+    assert evaluate(e, MAXPLUS_MODEL, [None, 5, 4]) == 4
+    elt = evaluate(e, ELT_MODEL, [(3, 1), (5, 1), (4, 2)])
+    assert elt == (8, 1)
 
 
 def test_evaluation_requires_enough_values():
     with pytest.raises(UnboundVariable):
-        evaluate(E("x1*x3"), MAXPLUS_MODEL, [Fraction(1), Fraction(2)])
+        evaluate(E("x1*x3"), MAXPLUS_MODEL, [1, 2])
+
+
+def _tangible(pair):
+    return None if pair is None else pair[0]
 
 
 def test_tangible_projection_commutes_with_evaluation():
@@ -113,9 +143,62 @@ def test_tangible_projection_commutes_with_evaluation():
         k = num_variables(e)
         for _ in range(60):
             xs = [ELT_MODEL.sample(rng) for _ in range(k)]
-            lhs = tangible(evaluate(e, ELT_MODEL, xs))
-            rhs = evaluate(e, MAXPLUS_MODEL, [tangible(x) for x in xs])
+            lhs = _tangible(evaluate(e, ELT_MODEL, xs))
+            rhs = evaluate(e, MAXPLUS_MODEL, [_tangible(x) for x in xs])
             assert lhs == rhs
+
+
+@st.composite
+def expression_dags(draw):
+    """A random expression over x1..xm whose sums and products reuse
+    earlier nodes, so subtrees are shared, plus an assignment in each
+    model; -inf can make up most of the assignment."""
+    m = draw(st.integers(1, 5))
+    pool = [Const(0), Const(1)] + [Var(k) for k in range(1, m + 1)]
+    for _ in range(draw(st.integers(0, 12))):
+        args = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        pool.append((Add if draw(st.booleans()) else Mul)(tuple(args)))
+    e = PolyExpression(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+    inf_weight = draw(st.integers(0, 4))
+    pairs = []
+    for _ in range(m):
+        if draw(st.integers(1, 4)) <= inf_weight:
+            pairs.append(None)
+        else:
+            pairs.append((draw(st.integers(-10, 10)), draw(st.integers(-3, 3))))
+    return e, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression_dags())
+def test_int_evaluation_matches_the_scalar_fold(case):
+    e, pairs = case
+    got = evaluate(e, MAXPLUS_MODEL, [_tangible(x) for x in pairs])
+    want = fold_evaluate(
+        e, FOLD_MAXPLUS, [BOTTOM if x is None else Fraction(x[0]) for x in pairs]
+    )
+    assert (BOTTOM if got is None else Fraction(got)) == want
+    assert got is None or type(got) is int
+    got = evaluate(e, ELT_MODEL, pairs)
+    want = fold_evaluate(
+        e, FOLD_ELT, [NEG_INF if x is None else ELTScalar(*x) for x in pairs]
+    )
+    assert (NEG_INF if got is None else ELTScalar(*got)) == want
+    assert got is None or (type(got[0]) is int and type(got[1]) is int)
+
+
+def test_deep_expressions_need_no_recursion():
+    x1, x2 = PolyExpression.var(1), PolyExpression.var(2)
+    e = x1
+    for _ in range(1000):
+        e = x1 * (x2 + e)
+    # e = x1^1001 + sum of x1^j * x2 for j = 1..1000
+    assert num_variables(e) == 2
+    entries = expand(e).entries
+    assert len(entries) == 1001
+    assert entries[(1001, 0)] == (1, 0) and entries[(1000, 1)] == (1, 0)
+    assert evaluate(e, MAXPLUS_MODEL, [1, 2]) == 1002
+    assert evaluate(e, ELT_MODEL, [(1, 2), (2, 1)]) == (1002, 2**1000)
 
 
 def test_check_reports():
@@ -137,6 +220,13 @@ def test_check_reports():
         )),
     ]
     assert not any(r.ok for r in bad)
+    # -inf in a max-plus counterexample, as the scalar models printed it
+    assert check_identity(E("x1 + x2"), E("x1*x2"), "equal", trials=10, seed=0) == CheckReport(
+        "equal", False, False, False, None, 10, 0, (
+            "maxplus trial 0: x1=3, x2=-inf: lhs=3 rhs=-inf",
+            "maxplus trial 1: x1=6, x2=2: lhs=6 rhs=8",
+            "maxplus trial 2: x1=5, x2=8: lhs=8 rhs=13",
+        ))
     surpass = check_identity(E("x1*x2 - x3"), E("x3"), "surpass", trials=20, seed=5, strong=True)
     assert surpass == CheckReport("surpass", False, True, False, True, 20, 5, (
         "elt trial 0: x1=-8^[0], x2=-1^[-1], x3=10^[-1]: lhs=10^[1] rhs=10^[-1]",
