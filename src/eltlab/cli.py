@@ -94,13 +94,7 @@ def _emit_scalar(args, name: str, value) -> None:
 
 
 def _emit_matrix(args, m: matrix.ELTMatrix) -> None:
-    if args.machine:
-        print(f"rows: {m.nrows}")
-        print(f"cols: {m.ncols}")
-        for i, row in enumerate(m.rows):
-            print(f"row{i}: " + ", ".join(format_scalar(x) for x in row))
-    else:
-        print(m.to_text())
+    print(m.to_text(structured=args.machine))
 
 
 def _resolve_seed(args) -> int:

@@ -159,15 +159,18 @@ class ELTMatrix:
         return f"ELTMatrix[{body}]"
 
     # text format: one row per line, entries separated by commas.  The
-    # structured variant prefixes explicit "rows:"/"cols:" header lines.
+    # structured variant prefixes explicit "rows:"/"cols:" header lines
+    # and labels row i with "row<i>: ".
 
     def to_text(self, structured: bool = False) -> str:
-        body = "\n".join(
-            ", ".join(format_scalar(x) for x in row) for row in self._rows
-        )
+        rows = [", ".join(format_scalar(x) for x in row) for row in self._rows]
         if structured:
-            return f"rows: {self.nrows}\ncols: {self.ncols}\n{body}"
-        return body
+            rows = [
+                f"rows: {self.nrows}",
+                f"cols: {self.ncols}",
+                *(f"row{i}: {row}" for i, row in enumerate(rows)),
+            ]
+        return "\n".join(rows)
 
     @classmethod
     def from_text(cls, text: str) -> "ELTMatrix":
@@ -179,7 +182,7 @@ class ELTMatrix:
             if len(lines) < 2 or not lines[1].startswith("cols:"):
                 raise ParseError("structured matrix header needs a cols: line")
             expected = (_parse_dim(lines[0], "rows"), _parse_dim(lines[1], "cols"))
-            lines = lines[2:]
+            lines = [_unlabel(ln, i) for i, ln in enumerate(lines[2:])]
         grid = [[parse_scalar(tok) for tok in ln.split(",")] for ln in lines]
         if not grid:
             raise ParseError("matrix text has no entry rows")
@@ -242,9 +245,19 @@ def _products(
 
 def _parse_dim(line: str, label: str) -> int:
     value = line.partition(":")[2].strip()
-    if not value.isdigit() or int(value) <= 0:
+    if not (value.isascii() and value.isdigit()) or int(value) <= 0:
         raise ParseError(f"malformed {label}: header {line!r}")
     return int(value)
+
+
+def _unlabel(line: str, i: int) -> str:
+    """Row i of a structured matrix without its optional "row<i>:" label."""
+    label, sep, body = line.partition(":")
+    if not sep:
+        return line
+    if label != f"row{i}":
+        raise ParseError(f"row {i} is labelled {label!r}, expected 'row{i}'")
+    return body
 
 
 def parse_vector(text: str) -> Vector:

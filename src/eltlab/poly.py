@@ -6,31 +6,30 @@ scalar algebra, so the tangible value at a tangible point is the upper
 envelope of the lines ``deg * x + t(coeff)`` and a point is a root
 exactly when the evaluated layer is zero.
 
-Two classification services are provided.  ``envelope`` grades each
-monomial globally by the shape of its dominance region (a closed
-interval of tangible points, possibly empty or a single point), and
-``classify_at`` grades a monomial at one tangible point by comparing
-the polynomial with and without it.  ``elt_roots`` turns the envelope
-into a complete root description: corner points carry the layers that
-solve a layer-ring polynomial equation, and between corners a single
-monomial dominates so the root layers are constant along the interval.
+``envelope`` grades each monomial by the shape of its dominance region
+(a closed interval of tangible points, possibly empty or a single
+point), read off the upper convex hull of the points (d, t(c_d)).
+``elt_roots`` turns the envelope into a complete root description:
+corner points carry the layers that solve a layer-ring polynomial
+equation, and between corners a single monomial dominates so the root
+layers are constant along the interval.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ._markers import BOTTOM, TOP, Bottom, Top
 from .core import (
     ELTScalar,
     LayerRing,
     NEG_INF,
-    ONE,
     Q_RING,
     format_scalar,
     parse_scalar,
@@ -180,40 +179,50 @@ def _require_nonzero(p: ELTPolynomial) -> None:
 
 
 def envelope(p: ELTPolynomial) -> EnvelopeReport:
-    """Grade every monomial by the shape of its dominance interval."""
+    """Grade every monomial by the shape of its dominance interval.
+
+    The envelope is the upper convex hull of the points (d, t(c_d)),
+    kept by one sweep in degree order that pops the last vertex while
+    it lies on or below the chord to the next point.  Corner k, where
+    the lines of hull vertices k and k + 1 meet, is
+    ``(t_k - t_{k+1}) / (d_{k+1} - d_k)``; hull vertex k dominates from
+    corner k - 1 to corner k.  A point strictly inside the span of an
+    edge attains the envelope only at that edge's corner, and only when
+    it lies on the edge.
+    """
     _require_nonzero(p)
-    monos = [(d, c.tangible) for d, c in p.coefficients.items()]
+    points = [(d, c.tangible) for d, c in p.coefficients.items()]
+    hull: List[Tuple[int, Fraction]] = []
+    for d, t in points:
+        while len(hull) >= 2:
+            (d0, t0), (d1, t1) = hull[-2], hull[-1]
+            if (t1 - t0) * (d - d0) > (t - t0) * (d1 - d0):
+                break
+            hull.pop()
+        hull.append((d, t))
+    corners = tuple(
+        (t0 - t1) / (d1 - d0) for (d0, t0), (d1, t1) in itertools.pairwise(hull)
+    )
+    bounds = (BOTTOM, *corners, TOP)
     statuses: Dict[int, MonomialStatus] = {}
     intervals: Dict[int, Optional[Tuple[Bound, Bound]]] = {}
-    for d, t in monos:
-        lo: Bound = BOTTOM
-        hi: Bound = TOP
-        for e, u in monos:
-            if e == d:
-                continue
-            # lines d*x + t and e*x + u cross at x = (u - t) / (d - e)
-            x = Fraction(u - t, d - e)
-            if e > d:
-                hi = min(hi, x)
-            else:
-                lo = max(lo, x)
-        if lo > hi:
+    k = 0  # index of the next hull vertex
+    for d, t in points:
+        if d == hull[k][0]:
+            statuses[d] = MonomialStatus.ESSENTIAL
+            intervals[d] = (bounds[k], bounds[k + 1])
+            k += 1
+            continue
+        # strictly inside edge k - 1, whose lines meet at x
+        x = corners[k - 1]
+        d0, t0 = hull[k - 1]
+        if d * x + t == d0 * x + t0:
+            statuses[d] = MonomialStatus.QUASI_ESSENTIAL
+            intervals[d] = (x, x)
+        else:
             statuses[d] = MonomialStatus.INESSENTIAL
             intervals[d] = None
-        elif lo == hi:
-            statuses[d] = MonomialStatus.QUASI_ESSENTIAL
-            intervals[d] = (lo, hi)
-        else:
-            statuses[d] = MonomialStatus.ESSENTIAL
-            intervals[d] = (lo, hi)
-    corner_set = set()
-    for iv in intervals.values():
-        if iv is None:
-            continue
-        for bound in iv:
-            if isinstance(bound, Fraction) and len(dominant_degrees(p, bound)) >= 2:
-                corner_set.add(bound)
-    return EnvelopeReport(statuses, intervals, tuple(sorted(corner_set)))
+    return EnvelopeReport(statuses, intervals, corners)
 
 
 def dominant_degrees(p: ELTPolynomial, x: Fraction) -> Tuple[int, ...]:
@@ -222,28 +231,6 @@ def dominant_degrees(p: ELTPolynomial, x: Fraction) -> Tuple[int, ...]:
     values = {d: d * x + c.tangible for d, c in p.coefficients.items()}
     top = max(values.values())
     return tuple(d for d in sorted(values) if values[d] == top)
-
-
-def classify_at(p: ELTPolynomial, deg: int, a: Fraction) -> MonomialStatus:
-    """Grade one monomial at one tangible point.
-
-    The monomial is inessential at ``a`` when dropping it does not
-    change the value there and it evaluates strictly below that value;
-    essential when it alone already gives the full value and the rest
-    falls strictly below; quasi-essential otherwise.
-    """
-    c = p.coeff(deg)
-    if c.is_neg_inf:
-        raise ValueError(f"polynomial has no monomial of degree {deg}")
-    point = ELTScalar(a, 1)
-    full = p.evaluate(point)
-    alone = c * point**deg
-    rest = p.without(deg).evaluate(point)
-    if full == rest and alone.tangible < full.tangible:
-        return MonomialStatus.INESSENTIAL
-    if full == alone and rest.tangible < full.tangible:
-        return MonomialStatus.ESSENTIAL
-    return MonomialStatus.QUASI_ESSENTIAL
 
 
 # ---------------------------------------------------------------------------
@@ -384,45 +371,21 @@ def elt_roots(p: ELTPolynomial, ring: LayerRing = Q_RING) -> RootDescription:
     (layer-zero coefficient), and -inf when the constant term is absent
     or has layer zero.
     """
-    _require_nonzero(p)
     report = envelope(p)
     corners = []
     for x in report.corners:
         degs = dominant_degrees(p, x)
         equation = {d: p.coeff(d).layer for d in degs}
         corners.append(CornerRoot(x, degs, equation, _layer_solutions(equation, ring)))
-    cuts = list(report.corners)
     intervals = []
-    bounds: list[Tuple[Bound, Bound]] = []
-    if not cuts:
-        bounds.append((BOTTOM, TOP))
-    else:
-        bounds.append((BOTTOM, cuts[0]))
-        for left, right in itertools.pairwise(cuts):
-            bounds.append((left, right))
-        bounds.append((cuts[-1], TOP))
-    for lo, hi in bounds:
-        sample = _interior_point(lo, hi)
-        degs = dominant_degrees(p, sample)
-        deg = degs[0]
-        layers = _single_degree_layers(deg, p.coeff(deg), ring)
-        if not layers.is_empty:
-            intervals.append(IntervalRoot(lo, hi, deg, layers))
+    for d, status in report.statuses.items():
+        if status is MonomialStatus.ESSENTIAL:
+            layers = _single_degree_layers(d, p.coeff(d), ring)
+            if not layers.is_empty:
+                intervals.append(IntervalRoot(*report.intervals[d], d, layers))
     constant = p.coeff(0)
     at_bottom = constant.is_neg_inf or constant.layer == 0
     return RootDescription(tuple(corners), tuple(intervals), at_bottom)
-
-
-def _interior_point(lo: Bound, hi: Bound) -> Fraction:
-    if isinstance(lo, Bottom):
-        return Fraction(0) if isinstance(hi, Top) else hi - 1
-    if isinstance(hi, Top):
-        return lo + 1
-    return (lo + hi) / 2
-
-
-def is_root(p: ELTPolynomial, x: ELTScalar) -> bool:
-    return p.evaluate(x).layer == 0
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +411,7 @@ def parse_polynomial(text: str) -> ELTPolynomial:
             deg = 1
         elif rest.startswith("^"):
             exp_s = rest[1:]
-            if not exp_s.isdigit() or (len(exp_s) > 1 and exp_s[0] == "0"):
+            if not re.fullmatch(r"0|[1-9][0-9]*", exp_s):
                 raise ParseError(f"malformed degree in {chunk!r}", offset)
             deg = int(exp_s)
         else:

@@ -17,7 +17,9 @@ program on plain ints, since every sampled tangible and layer is an
 integer and so is every value computed from them: a max-plus value is
 an int, an ELT value a (tangible, layer) pair of ints, and -inf is
 None in both.  Scalars are built only to decide surpassing and to print
-counterexamples.  Expansion runs the same program over monomial tables.
+counterexamples.  Expansion runs the same program over monomial tables,
+and rendering, equality and hashing walk the same children-first list
+of subtrees, so no operation on an expression recurses.
 
 The canned families encode the determinant, adjoint, and
 characteristic polynomial identities componentwise, plus a mutation
@@ -151,10 +153,16 @@ class PolyExpression:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyExpression):
             return NotImplemented
-        return self.pos == other.pos and self.neg == other.neg
+        # one table numbers both, so equal trees get equal numbers
+        table: Dict[tuple, int] = {}
+
+        def number(key: tuple) -> int:
+            return table.setdefault(key, len(table))
+
+        return _shapes(self, number) == _shapes(other, number)
 
     def __hash__(self) -> int:
-        return hash((self.pos, self.neg))
+        return hash(_shapes(self, hash))
 
     def __str__(self) -> str:
         return format_expression(self)
@@ -185,7 +193,7 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
             continue
         if ch == "x":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
             name = text[i:j]
             if j == i + 1 or (name[1] == "0"):
@@ -267,21 +275,29 @@ def parse_expression(text: str) -> PolyExpression:
     return PolyExpression(pos, neg)
 
 
-def _render(node: Node, product_context: bool = False) -> str:
-    if isinstance(node, Const):
-        return str(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Mul):
-        return "*".join(_render(a, True) for a in node.args)
-    body = " + ".join(_render(a) for a in node.args)
-    return f"({body})" if product_context else body
-
-
 def format_expression(e: PolyExpression) -> str:
+    """The text of e, with a sum inside a product in parentheses.
+
+    Subtrees are rendered children first, in the order of ``_walk``,
+    so the depth of e needs no recursion."""
+    texts: Dict[int, str] = {}
+
+    def text(node: Node, in_product: bool = False) -> str:
+        if isinstance(node, Const):
+            return str(node.value)
+        if isinstance(node, Var):
+            return f"x{node.index}"
+        body = texts[id(node)]
+        return f"({body})" if in_product and isinstance(node, Add) else body
+
+    for node in _walk(e)[0]:
+        if isinstance(node, Mul):
+            texts[id(node)] = "*".join(text(a, True) for a in node.args)
+        else:
+            texts[id(node)] = " + ".join(map(text, node.args))
     if _is_zero(e.neg):
-        return _render(e.pos)
-    return f"{_render(e.pos)} - {_render(e.neg)}"
+        return text(e.pos)
+    return f"{text(e.pos)} - {text(e.neg)}"
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +322,13 @@ class _Program(NamedTuple):
     neg: int
 
 
-def _compile(e: PolyExpression) -> _Program:
-    """The program of e, built on the first call and cached on e.
+def _walk(e: PolyExpression) -> Tuple[List[Node], int]:
+    """The distinct sums and products of e, children first, and the
+    highest variable index.
 
     The trees are walked pos first, on an explicit stack, in
-    post-order.  A subtree shared by identity gets one slot, and an
-    n-ary sum or product folds left in argument order."""
-    if e._program is not None:
-        return e._program
-    order: List[Node] = []  # distinct sums and products, children first
+    post-order; a subtree shared by identity is listed once."""
+    order: List[Node] = []
     seen = set()
     top = 0
     stack: List[Tuple[Node, bool]] = [(e.neg, False), (e.pos, False)]
@@ -329,6 +343,36 @@ def _compile(e: PolyExpression) -> _Program:
             elif not isinstance(node, Const):
                 stack.append((node, True))
                 stack.extend((arg, False) for arg in reversed(node.args))
+    return order, top
+
+
+def _shapes(e: PolyExpression, number: Callable[[tuple], int]) -> Tuple[int, int]:
+    """The numbers ``number`` gives the trees of e, pos then neg.
+
+    A leaf is numbered by its kind and value, a sum or product by its
+    kind and the numbers of its arguments, children first."""
+    numbers: Dict[int, int] = {}
+
+    def of(node: Node) -> int:
+        if isinstance(node, Const):
+            return number((0, node.value))
+        if isinstance(node, Var):
+            return number((1, node.index))
+        return numbers[id(node)]
+
+    for node in _walk(e)[0]:
+        numbers[id(node)] = number((2 + isinstance(node, Mul), *map(of, node.args)))
+    return of(e.pos), of(e.neg)
+
+
+def _compile(e: PolyExpression) -> _Program:
+    """The program of e, built on the first call and cached on e.
+
+    A subtree shared by identity gets one slot, and an n-ary sum or
+    product folds left in argument order."""
+    if e._program is not None:
+        return e._program
+    order, top = _walk(e)
     slots: Dict[int, int] = {}
 
     def slot(node: Node) -> int:
@@ -421,6 +465,8 @@ def expand(e: PolyExpression, nvars: Optional[int] = None) -> MonomialTable:
     top, ops, pos, neg = _compile(e)
     if nvars is None:
         nvars = top
+    elif nvars < top:
+        raise ValueError(f"expression has x{top}, more than {nvars} variables")
     v: List[Dict[Exponents, int]] = [{}, {(0,) * nvars: 1}]
     v.extend({tuple(int(k == i) for k in range(nvars)): 1} for i in range(top))
     _run_monomials(ops, v)
@@ -482,7 +528,8 @@ class MaxPlusModel:
 
 Pair = Optional[Tuple[int, int]]
 
-# rand.LAYER_CHOICES as ints: a choice over either takes the same draw
+# LAYER_CHOICES of tests/rand.py as ints: a choice over either takes the
+# same draw
 _LAYERS = (-2, -1, 0, 1, 2)
 
 

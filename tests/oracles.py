@@ -1,16 +1,16 @@
 """Brute-force routes that the library's algorithms are checked against.
 
 They compute what the library computes by other means (every
-permutation, every walk, every subtree scalar by scalar), so they are
-slow, exponential or recursive, and live with the tests, not in
-``eltlab``.
+permutation, every walk, every subtree scalar by scalar, a polynomial
+evaluated with and without one monomial), so they are slow,
+exponential or recursive, and live with the tests, not in ``eltlab``.
 """
 
 import itertools
 from fractions import Fraction
 from typing import Dict, Sequence
 
-from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, NEG_INF, ONE
+from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
 from eltlab.core import BOTTOM
 from eltlab.errors import UnboundVariable
 from eltlab.matrix import _parity
@@ -48,6 +48,32 @@ def charpoly_symbolic(a: ELTMatrix) -> ELTPolynomial:
             prod = -prod
         total = total + prod
     return total
+
+
+def classify_at(p: ELTPolynomial, deg: int, a: Fraction) -> MonomialStatus:
+    """Grade one monomial at one tangible point.
+
+    The monomial is inessential at ``a`` when dropping it does not
+    change the value there and it evaluates strictly below that value;
+    essential when it alone already gives the full value and the rest
+    falls strictly below; quasi-essential otherwise.
+    """
+    c = p.coeff(deg)
+    if c.is_neg_inf:
+        raise ValueError(f"polynomial has no monomial of degree {deg}")
+    point = ELTScalar(a, 1)
+    full = p.evaluate(point)
+    alone = c * point**deg
+    rest = p.without(deg).evaluate(point)
+    if full == rest and alone.tangible < full.tangible:
+        return MonomialStatus.INESSENTIAL
+    if full == alone and rest.tangible < full.tangible:
+        return MonomialStatus.ESSENTIAL
+    return MonomialStatus.QUASI_ESSENTIAL
+
+
+def is_root(p: ELTPolynomial, x: ELTScalar) -> bool:
+    return p.evaluate(x).layer == 0
 
 
 def power_entry_paths(a: ELTMatrix, k: int, i: int, j: int) -> ELTScalar:

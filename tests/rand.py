@@ -13,9 +13,9 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .core import ELTScalar, NEG_INF
-from .matrix import ELTMatrix, Vector
-from .puiseux import PuiseuxSeries
+from eltlab.core import ELTScalar, NEG_INF
+from eltlab.matrix import ELTMatrix, Vector
+from eltlab.puiseux import PuiseuxSeries
 
 LAYER_CHOICES = tuple(Fraction(v) for v in (-2, -1, 0, 1, 2))
 UNIT_LAYER_CHOICES = tuple(Fraction(v) for v in (-2, -1, 1, 2))

@@ -39,12 +39,6 @@ from eltlab.matrix import (
 )
 from eltlab.poly import envelope, parse_polynomial
 from eltlab.puiseux import eltrop
-from eltlab.rand import (
-    random_matrix,
-    random_monomial_matrix,
-    random_nilpotent_matrix,
-    random_series,
-)
 from eltlab.transfer import (
     corrupted_det_mult,
     det_expression,
@@ -54,6 +48,12 @@ from eltlab.transfer import (
     symbolic_matrix,
 )
 from oracles import charpoly_symbolic
+from rand import (
+    random_matrix,
+    random_monomial_matrix,
+    random_nilpotent_matrix,
+    random_series,
+)
 
 SEED = 20250823
 

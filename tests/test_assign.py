@@ -23,7 +23,7 @@ from eltlab.assign import (
 from eltlab.core import BOTTOM
 from eltlab.errors import InfeasibleAssignment
 from eltlab.matrix import simple_cycles
-from eltlab.rand import random_matrix
+from rand import random_matrix
 
 T = parse_tropical_matrix
 

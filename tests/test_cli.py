@@ -6,6 +6,7 @@ import pytest
 
 from eltlab import transfer
 from eltlab.cli import main
+from eltlab.matrix import ELTMatrix, adjoint
 from eltlab.transfer import SuiteRecord
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -209,6 +210,24 @@ def test_malformed_input_exits_one(capsys, tmp_path):
     bad.write_text("rows: 2\ncols: 2\n1^[1], 2^[1]\n")
     code, _, err = run(capsys, "det", str(bad))
     assert code == 1 and "parse error" in err
+    # non-ASCII digits, which str.isdigit accepts
+    for command, text in (
+        ("det", "rows: ²\ncols: 1\n1^[0]\n"),
+        ("roots", "0^[1]*L^²\n"),
+        ("roots", "0^[1]*L^١\n"),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, command, str(bad))
+        assert (code, out) == (1, "") and "parse error" in err
+
+
+def test_machine_matrix_output_reads_back(capsys):
+    for path in sorted(FIXTURES.glob("*.mat")):
+        if path.name == "trop.mat":
+            continue
+        code, out, _ = run(capsys, "adj", str(path), "--machine")
+        assert code == 0
+        assert ELTMatrix.from_text(out) == adjoint(ELTMatrix.from_text(path.read_text()))
 
 
 def test_fixture_files_round_trip():

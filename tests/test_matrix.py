@@ -37,13 +37,13 @@ from eltlab.matrix import (
     trace,
 )
 from eltlab.poly import parse_polynomial
-from eltlab.rand import (
+from oracles import charpoly_symbolic, power_entry_paths
+from rand import (
     random_matrix,
     random_monomial_matrix,
     random_nilpotent_matrix,
     random_vector,
 )
-from oracles import charpoly_symbolic, power_entry_paths
 
 S = parse_scalar
 M = ELTMatrix.from_text
@@ -443,6 +443,30 @@ def test_structured_header_validation():
         M("rows: 2\ncols: 2\n1^[1], 2^[1]")
     with pytest.raises(ParseError):
         M("rows: 1\ncols: 3\n1^[1], 2^[1]")
+    for text in ("rows: ²\ncols: 1\n1^[0]", "rows: 1\ncols: ١\n1^[0]"):
+        with pytest.raises(ParseError):
+            M(text)
+
+
+def test_structured_rows_may_carry_their_labels():
+    text = TRI.to_text(structured=True)
+    assert text.splitlines()[2:] == [
+        "row0: 1^[1], 2^[1], -inf",
+        "row1: -inf, 3^[1], 0^[2]",
+        "row2: 1^[0], -inf, 2^[1]",
+    ]
+    assert M(text) == TRI
+    assert M("rows: 2\ncols: 1\n1^[1]\nrow1: 2^[1]") == M("1^[1]\n2^[1]")
+    for bad in (
+        "rows: 2\ncols: 1\nrow1: 1^[1]\nrow0: 2^[1]",
+        "rows: 1\ncols: 1\nrow: 1^[1]",
+        "rows: 1\ncols: 1\nrow00: 1^[1]",
+        "rows: 1\ncols: 1\nrow١: 1^[1]",
+        "rows: 1\ncols: 1\nline0: 1^[1]",
+        "row0: 1^[1]",  # labels only in structured text
+    ):
+        with pytest.raises(ParseError):
+            M(bad)
 
 
 def test_vector_round_trip():

@@ -10,15 +10,14 @@ from eltlab import ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, Q_RING, Z_
 from eltlab.core import BOTTOM, TOP, parse_scalar
 from eltlab.errors import DegeneratePolynomial, ParseError
 from eltlab.poly import (
-    classify_at,
     dominant_degrees,
     elt_roots,
     envelope,
     format_polynomial,
-    is_root,
     parse_polynomial,
 )
-from eltlab.rand import random_scalar
+from oracles import classify_at, is_root
+from rand import random_scalar
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=4)
 finite = st.builds(ELTScalar, rationals, rationals)
@@ -106,6 +105,31 @@ def test_pointwise_classification():
     assert classify_at(p, 2, Fraction(5)) is MonomialStatus.ESSENTIAL
 
 
+@given(
+    st.lists(st.tuples(st.integers(min_value=0, max_value=9), finite), min_size=1, max_size=8)
+)
+def test_envelope_agrees_with_pointwise_classification(terms):
+    """At a corner the monomials on the envelope are quasi-essential and
+    the rest inessential; inside each piece between corners exactly the
+    monomial whose interval it is is essential."""
+    p = ELTPolynomial(terms)
+    rep = envelope(p)
+    for x in rep.corners:
+        for d, iv in rep.intervals.items():
+            on = iv is not None and iv[0] <= x <= iv[1]
+            want = MonomialStatus.QUASI_ESSENTIAL if on else MonomialStatus.INESSENTIAL
+            assert classify_at(p, d, x) is want
+    bounds = (BOTTOM, *rep.corners, TOP)
+    pieces = list(zip(bounds, bounds[1:]))
+    essential = [d for d, s in rep.statuses.items() if s is MonomialStatus.ESSENTIAL]
+    assert [rep.intervals[d] for d in essential] == pieces
+    for d, piece in zip(essential, pieces):
+        x = _interior(*piece)
+        for e in p.degrees:
+            want = MonomialStatus.ESSENTIAL if e == d else MonomialStatus.INESSENTIAL
+            assert classify_at(p, e, x) is want
+
+
 def test_root_description_of_quadratic():
     rd = elt_roots(P("0^[1]*L^2 + 3^[-1]*L + 4^[0]"))
     assert [(c.tangible, c.layers.values) for c in rd.corners] == [
@@ -150,8 +174,7 @@ def _sample_layers(solutions):
     return list(solutions.values)
 
 
-def _interval_point(iv):
-    lo, hi = iv.lower, iv.upper
+def _interior(lo, hi):
     if lo is BOTTOM and hi is TOP:
         return Fraction(0)
     if lo is BOTTOM:
@@ -166,7 +189,7 @@ def _candidate_tangibles(rd):
     for c in rd.corners:
         out.add(c.tangible)
     for iv in rd.intervals:
-        out.add(_interval_point(iv))
+        out.add(_interior(iv.lower, iv.upper))
     return out
 
 
@@ -185,7 +208,7 @@ def test_root_description_is_sound_and_complete():
             for l in _sample_layers(c.layers):
                 assert is_root(p, ELTScalar(c.tangible, l))
         for iv in rd.intervals:
-            mid = _interval_point(iv)
+            mid = _interior(iv.lower, iv.upper)
             for l in _sample_layers(iv.layers):
                 assert is_root(p, ELTScalar(mid, l))
         assert rd.neg_infinity_root == is_root(p, NEG_INF)
@@ -252,6 +275,8 @@ def test_format_examples():
         "2^[1]*l^2",
         "0^[1]*L^2 +",
         "0^[1]*L^2 + inf",
+        "0^[1]*L^²",  # str.isdigit accepts it, int() does not
+        "0^[1]*L^١",  # int() reads it as 1
     ],
 )
 def test_parse_rejects_malformed_input(text):

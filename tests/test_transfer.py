@@ -85,6 +85,8 @@ def test_nesting_up_to_the_bound_round_trips():
         "(x1",
         "x1 + + x2",
         "x1 & x2",
+        "x²",
+        "x1١ + x2",
     ],
 )
 def test_parse_rejects_malformed_input(text):
@@ -188,10 +190,18 @@ def test_int_evaluation_matches_the_scalar_fold(case):
 
 
 def test_deep_expressions_need_no_recursion():
-    x1, x2 = PolyExpression.var(1), PolyExpression.var(2)
-    e = x1
-    for _ in range(1000):
-        e = x1 * (x2 + e)
+    x1, x2, x3 = (PolyExpression.var(i) for i in (1, 2, 3))
+
+    def chain(leaf):
+        e = leaf
+        for _ in range(1000):
+            e = x1 * (x2 + e)
+        return e
+
+    e, same, other = chain(x1), chain(x1), chain(x3)
+    assert e == same and hash(e) == hash(same)
+    assert e != other and e != same - x3 and e != x2 * same
+    assert format_expression(e) == "x1*(x2 + " * 1000 + "x1" + ")" * 1000
     # e = x1^1001 + sum of x1^j * x2 for j = 1..1000
     assert num_variables(e) == 2
     entries = expand(e).entries
@@ -199,6 +209,14 @@ def test_deep_expressions_need_no_recursion():
     assert entries[(1001, 0)] == (1, 0) and entries[(1000, 1)] == (1, 0)
     assert evaluate(e, MAXPLUS_MODEL, [1, 2]) == 1002
     assert evaluate(e, ELT_MODEL, [(1, 2), (2, 1)]) == (1002, 2**1000)
+
+
+def test_expand_needs_every_variable():
+    e = E("x1*x3 + x2")
+    with pytest.raises(ValueError):
+        expand(e, 2)
+    assert expand(e, 3).entries == {(1, 0, 1): (1, 0), (0, 1, 0): (1, 0)}
+    assert expand(e, 4).entries == {(1, 0, 1, 0): (1, 0), (0, 1, 0, 0): (1, 0)}
 
 
 def test_check_reports():
