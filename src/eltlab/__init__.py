@@ -22,10 +22,7 @@ from .core import (
     Z_RING,
     get_ring,
     invert,
-    layer,
     parse_scalar,
-    scalar,
-    tangible,
 )
 from .errors import ELTError, ParseError
 from .matrix import ELTMatrix
@@ -54,10 +51,7 @@ __all__ = [
     "eltrop",
     "get_ring",
     "invert",
-    "layer",
     "parse_expression",
     "parse_scalar",
-    "scalar",
-    "tangible",
     "__version__",
 ]

@@ -125,13 +125,6 @@ cdef class ELTScalar:
             return a
         return _raw(a.tn, a.td, -a.ln, a.ld, True)
 
-    def circ(self):
-        """x + (-x): same tangible, layer forced to zero."""
-        cdef ELTScalar a = <ELTScalar>self
-        if not a.fin:
-            return a
-        return _raw(a.tn, a.td, 0, 1, True)
-
     # -- layered relations ------------------------------------------
 
     def surpasses(self, other):

@@ -121,12 +121,6 @@ class ELTScalar:
             return self
         return ELTScalar._raw(self._t, -self._l)
 
-    def circ(self) -> "ELTScalar":
-        """x + (-x): same tangible, layer forced to zero."""
-        if not self._fin:
-            return self
-        return ELTScalar._raw(self._t, _ZERO)
-
     # -- layered relations ------------------------------------------
 
     def surpasses(self, other: "ELTScalar") -> bool:

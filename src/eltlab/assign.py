@@ -1,5 +1,6 @@
 """Max-plus assignment layer: criticality, Hungarian row scaling, the
-scalar lift, and a maximum-mean-cycle oracle.
+scalar lift, and Karp's maximum cycle mean (which the essential trace
+also uses for its long-cycle bound).
 
 A tropical matrix is a rectangular grid of rationals and -inf, usually
 obtained from a scalar matrix by the tangible projection.  An entry is
@@ -15,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ._markers import BOTTOM, Bottom
 from .core import ELTScalar, integer_grids, parse_rational
 from .errors import InfeasibleAssignment, NotSquare, ParseError
-from .matrix import ELTMatrix
+
+if TYPE_CHECKING:
+    from .matrix import ELTMatrix
 
 Entry = Union[Fraction, Bottom]
 TropicalMatrix = Tuple[Tuple[Entry, ...], ...]
@@ -236,7 +239,7 @@ def critical_scaling_elt(a: ELTMatrix) -> ELTMatrix:
     """Invertible diagonal D with unit layers such that t(DA) is
     critical; the diagonal lifts the Hungarian row offsets."""
     result = hungarian_scaling(tangible_matrix(a))
-    return ELTMatrix.diagonal(
+    return type(a).diagonal(
         tuple(ELTScalar(alpha, 1) for alpha in result.alphas)
     )
 
@@ -245,106 +248,49 @@ def critical_scaling_elt(a: ELTMatrix) -> ELTMatrix:
 # maximum mean cycle
 
 
-def _strongly_connected_components(
-    n: int, adj: Sequence[Sequence[int]]
-) -> List[List[int]]:
-    """Kosaraju's two depth-first passes, on explicit stacks of
-    neighbour iterators so that no path length meets the recursion
-    limit.  Components come in the order of the second pass, each
-    listed in the order its vertices are reached."""
-    order: List[int] = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            v, todo = stack[-1]
-            for w in todo:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, iter(adj[w])))
-                    break
-            else:
-                stack.pop()
-                order.append(v)
-    radj: List[List[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in adj[v]:
-            radj[w].append(v)
-    comp = [-1] * n
-    comps: List[List[int]] = []
-    for root in reversed(order):
-        if comp[root] >= 0:
-            continue
-        members = [root]
-        comp[root] = len(comps)
-        comps.append(members)
-        stack = [iter(radj[root])]
-        while stack:
-            for w in stack[-1]:
-                if comp[w] < 0:
-                    comp[w] = comp[root]
-                    members.append(w)
-                    stack.append(iter(radj[w]))
-                    break
-            else:
-                stack.pop()
-    return comps
-
-
 def karp_max_mean_cycle(t: TropicalMatrix) -> Optional[Fraction]:
     """Maximum mean over directed cycles of finite entries, None when
     the digraph is acyclic.
 
-    Runs the Karp recurrence from a fixed source within each strongly
-    connected component and takes max over min over walk lengths.  The
-    walk weights are ints, the entries scaled by their common
-    denominator d.  A vertex a walk cannot reach holds ``low``, so far
-    below every true weight that a step from it stays under ``floor``
-    and is put back to ``low``.
+    Karp's recurrence with walks from every vertex at once (Karp 1978):
+    ``D_0(v) = 0`` and ``D_k(v)`` is the best weight of a k-edge walk
+    ending at v.  The answer is the max over v of the min over k < n of
+    ``(D_n(v) - D_k(v)) / (n - k)``.  An n-edge walk holds a cycle, so
+    no v gives more than the best mean; a vertex on a best cycle gives
+    at least that mean for every k.  No component split is needed.
+
+    The walk weights are ints, the entries scaled by their common
+    denominator d, and the ratios are compared by cross-multiplying.  A
+    vertex no k-edge walk reaches holds ``low``, so far below every true
+    weight that a step from it stays under ``floor`` and is put back to
+    ``low``.
     """
     n = _require_square_grid(t)
     d, (w,) = integer_grids(t)
-    adj = [[j for j in range(n) if w[i][j] is not None] for i in range(n)]
+    reach = n * max((abs(x) for row in w for x in row if x is not None), default=0)
+    floor = -reach
+    low = floor - reach - 1
+    # the in-edges of each vertex; one with none reads itself through a
+    # loop of weight low, which no walk can afford
+    sources = [[i for i in range(n) if w[i][j] is not None] or [j] for j in range(n)]
+    weights = [[low if w[i][j] is None else w[i][j] for i in srcs] for j, srcs in enumerate(sources)]
+    dist = [[0] * n]
+    for _ in range(n):
+        step = dist[-1].__getitem__
+        row = [max(map(add, map(step, srcs), ws)) for srcs, ws in zip(sources, weights)]
+        dist.append([x if x >= floor else low for x in row])
     best: Optional[Tuple[int, int]] = None
-    for verts in _strongly_connected_components(n, adj):
-        if len(verts) == 1 and w[verts[0]][verts[0]] is None:
-            continue
-        m = len(verts)
-        index = {v: k for k, v in enumerate(verts)}
-        sources: List[List[int]] = [[] for _ in verts]
-        weights: List[List[int]] = [[] for _ in verts]
-        for a in verts:
-            for b in adj[a]:
-                if b in index:
-                    sources[index[b]].append(index[a])
-                    weights[index[b]].append(w[a][b])
-        reach = m * max(abs(x) for ws in weights for x in ws)
-        floor = -reach
-        low = floor - reach - 1
-        dist = [[0] + [low] * (m - 1)]
-        for _ in range(m):
-            step = dist[-1].__getitem__
-            row = [max(map(add, map(step, srcs), ws)) for srcs, ws in zip(sources, weights)]
-            dist.append([x if x >= floor else low for x in row])
-        for vtx in range(m):
-            full = dist[m][vtx]
-            if full == low:
-                continue
-            worst: Optional[Tuple[int, int]] = None
-            for k in range(m):
-                part = dist[k][vtx]
-                if part == low:
-                    continue
-                ratio = (full - part, m - k)
-                if worst is None or ratio[0] * worst[1] < worst[0] * ratio[1]:
-                    worst = ratio
-            if worst is not None and (
-                best is None or worst[0] * best[1] > best[0] * worst[1]
-            ):
-                best = worst
+    for col in zip(*dist):
+        full = col[n]
+        if full == low or best is not None and full * best[1] <= best[0] * n:
+            continue  # no n-edge walk, or its k = 0 ratio cannot beat best
+        worst = (full, n)  # k = 0: every walk starts at weight 0
+        for k in range(1, n):
+            part = col[k]
+            if part != low and (full - part) * worst[1] < worst[0] * (n - k):
+                worst = (full - part, n - k)
+        if best is None or worst[0] * best[1] > best[0] * worst[1]:
+            best = worst
     return None if best is None else Fraction(best[0], best[1] * d)
 
 

@@ -36,23 +36,6 @@ NEG_INF = _backend.NEG_INF
 ONE = _backend.ONE
 BACKEND = _backend.BACKEND_NAME
 
-RationalLike = Union[Fraction, int, str]
-
-
-def scalar(tangible: RationalLike, layer: RationalLike) -> ELTScalar:
-    """Build a finite scalar tangible^[layer]."""
-    return ELTScalar(tangible, layer)
-
-
-def layer(x: ELTScalar) -> Fraction:
-    """Layer projection; -inf maps to 0."""
-    return x.layer
-
-
-def tangible(x: ELTScalar) -> Union[Fraction, Bottom]:
-    """Tangible projection; -inf maps to the BOTTOM marker."""
-    return x.tangible
-
 
 IntGrid = List[List[Optional[int]]]
 
@@ -169,6 +152,18 @@ def invert(x: ELTScalar, ring: LayerRing = Q_RING) -> ELTScalar:
 _RAT_RE = re.compile(r"(?:0|-?[1-9][0-9]*)(?:/[1-9][0-9]*)?\Z")
 
 
+def parse_int(digits: str, position: int | None = None) -> int:
+    """``int(digits)`` for a sign and ASCII digits the caller has
+    checked.  Python refuses to convert more digits than
+    ``sys.get_int_max_str_digits()`` (4,300 by default); that is a
+    ParseError here, like any other number the readers cannot take."""
+    try:
+        return int(digits)
+    except ValueError:
+        size = len(digits.lstrip("-"))
+        raise ParseError(f"number of {size} digits is too long", position) from None
+
+
 def parse_rational(text: str, position: int | None = None) -> Fraction:
     """Parse a reduced rational literal like ``-3/2`` or ``7``."""
     t = text.strip()
@@ -178,13 +173,13 @@ def parse_rational(text: str, position: int | None = None) -> Fraction:
         raise ParseError(f"malformed rational {text!r}", position)
     if "/" in t:
         num_s, den_s = t.split("/")
-        num = int(num_s)
-        den = int(den_s)
+        num = parse_int(num_s, position)
+        den = parse_int(den_s, position)
         value = Fraction(num, den)
         if value.numerator != num or value.denominator != den:
             raise ParseError(f"rational {text!r} is not reduced", position)
         return value
-    return Fraction(int(t))
+    return Fraction(parse_int(t, position))
 
 
 def parse_scalar(text: str) -> ELTScalar:

@@ -23,6 +23,7 @@ from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ._markers import BOTTOM, Bottom
+from .assign import karp_max_mean_cycle
 from .core import (
     ELTScalar,
     LayerRing,
@@ -32,6 +33,7 @@ from .core import (
     format_scalar,
     integer_grids,
     invert,
+    parse_int,
     parse_scalar,
 )
 from .errors import (
@@ -245,9 +247,10 @@ def _products(
 
 def _parse_dim(line: str, label: str) -> int:
     value = line.partition(":")[2].strip()
-    if not (value.isascii() and value.isdigit()) or int(value) <= 0:
+    dim = parse_int(value) if value.isascii() and value.isdigit() else 0
+    if dim <= 0:
         raise ParseError(f"malformed {label}: header {line!r}")
-    return int(value)
+    return dim
 
 
 def _unlabel(line: str, i: int) -> str:
@@ -606,10 +609,12 @@ def essential_trace(a: ELTMatrix) -> EtrReport:
         k: p.coeff(n - k) for k in range(1, n + 1) if not p.coeff(n - k).is_neg_inf
     }
     tr = trace(a)
-    long_bound: Bound = BOTTOM
-    for cyc in simple_cycles(a):
-        if cyc.length >= 2 and cyc.mean > long_bound:
-            long_bound = cyc.mean
+    # the best mean of a cycle of length at least two: Karp without loops
+    long_mean = karp_max_mean_cycle(tuple(
+        tuple(BOTTOM if i == j else x.tangible for j, x in enumerate(row))
+        for i, row in enumerate(a.rows)
+    ))
+    long_bound: Bound = BOTTOM if long_mean is None else long_mean
     if not coefficients:
         return EtrReport(
             tr, {}, frozenset(), None, NEG_INF, long_bound,

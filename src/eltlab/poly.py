@@ -32,6 +32,7 @@ from .core import (
     NEG_INF,
     Q_RING,
     format_scalar,
+    parse_int,
     parse_scalar,
 )
 from .errors import DegeneratePolynomial, ParseError
@@ -413,7 +414,7 @@ def parse_polynomial(text: str) -> ELTPolynomial:
             exp_s = rest[1:]
             if not re.fullmatch(r"0|[1-9][0-9]*", exp_s):
                 raise ParseError(f"malformed degree in {chunk!r}", offset)
-            deg = int(exp_s)
+            deg = parse_int(exp_s, offset)
         else:
             raise ParseError(f"malformed polynomial term {chunk!r}", offset)
         terms.append((deg, parse_scalar(coeff_s)))

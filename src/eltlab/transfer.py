@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .core import ELTScalar, NEG_INF, format_scalar
+from .core import ELTScalar, NEG_INF, format_scalar, parse_int
 from .errors import ParseError, UnboundVariable
 from .matrix import _parity
 
@@ -247,7 +247,7 @@ class _Parser:
             return _ZERO if value == "0" else _UNIT
         if kind == "var":
             self.take("var")
-            return Var(int(value[1:]))
+            return Var(parse_int(value[1:], at))
         if kind == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError(

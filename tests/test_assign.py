@@ -188,6 +188,30 @@ def test_best_cycle_mean_example():
     assert karp_max_mean_cycle(T("-inf, 2\n3, -inf")) == Fraction(5, 2)
     assert karp_max_mean_cycle(T("-inf, 2\n-inf, -inf")) is None
     assert karp_max_mean_cycle(T("7")) == 7
+    # vertex 0 has no in-edge and heavy out-edges; {1, 2} is a 2-cycle
+    # of mean 7/2; {3, 4, 5} holds cycles of means 8/3 and 3/4; {6} is
+    # a loop of mean 10/3; edges between components run one way only
+    t = T(
+        "-inf, 100, -inf, 50, -inf, -inf, -inf\n"
+        "-inf, -inf, 3, -inf, -inf, -inf, -inf\n"
+        "-inf, 4, -inf, 9, -inf, -inf, -inf\n"
+        "-inf, -inf, -inf, -inf, 1, -inf, -inf\n"
+        "-inf, -inf, -inf, 1/2, -inf, 2, -inf\n"
+        "-inf, -inf, -inf, 5, -inf, -inf, 40\n"
+        "-inf, -inf, -inf, -inf, -inf, -inf, 10/3"
+    )
+
+    def without(*edges):
+        return tuple(
+            tuple(BOTTOM if (i, j) in edges else x for j, x in enumerate(row))
+            for i, row in enumerate(t)
+        )
+
+    assert karp_max_mean_cycle(t) == Fraction(7, 2)
+    assert karp_max_mean_cycle(without((2, 1))) == Fraction(10, 3)
+    assert karp_max_mean_cycle(without((2, 1), (6, 6))) == Fraction(8, 3)
+    assert karp_max_mean_cycle(without((2, 1), (6, 6), (5, 3))) == Fraction(3, 4)
+    assert karp_max_mean_cycle(without((2, 1), (6, 6), (5, 3), (4, 3))) is None
 
 
 def test_best_cycle_mean_matches_brute_force():

@@ -80,12 +80,28 @@ def test_eigen_verification(capsys):
     assert code == 2 and "ZeroVector" in err
 
 
+# stdout of "etr --machine" for every fixture that holds a scalar matrix
+ETR_MACHINE = {
+    "a.mat": "etr: 3^[1]\nstatus: essential\ntrace: 3^[1]\nmu: 1\n",
+    "aat.mat": "etr: 6^[1]\nstatus: essential\ntrace: 6^[1]\nmu: 1\n",
+    "apb.mat": "etr: 0^[0]\nstatus: quasi-essential\ntrace: 0^[4]\nmu: 1\n",
+    "ata.mat": "etr: 6^[1]\nstatus: essential\ntrace: 6^[1]\nmu: 1\n",
+    "mixed.mat": "etr: 3/2^[-1/3]\nstatus: essential\ntrace: 3/2^[-1/3]\nmu: 1\n",
+    "nilp.mat": "etr: 1/2^[0]\nstatus: inessential\ntrace: 0^[2]\nmu: 2\n",
+    "sym.mat": "etr: 3^[1]\nstatus: essential\ntrace: 3^[1]\nmu: 1\n",
+    "tri.mat": "etr: 3^[1]\nstatus: essential\ntrace: 3^[1]\nmu: 1\n",
+}
+
+
 def test_trace_and_essential_trace(capsys):
     code, out, _ = run(capsys, "trace", fixture("nilp.mat"))
     assert (code, out) == (0, "0^[2]\n")
-    code, out, _ = run(capsys, "etr", fixture("apb.mat"), "--machine")
-    assert code == 0
-    assert out == "etr: 0^[0]\nstatus: quasi-essential\ntrace: 0^[4]\nmu: 1\n"
+    assert sorted(ETR_MACHINE) == sorted(
+        p.name for p in FIXTURES.glob("*.mat") if p.name != "trop.mat"
+    )
+    for name, expected in ETR_MACHINE.items():
+        code, out, _ = run(capsys, "etr", fixture(name), "--machine")
+        assert (code, out) == (0, expected), name
 
 
 def test_nilpotence(capsys):
@@ -210,11 +226,18 @@ def test_malformed_input_exits_one(capsys, tmp_path):
     bad.write_text("rows: 2\ncols: 2\n1^[1], 2^[1]\n")
     code, _, err = run(capsys, "det", str(bad))
     assert code == 1 and "parse error" in err
-    # non-ASCII digits, which str.isdigit accepts
+    long = "1" * 5000  # past the 4,300 digits Python's int() converts
     for command, text in (
+        # non-ASCII digits, which str.isdigit accepts
         ("det", "rows: ²\ncols: 1\n1^[0]\n"),
         ("roots", "0^[1]*L^²\n"),
         ("roots", "0^[1]*L^١\n"),
+        ("det", f"{long}^[0]\n"),
+        ("det", f"1/{long}^[0]\n"),
+        ("det", f"rows: {long}\ncols: 1\n0^[1]\n"),
+        ("roots", f"0^[1]*L^{long}\n"),
+        ("eltrop", f"{long}*t^(1)\n"),
+        ("hungarian", f"{long}, -inf\n-inf, 0\n"),
     ):
         bad.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, command, str(bad))

@@ -4,10 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eltlab import ELTMatrix, ELTScalar, NEG_INF, ONE, Z_RING
-from eltlab.core import parse_scalar
+from eltlab.core import BOTTOM, parse_scalar
 from eltlab.errors import (
     DimensionMismatch,
     NotSquare,
@@ -410,6 +410,43 @@ def test_dominant_ratio_matches_best_cycle_mean():
         found += 1
         rep = essential_trace(a)
         assert rep.dominant.tangible / rep.mu == max(c.mean for c in cycles)
+
+
+@st.composite
+def cycle_matrices(draw, max_n=6):
+    """Square matrices for the long-cycle bound: tie-heavy or all-zero
+    tangibles (a bound of exactly 0), some rows all -inf, and some
+    matrices whose only finite entries are loops."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["mixed", "ties", "zeros", "loops"]))
+    tangibles = {
+        "mixed": st.fractions(-6, 6, max_denominator=4),
+        "ties": st.sampled_from([Fraction(-1, 2), Fraction(0), Fraction(1, 2)]),
+        "zeros": st.just(Fraction(0)),
+        "loops": st.integers(-3, 3).map(Fraction),
+    }[kind]
+    entries = st.builds(ELTScalar, tangibles, st.sampled_from([-1, 1, 2])) | st.just(NEG_INF)
+    dead = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    return ELTMatrix(
+        [
+            [
+                NEG_INF if i in dead or (kind == "loops" and i != j) else draw(entries)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+@settings(deadline=None)
+@given(cycle_matrices())
+def test_long_cycle_bound_is_the_best_mean_of_a_long_simple_cycle(a):
+    expected = max((c.mean for c in simple_cycles(a) if c.length >= 2), default=BOTTOM)
+    bound = essential_trace(a).long_cycle_bound
+    if expected is BOTTOM:
+        assert bound is BOTTOM
+    else:
+        assert type(bound) is Fraction and bound == expected
 
 
 def test_nilpotence_detection():

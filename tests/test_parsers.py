@@ -134,6 +134,29 @@ def test_readers_raise_only_parse_errors(kind, data):
         pass
 
 
+# Python's int() refuses strings of more than 4,300 digits
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (parse_scalar, f"{LONG}^[0]"),
+        (parse_scalar, f"0^[1/{LONG}]"),
+        (ELTMatrix.from_text, f"rows: {LONG}\ncols: 1\n0^[1]"),
+        (ELTMatrix.from_text, f"rows: 1\ncols: {LONG}\n0^[1]"),
+        (parse_tropical_matrix, f"{LONG}, -inf"),
+        (parse_polynomial, f"0^[1]*L^{LONG}"),
+        (parse_series, f"2*t^(-{LONG})"),
+        (parse_expression, f"x1 + x{LONG}"),
+    ],
+    ids=["tangible", "layer", "rows", "cols", "tropical", "degree", "series", "variable"],
+)
+def test_readers_reject_numbers_past_the_digit_limit(read, text):
+    with pytest.raises(ParseError, match="5000 digits"):
+        read(text)
+
+
 @pytest.mark.parametrize("kind", ROUND_TRIPS)
 @given(data=st.data())
 def test_writers_read_back_equal(kind, data):
