@@ -84,8 +84,15 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of a UTF-8 file, with universal newlines as text mode
+    reads them; bytes that are not UTF-8 are a ParseError."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _emit_scalar(args, name: str, value) -> None:
@@ -260,6 +267,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ELTError as exc:
         print(f"eltlab: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # str() of an int refuses more than sys.get_int_max_str_digits()
+        # digits; a result that long cannot be printed
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"eltlab: result has a number of more than {limit} digits, "
+              "the most Python prints", file=sys.stderr)
         return 2
 
 

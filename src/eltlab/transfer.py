@@ -8,7 +8,9 @@ hypothesis is checked symbolically: both sides are expanded to exact
 integer-coefficient monomial tables and compared, never sampled.  The
 layered conclusion (surpassing or equality) is then sampled in the
 max-plus model and then the ELT model, on one seeded generator, so
-that any failure is reproducible.
+that any failure is reproducible.  The components of one identity with
+the same variable count share that generator: each trial's assignment
+is drawn once and judged for all of them.
 
 Each expression is compiled once, on an explicit stack, into a
 straight-line program: a topologically ordered list of binary sums and
@@ -631,6 +633,62 @@ _STAGES = {
 }
 
 
+Component = Tuple[PolyExpression, PolyExpression]
+
+
+def _check_components(
+    components: Sequence[Component],
+    relation: str,
+    trials: int,
+    seed: int,
+    strong: bool,
+) -> Tuple[CheckReport, ...]:
+    """The report of ``check_identity`` on each (p, q) pair, in order.
+
+    Pairs with the same variable count share one generator seeded with
+    ``seed``: each trial draws its assignment once, and every pair of
+    the group is judged on it.  Those are the draws each pair would
+    make on a generator of its own, so its report is the same; the
+    draws are streamed, never stored."""
+    stages = _STAGES[relation]
+    groups: Dict[int, List[int]] = {}
+    for i, (p, q) in enumerate(components):
+        groups.setdefault(max(num_variables(p), num_variables(q)), []).append(i)
+    failures: List[List[str]] = [[] for _ in components]
+    verdicts: List[List[bool]] = [[] for _ in components]
+    for nvars, members in groups.items():
+        rng = random.Random(seed)
+        for label, model, holds in stages:
+            for i in members:
+                verdicts[i].append(True)
+            for trial in range(trials):
+                values = tuple(model.sample(rng) for _ in range(nvars))
+                for i in members:
+                    p, q = components[i]
+                    lhs = evaluate(p, model, values)
+                    rhs = evaluate(q, model, values)
+                    if not holds(lhs, rhs):
+                        verdicts[i][-1] = False
+                        if len(failures[i]) < 3:
+                            shown = ", ".join(
+                                f"x{k + 1}={model.show(v)}" for k, v in enumerate(values)
+                            )
+                            failures[i].append(
+                                f"{label} trial {trial}: {shown}: "
+                                f"lhs={model.show(lhs)} rhs={model.show(rhs)}"
+                            )
+    reports = []
+    for (p, q), (maxplus_ok, elt_ok), failed in zip(components, verdicts, failures):
+        strong_ok = expand(q).has_disjoint_support if strong else None
+        if strong_ok is False:
+            failed.append("strong: right side has overlapping monomial support")
+        reports.append(CheckReport(
+            relation, ring_equal(p, q), maxplus_ok, elt_ok, strong_ok, trials,
+            seed, tuple(failed),
+        ))
+    return tuple(reports)
+
+
 def check_identity(
     p: PolyExpression,
     q: PolyExpression,
@@ -644,36 +702,7 @@ def check_identity(
     for "surpass", equality in both for "equal".  In strong mode the
     right side must also have disjoint monomial support.  At most
     three sampled counterexamples are kept."""
-    rng = random.Random(seed)
-    nvars = max(num_variables(p), num_variables(q))
-    ring_ok = ring_equal(p, q)
-    failures: List[str] = []
-    verdicts = []
-    for label, model, holds in _STAGES[relation]:
-        ok = True
-        for trial in range(trials):
-            values = tuple(model.sample(rng) for _ in range(nvars))
-            lhs = evaluate(p, model, values)
-            rhs = evaluate(q, model, values)
-            if not holds(lhs, rhs):
-                ok = False
-                if len(failures) < 3:
-                    shown = ", ".join(
-                        f"x{k + 1}={model.show(v)}" for k, v in enumerate(values)
-                    )
-                    failures.append(
-                        f"{label} trial {trial}: {shown}: "
-                        f"lhs={model.show(lhs)} rhs={model.show(rhs)}"
-                    )
-        verdicts.append(ok)
-    maxplus_ok, elt_ok = verdicts
-    strong_ok = expand(q).has_disjoint_support if strong else None
-    if strong_ok is False:
-        failures.append("strong: right side has overlapping monomial support")
-    return CheckReport(
-        relation, ring_ok, maxplus_ok, elt_ok, strong_ok, trials, seed,
-        tuple(failures),
-    )
+    return _check_components(((p, q),), relation, trials, seed, strong)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +814,7 @@ def _identity_expression(n: int) -> ExprMatrix:
 class CannedIdentity:
     name: str
     relation: str
-    components: Tuple[Tuple[PolyExpression, PolyExpression], ...]
+    components: Tuple[Component, ...]
     strong: bool = False
 
 
@@ -889,9 +918,8 @@ class SuiteRecord:
 
 
 def run_identity(ident: CannedIdentity, trials: int = 1000, seed: int = 42) -> SuiteRecord:
-    reports = tuple(
-        check_identity(p, q, ident.relation, trials, seed, ident.strong)
-        for p, q in ident.components
+    reports = _check_components(
+        ident.components, ident.relation, trials, seed, ident.strong
     )
     return SuiteRecord(ident.name, all(r.ok for r in reports), seed, reports)
 

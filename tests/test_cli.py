@@ -3,6 +3,7 @@
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eltlab import transfer
 from eltlab.cli import main
@@ -242,6 +243,70 @@ def test_malformed_input_exits_one(capsys, tmp_path):
         bad.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, command, str(bad))
         assert (code, out) == (1, "") and "parse error" in err
+
+
+# every subcommand that reads a file, with the options it requires
+FILE_COMMANDS = {
+    "det": (),
+    "adj": (),
+    "qinv": (),
+    "charpoly": (),
+    "roots": (),
+    "eig-verify": ("--value", "0^[1]", "--vector", "0^[1], 0^[1]"),
+    "trace": (),
+    "etr": (),
+    "nilpotent": (),
+    "cycles": (),
+    "hungarian": (),
+    "eltrop": (),
+}
+
+
+def test_file_commands_are_every_subcommand_but_verify():
+    from eltlab.cli import _COMMANDS
+
+    assert set(FILE_COMMANDS) == set(_COMMANDS) - {"verify"}
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_non_utf8_input_is_a_parse_error(capsys, tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0^[1], \xff\xfe1^[1]\n")
+    code, out, err = run(capsys, command, str(bad), *FILE_COMMANDS[command])
+    assert (code, out) == (1, "")
+    assert err == "eltlab: parse error: not UTF-8 text: invalid start byte at byte 7\n"
+
+
+def test_line_ends_read_as_in_text_mode(capsys, tmp_path):
+    text = (FIXTURES / "sym.mat").read_text()
+    path = tmp_path / "crlf.mat"
+    for newline in ("\r\n", "\r"):
+        path.write_bytes(text.replace("\n", newline).encode())
+        assert run(capsys, "charpoly", str(path)) == run(capsys, "charpoly", fixture("sym.mat"))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(FILE_COMMANDS)), st.binary(max_size=40))
+def test_arbitrary_bytes_never_end_in_a_traceback(capsys, tmp_path, command, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    code, _, err = run(capsys, command, str(path), *FILE_COMMANDS[command])
+    # main returns instead of raising, and a failure is one line of
+    # its own, not a traceback
+    assert code in (0, 1, 2)
+    assert (err == "") if code == 0 else (err.startswith("eltlab: ") and err.count("\n") == 1)
+
+
+def test_numbers_too_long_to_print_are_a_domain_error(capsys, tmp_path):
+    layer = "1" * 3000  # parses; a product of two such layers has 6,000 digits
+    path = tmp_path / "big.mat"
+    for command, n in (("det", 2), ("adj", 3)):
+        path.write_text("\n".join(
+            ", ".join(f"0^[{layer}]" if i == j else "-inf" for j in range(n)) for i in range(n)
+        ) + "\n")
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "eltlab: result has a number of more than 4300 digits, the most Python prints\n"
 
 
 def test_machine_matrix_output_reads_back(capsys):

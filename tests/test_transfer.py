@@ -1,6 +1,7 @@
 """Polynomial identity checking: symbolic over the integers, sampled in
 the max-plus and layered models."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from eltlab.transfer import (
     MAXPLUS_MODEL,
     SUITE_FAMILIES,
     Add,
+    CannedIdentity,
     CheckReport,
     Const,
     Mul,
@@ -333,3 +335,42 @@ def test_mutated_identity_is_detected():
     assert not record.ok
     assert record.line.startswith("FAIL mutated-det-mult")
     assert any(not rep.ring_ok for rep in record.reports)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(lambda f=f, n=n: FAMILIES[f](n), id=f"{f}-n{n}") for n in (2, 3) for f in FAMILIES]
+    + [pytest.param(corrupted_det_mult, id="mutated-det-mult-n2")],
+)
+def test_components_sharing_draws_report_as_if_alone(build):
+    ident = build()
+    for seed in (1, 4, 42):
+        for trials in (1, 7, 30):
+            assert run_identity(ident, trials, seed).reports == tuple(
+                check_identity(p, q, ident.relation, trials, seed, ident.strong)
+                for p, q in ident.components
+            )
+
+
+def test_components_with_different_variable_counts():
+    # x1 + x2 against x1*x2 twice, around a three-variable component
+    components = (
+        (E("x1 + x2"), E("x1*x2")),
+        (E("x1"), E("x1 + x2 + x3")),
+        (E("x2 + x1"), E("x1*x2")),
+    )
+    two = CheckReport("surpass", False, False, False, None, 8, 3, (
+        "maxplus trial 1: x1=9, x2=10: lhs=10 rhs=19",
+        "maxplus trial 4: x1=5, x2=7: lhs=7 rhs=12",
+        "elt trial 0: x1=-10^[0], x2=9^[1]: lhs=9^[1] rhs=-1^[0]",
+    ))
+    three = CheckReport("surpass", False, False, False, None, 8, 3, (
+        "maxplus trial 0: x1=8, x2=-6, x3=9: lhs=8 rhs=9",
+        "maxplus trial 2: x1=-2, x2=-3, x3=5: lhs=-2 rhs=5",
+        "maxplus trial 5: x1=-9, x2=-10, x3=5: lhs=-9 rhs=5",
+    ))
+    expected = dict(zip(components, (two, three, two)))
+    for order in itertools.permutations(components):
+        record = run_identity(CannedIdentity("mixed", "surpass", order), trials=8, seed=3)
+        assert not record.ok
+        assert record.reports == tuple(expected[c] for c in order)
