@@ -108,11 +108,6 @@ class IntegerLayerRing(LayerRing):
     def is_unit(self, a: Fraction) -> bool:
         return a == 1 or a == -1
 
-    def inverse(self, a: Fraction) -> Fraction:
-        if not self.is_unit(a):
-            raise NonInvertible(f"{a} is not a unit of {self.name}")
-        return a
-
 
 Q_RING = LayerRing()
 Z_RING = IntegerLayerRing()

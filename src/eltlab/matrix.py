@@ -652,14 +652,26 @@ def is_nilpotent(a: ELTMatrix, bound: Optional[int] = None) -> Tuple[bool, Optio
 
     Returns (True, m) for the least such m up to the bound (default
     n^2), else (False, None).
+
+    Every term of A^m * A^k carries a factor of A^m, so once A^m has
+    layer zero so have all higher powers: the layer-zero powers form a
+    tail.  The squares A^(2^j) up to the bound lift, from the top bit
+    down, the largest m whose power is not layer-zero, in about
+    2*log2(bound) products instead of bound.
     """
     n = _require_square(a)
     if bound is None:
         bound = n * n
-    power = a
-    for m in range(1, bound + 1):
-        if all(x.layer == 0 for row in power.rows for x in row):
-            return True, m
-        if m < bound:
-            power = power * a
-    return False, None
+    squares = [a]
+    while 2 ** len(squares) <= bound:
+        squares.append(squares[-1] * squares[-1])
+    m, power = 0, None
+    for j in reversed(range(len(squares))):
+        if m + 2**j > bound:
+            continue
+        lifted = squares[j] if power is None else power * squares[j]
+        if not all(x.layer == 0 for row in lifted.rows for x in row):
+            m, power = m + 2**j, lifted
+    if m >= bound:
+        return False, None
+    return True, m + 1

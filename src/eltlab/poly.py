@@ -226,14 +226,6 @@ def envelope(p: ELTPolynomial) -> EnvelopeReport:
     return EnvelopeReport(statuses, intervals, corners)
 
 
-def dominant_degrees(p: ELTPolynomial, x: Fraction) -> Tuple[int, ...]:
-    """Degrees whose line attains the envelope at the tangible point x."""
-    _require_nonzero(p)
-    values = {d: d * x + c.tangible for d, c in p.coefficients.items()}
-    top = max(values.values())
-    return tuple(d for d in sorted(values) if values[d] == top)
-
-
 # ---------------------------------------------------------------------------
 # roots
 
@@ -351,17 +343,6 @@ def _layer_solutions(equation: Dict[int, Fraction], ring: LayerRing) -> LayerSol
     return LayerSolutions(False, _rational_roots(int_coeffs, ring))
 
 
-def _single_degree_layers(deg: int, coeff: ELTScalar, ring: LayerRing) -> LayerSolutions:
-    # one dominant monomial: layer of c * a^[l]^deg is s(c) * l^deg,
-    # so every layer works when s(c) = 0, only l = 0 works when the
-    # degree is positive, and nothing works for a dominant constant.
-    if coeff.layer == 0:
-        return LayerSolutions(True)
-    if deg >= 1 and Fraction(0) in ring:
-        return LayerSolutions(False, (Fraction(0),))
-    return LayerSolutions(False, ())
-
-
 def elt_roots(p: ELTPolynomial, ring: LayerRing = Q_RING) -> RootDescription:
     """Complete description of the roots of p.
 
@@ -371,19 +352,30 @@ def elt_roots(p: ELTPolynomial, ring: LayerRing = Q_RING) -> RootDescription:
     dominant monomial admits layer 0 (positive degree) or every layer
     (layer-zero coefficient), and -inf when the constant term is absent
     or has layer zero.
+
+    A monomial attains a corner exactly when the corner is an end of its
+    closed interval in ``envelope``, so the tied degrees of every corner
+    come from one pass over those intervals in degree order.  A corner
+    and an open interval are solved alike: the layer equation of the
+    monomials that attain the envelope there.
     """
     report = envelope(p)
-    corners = []
-    for x in report.corners:
-        degs = dominant_degrees(p, x)
-        equation = {d: p.coeff(d).layer for d in degs}
-        corners.append(CornerRoot(x, degs, equation, _layer_solutions(equation, ring)))
+    ties: Dict[Fraction, List[int]] = {x: [] for x in report.corners}
     intervals = []
-    for d, status in report.statuses.items():
-        if status is MonomialStatus.ESSENTIAL:
-            layers = _single_degree_layers(d, p.coeff(d), ring)
+    for d, bounds in report.intervals.items():
+        if bounds is None:
+            continue
+        for x in set(bounds):
+            if x in ties:
+                ties[x].append(d)
+        if report.statuses[d] is MonomialStatus.ESSENTIAL:
+            layers = _layer_solutions({d: p.coeff(d).layer}, ring)
             if not layers.is_empty:
-                intervals.append(IntervalRoot(*report.intervals[d], d, layers))
+                intervals.append(IntervalRoot(*bounds, d, layers))
+    corners = []
+    for x, degs in ties.items():
+        equation = {d: p.coeff(d).layer for d in degs}
+        corners.append(CornerRoot(x, tuple(degs), equation, _layer_solutions(equation, ring)))
     constant = p.coeff(0)
     at_bottom = constant.is_neg_inf or constant.layer == 0
     return RootDescription(tuple(corners), tuple(intervals), at_bottom)

@@ -2,17 +2,18 @@
 
 They compute what the library computes by other means (every
 permutation, every walk, every subtree scalar by scalar, a polynomial
-evaluated with and without one monomial), so they are slow,
-exponential or recursive, and live with the tests, not in ``eltlab``.
+evaluated with and without one monomial, every power of a matrix), so
+they are slow, exponential or recursive, and live with the tests, not
+in ``eltlab``.
 """
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
 from eltlab.core import BOTTOM
-from eltlab.errors import UnboundVariable
+from eltlab.errors import DegeneratePolynomial, UnboundVariable
 from eltlab.matrix import _parity
 from eltlab.transfer import Add, Const, PolyExpression, Var
 
@@ -74,6 +75,32 @@ def classify_at(p: ELTPolynomial, deg: int, a: Fraction) -> MonomialStatus:
 
 def is_root(p: ELTPolynomial, x: ELTScalar) -> bool:
     return p.evaluate(x).layer == 0
+
+
+def dominant_degrees(p: ELTPolynomial, x: Fraction) -> Tuple[int, ...]:
+    """Degrees whose line attains the envelope at the tangible point x,
+    by evaluating every monomial there: a second route to the tied
+    degrees that ``poly.elt_roots`` reads off the hull sweep."""
+    if p.is_zero:
+        raise DegeneratePolynomial("the zero polynomial has no envelope")
+    values = {d: d * x + c.tangible for d, c in p.coefficients.items()}
+    top = max(values.values())
+    return tuple(d for d in sorted(values) if values[d] == top)
+
+
+def nilpotent_one_by_one(a: ELTMatrix, bound: Optional[int] = None) -> Tuple[bool, Optional[int]]:
+    """``matrix.is_nilpotent`` by multiplying the powers A, A^2, ... one
+    at a time up to the bound (default n^2)."""
+    assert a.is_square
+    if bound is None:
+        bound = a.nrows * a.nrows
+    power = a
+    for m in range(1, bound + 1):
+        if all(x.layer == 0 for row in power.rows for x in row):
+            return True, m
+        if m < bound:
+            power = power * a
+    return False, None
 
 
 def power_entry_paths(a: ELTMatrix, k: int, i: int, j: int) -> ELTScalar:

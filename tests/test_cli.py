@@ -1,6 +1,9 @@
 """End to end command line behaviour: output text, exit codes, determinism."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,7 +13,8 @@ from eltlab.cli import main
 from eltlab.matrix import ELTMatrix, adjoint
 from eltlab.transfer import SuiteRecord
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def fixture(name):
@@ -333,3 +337,36 @@ def test_fixture_files_round_trip():
     assert format_series(parse_series(series_text)) + "\n" == series_text
     trop_text = (FIXTURES / "trop.mat").read_text()
     assert format_tropical_matrix(parse_tropical_matrix(trop_text)) + "\n" == trop_text
+
+
+def run_process(*argv, timeout):
+    """One ``python -m eltlab`` process on the sources of this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "eltlab", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def test_roots_of_a_long_concave_polynomial_are_fast(tmp_path):
+    # every point (d, -d^2) is a hull vertex: 4,001 terms, 4,000 corners
+    n = 4000
+    path = tmp_path / "concave.poly"
+    path.write_text(
+        " + ".join(f"{-d * d}^[1]*L^{d}" for d in range(n, 1, -1)) + " + -1^[1]*L + 0^[1]\n"
+    )
+    proc = run_process("roots", str(path), timeout=30)
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("corner ") for line in lines) == n
+    assert lines[0] == "corner 1: layers {-1}"
+    assert lines[n - 1] == f"corner {2 * n - 1}: layers {{-1, 0}}"
+    assert lines[-1] == "neg-inf: not-a-root"
+
+
+def test_nilpotent_on_a_32x32_matrix_is_fast(tmp_path):
+    n = 32
+    path = tmp_path / "ones.mat"
+    path.write_text("\n".join(", ".join(["0^[1]"] * n) for _ in range(n)) + "\n")
+    proc = run_process("nilpotent", str(path), timeout=8)
+    assert (proc.returncode, proc.stdout) == (0, "no\n")

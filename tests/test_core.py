@@ -166,6 +166,14 @@ def test_inversion_failures():
         invert(S("3^[2]"), Z_RING)
 
 
+def test_integer_ring_inverse():
+    for unit in (Fraction(1), Fraction(-1)):
+        inverse = Z_RING.inverse(unit)
+        assert inverse == unit and type(inverse) is Fraction
+    with pytest.raises(NonInvertible, match="^2 is not a unit of Z$"):
+        Z_RING.inverse(Fraction(2))
+
+
 def test_layer_rings():
     assert Q_RING.contains(Fraction(7, 3))
     assert Fraction(7, 3) in Q_RING

@@ -37,7 +37,7 @@ from eltlab.matrix import (
     trace,
 )
 from eltlab.poly import parse_polynomial
-from oracles import charpoly_symbolic, power_entry_paths
+from oracles import charpoly_symbolic, nilpotent_one_by_one, power_entry_paths
 from rand import (
     random_matrix,
     random_monomial_matrix,
@@ -461,6 +461,22 @@ def test_nilpotence_detection():
         assert nilpotent and index >= 1
         etr = essential_trace_value(a)
         assert etr is NEG_INF or etr.layer == 0
+
+
+def test_nilpotence_index_matches_powers_one_by_one():
+    rng = random.Random(107)
+    zero_rich = (S("0^[0]"), S("1^[0]"), S("-inf"), S("0^[1]"), S("-1^[2]"))
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        kind = rng.randrange(3)
+        if kind == 0:
+            a = random_matrix(rng, n)
+        elif kind == 1:
+            a = random_nilpotent_matrix(rng, n)
+        else:
+            a = ELTMatrix([[rng.choice(zero_rich) for _ in range(n)] for _ in range(n)])
+        for bound in (None, 1, 2, 3, rng.randint(1, 40)):
+            assert is_nilpotent(a, bound) == nilpotent_one_by_one(a, bound)
 
 
 def test_text_round_trips():

@@ -4,19 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eltlab import ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, Q_RING, Z_RING
 from eltlab.core import BOTTOM, TOP, parse_scalar
 from eltlab.errors import DegeneratePolynomial, ParseError
 from eltlab.poly import (
-    dominant_degrees,
+    LayerSolutions,
     elt_roots,
     envelope,
     format_polynomial,
     parse_polynomial,
 )
-from oracles import classify_at, is_root
+from oracles import classify_at, dominant_degrees, is_root
 from rand import random_scalar
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=4)
@@ -128,6 +128,47 @@ def test_envelope_agrees_with_pointwise_classification(terms):
         for e in p.degrees:
             want = MonomialStatus.ESSENTIAL if e == d else MonomialStatus.INESSENTIAL
             assert classify_at(p, e, x) is want
+
+
+# tangibles in -3..3 make many ties; layers include 0
+tie_heavy = st.builds(
+    ELTScalar,
+    st.integers(min_value=-3, max_value=3).map(Fraction) | rationals,
+    st.just(Fraction(0)) | st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+tie_heavy_polys = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=12), tie_heavy),
+    min_size=1,
+    max_size=10,
+).map(ELTPolynomial)
+
+
+def _single_monomial_layers(deg, layer):
+    """Layers l making c * a^[l]^deg a root: its layer is s(c) * l^deg,
+    zero for every l when s(c) = 0, for l = 0 alone when deg >= 1, and
+    for no l when a constant with s(c) != 0 dominates."""
+    if layer == 0:
+        return LayerSolutions(True)
+    if deg >= 1:
+        return LayerSolutions(False, (Fraction(0),))
+    return LayerSolutions(False, ())
+
+
+@settings(deadline=None)
+@given(tie_heavy_polys, st.sampled_from([Q_RING, Z_RING]))
+def test_root_description_reads_ties_off_the_hull(p, ring):
+    rd = elt_roots(p, ring)
+    for c in rd.corners:
+        assert c.degrees == dominant_degrees(p, c.tangible)
+        assert c.layer_equation == {d: p.coeff(d).layer for d in c.degrees}
+    report = envelope(p)
+    expected = []
+    for d, status in report.statuses.items():
+        if status is MonomialStatus.ESSENTIAL:
+            layers = _single_monomial_layers(d, p.coeff(d).layer)
+            if not layers.is_empty:
+                expected.append((*report.intervals[d], d, layers))
+    assert [(iv.lower, iv.upper, iv.degree, iv.layers) for iv in rd.intervals] == expected
 
 
 def test_root_description_of_quadratic():
