@@ -50,3 +50,7 @@ class InfeasibleAssignment(ELTError):
 
 class UnboundVariable(ELTError):
     """Expression evaluated with an assignment missing one of its variables."""
+
+
+class WorkBudgetExceeded(ELTError):
+    """Input larger than the fixed size an exponential algorithm accepts."""

@@ -7,10 +7,11 @@ this module report those layers exactly.
 
 Highlights: a permanent-style determinant split into even and odd
 permutation sums, the adjoint and the quasi-inverse (inverse up to
-quasi-identities), the characteristic polynomial by principal minors,
-a Cayley-Hamilton check up to layer-zero slack, eigenpair
-verification, the essential trace with its spectral-dominance report,
-nilpotency of index at most n^2, and simple-cycle enumeration.
+quasi-identities), the characteristic polynomial by one signed
+expansion over column subsets, a Cayley-Hamilton check up to
+layer-zero slack, eigenpair verification, the essential trace with its
+spectral-dominance report, nilpotency of index at most n^2, and
+simple-cycle enumeration.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
     NotSquare,
     ParseError,
     SingularDeterminant,
+    WorkBudgetExceeded,
     ZeroVector,
 )
 from .poly import ELTPolynomial, MonomialStatus, RootDescription, elt_roots
@@ -425,24 +427,79 @@ def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
 # characteristic polynomial
 
 
-def charpoly(a: ELTMatrix) -> ELTPolynomial:
-    """det(L*I + (-)A) via sums of principal minors.
+CHARPOLY_MAX_ORDER = 16
 
-    The coefficient of L^(n-k) is the k-th signed principal minor sum;
-    the leading coefficient is 0^[1].
+
+def charpoly(a: ELTMatrix) -> ELTPolynomial:
+    """det(L*I + (-)A), expanded over column subsets.
+
+    Rows are placed in order; after row r, ``dp[C]`` is the signed sum
+    of the products that put rows ``0..r`` in the column set C, kept as
+    a list indexed by the power of L.  Placing row r in column j not in
+    C multiplies by ``(-)a_rj``, and by L as well when ``j == r``; the
+    sign flips once per column of C above j, the inversions the new
+    pair makes.  ELT sums are associative and commutative and products
+    distribute over them, so ``dp[all columns]`` is the sum over
+    principal minors, the coefficient of L^(n-k) the k-th signed one,
+    in about 2^n*n^2 int operations instead of a determinant per minor.
+    The leading coefficient is 0^[1].
+
+    Tangibles run over their common denominator, layers over theirs
+    (``core.integer_grids``); every term of the L^m slot is a product of
+    ``r+1-m`` entries, so its layers share one power of that
+    denominator.  Orders above CHARPOLY_MAX_ORDER raise
+    WorkBudgetExceeded.
     """
     n = _require_square(a)
-    coeffs: Dict[int, ELTScalar] = {n: ONE}
-    indices = range(n)
-    for k in range(1, n + 1):
-        acc = NEG_INF
-        for subset in itertools.combinations(indices, k):
-            acc = acc + det(a.submatrix(subset, subset))
-        if k % 2 == 1:
-            acc = -acc
-        if not acc.is_neg_inf:
-            coeffs[n - k] = acc
-    return ELTPolynomial(coeffs)
+    if n > CHARPOLY_MAX_ORDER:
+        raise WorkBudgetExceeded(
+            f"charpoly of a {n}x{n} matrix: the 2^n expansion is limited "
+            f"to {CHARPOLY_MAX_ORDER}x{CHARPOLY_MAX_ORDER}"
+        )
+    d, (tangibles,) = integer_grids([[x.tangible for x in row] for row in a.rows])
+    d_layer, (layers,) = integer_grids([[x.layer for x in row] for row in a.rows])
+    # column set -> (tangible per L power, None for -inf; layer per L power)
+    dp: Dict[int, Tuple[List[Optional[int]], List[int]]] = {0: ([0], [1])}
+    for r in range(n):
+        cells = [
+            (j, 1 << j, t, layers[r][j])
+            for j, t in enumerate(tangibles[r])
+            if t is not None or j == r
+        ]
+        placed = {}
+        for cols, (ts, ls) in dp.items():
+            for j, bit, t_entry, l_entry in cells:
+                if cols & bit:
+                    continue
+                odd = (cols >> (j + 1)).bit_count() & 1
+                # (L-power shift, tangible, signed layer) of each factor
+                factors = []
+                if t_entry is not None:
+                    factors.append((0, t_entry, l_entry if odd else -l_entry))
+                if j == r:
+                    factors.append((1, 0, -1 if odd else 1))
+                target = placed.get(cols | bit)
+                if target is None:
+                    target = placed[cols | bit] = ([None] * (r + 2), [0] * (r + 2))
+                out_t, out_l = target
+                for shift, ft, fl in factors:
+                    for m, t in enumerate(ts, shift):
+                        if t is None:
+                            continue
+                        t += ft
+                        have = out_t[m]
+                        if have is None or t > have:
+                            out_t[m] = t
+                            out_l[m] = ls[m - shift] * fl
+                        elif t == have:
+                            out_l[m] += ls[m - shift] * fl
+        dp = placed
+    ts, ls = dp[(1 << n) - 1]
+    return ELTPolynomial({
+        m: ELTScalar(Fraction(t, d), Fraction(l, d_layer ** (n - m)))
+        for m, (t, l) in enumerate(zip(ts, ls))
+        if t is not None
+    })
 
 
 def poly_at_matrix(p: ELTPolynomial, a: ELTMatrix) -> ELTMatrix:

@@ -1,10 +1,10 @@
 """Brute-force routes that the library's algorithms are checked against.
 
 They compute what the library computes by other means (every
-permutation, every walk, every subtree scalar by scalar, a polynomial
-evaluated with and without one monomial, every power of a matrix), so
-they are slow, exponential or recursive, and live with the tests, not
-in ``eltlab``.
+permutation, every principal minor, every walk, every subtree scalar by
+scalar, a polynomial evaluated with and without one monomial, every
+power of a matrix), so they are slow, exponential or recursive, and
+live with the tests, not in ``eltlab``.
 """
 
 import itertools
@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
 from eltlab.core import BOTTOM
 from eltlab.errors import DegeneratePolynomial, UnboundVariable
-from eltlab.matrix import _parity
+from eltlab.matrix import _parity, det
 from eltlab.transfer import Add, Const, PolyExpression, Var
 
 
@@ -49,6 +49,28 @@ def charpoly_symbolic(a: ELTMatrix) -> ELTPolynomial:
             prod = -prod
         total = total + prod
     return total
+
+
+def charpoly_by_minors(a: ELTMatrix) -> ELTPolynomial:
+    """det(L*I + (-)A) via sums of principal minors: a second route to
+    ``matrix.charpoly``, one determinant per principal minor.
+
+    The coefficient of L^(n-k) is the k-th signed principal minor sum;
+    the leading coefficient is 0^[1].
+    """
+    assert a.is_square
+    n = a.nrows
+    coeffs: Dict[int, ELTScalar] = {n: ONE}
+    indices = range(n)
+    for k in range(1, n + 1):
+        acc = NEG_INF
+        for subset in itertools.combinations(indices, k):
+            acc = acc + det(a.submatrix(subset, subset))
+        if k % 2 == 1:
+            acc = -acc
+        if not acc.is_neg_inf:
+            coeffs[n - k] = acc
+    return ELTPolynomial(coeffs)
 
 
 def classify_at(p: ELTPolynomial, deg: int, a: Fraction) -> MonomialStatus:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eltlab import transfer
 from eltlab.cli import main
-from eltlab.matrix import ELTMatrix, adjoint
+from eltlab.matrix import CHARPOLY_MAX_ORDER, ELTMatrix, adjoint
 from eltlab.transfer import SuiteRecord
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -370,3 +370,36 @@ def test_nilpotent_on_a_32x32_matrix_is_fast(tmp_path):
     path.write_text("\n".join(", ".join(["0^[1]"] * n) for _ in range(n)) + "\n")
     proc = run_process("nilpotent", str(path), timeout=8)
     assert (proc.returncode, proc.stdout) == (0, "no\n")
+
+
+def dense_matrix_text(n):
+    """An n x n matrix of finite entries, tangibles 0..4 and layers 1..3."""
+    return "\n".join(
+        ", ".join(f"{(i * j + i) % 5}^[{1 + (i + 2 * j) % 3}]" for j in range(n)) for i in range(n)
+    ) + "\n"
+
+
+@pytest.mark.parametrize("command", ["charpoly", "etr"])
+def test_spectral_commands_on_a_12x12_matrix_are_fast(tmp_path, command):
+    path = tmp_path / "dense.mat"
+    path.write_text(dense_matrix_text(12))
+    proc = run_process(command, str(path), timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.count("\n") == 1
+
+
+def test_charpoly_work_budget_is_a_domain_error(capsys, tmp_path):
+    n = CHARPOLY_MAX_ORDER
+    path = tmp_path / "dense.mat"
+    path.write_text(dense_matrix_text(n))
+    code, out, err = run(capsys, "charpoly", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"0^[1]*L^{n} + ")
+    path.write_text(dense_matrix_text(n + 1))
+    for command in ("charpoly", "etr"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"eltlab: WorkBudgetExceeded: charpoly of a {n + 1}x{n + 1} matrix: "
+            f"the 2^n expansion is limited to {n}x{n}\n"
+        )

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eltlab import ELTMatrix, ELTScalar, NEG_INF, ONE, Z_RING
 from eltlab.core import BOTTOM, parse_scalar
@@ -36,8 +36,8 @@ from eltlab.matrix import (
     simple_cycles,
     trace,
 )
-from eltlab.poly import parse_polynomial
-from oracles import charpoly_symbolic, nilpotent_one_by_one, power_entry_paths
+from eltlab.poly import format_polynomial, parse_polynomial
+from oracles import charpoly_by_minors, charpoly_symbolic, nilpotent_one_by_one, power_entry_paths
 from rand import (
     random_matrix,
     random_monomial_matrix,
@@ -240,6 +240,41 @@ def test_characteristic_polynomial_routes_agree():
     for _ in range(60):
         a = random_matrix(rng, rng.randint(1, 5))
         assert charpoly(a) == charpoly_symbolic(a)
+
+
+@st.composite
+def charpoly_operands(draw):
+    """Square matrices of order 1..6.  Tangibles are tie-heavy (0, 1 or
+    2) or rationals; layers are +-1, so that tied terms cancel to layer
+    zero, or rationals including 0; none, a quarter or three quarters
+    of the entries are -inf."""
+    n = draw(st.integers(1, 6))
+    tangibles = draw(st.sampled_from([
+        st.integers(0, 2).map(Fraction),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+    ]))
+    layers = draw(st.sampled_from([
+        st.sampled_from([Fraction(-1), Fraction(1)]),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    ]))
+    neg_inf_quarters = draw(st.sampled_from([0, 1, 3]))
+    entry = st.integers(0, 3).flatmap(
+        lambda q: st.just(NEG_INF) if q < neg_inf_quarters else st.builds(ELTScalar, tangibles, layers)
+    )
+    return ELTMatrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(charpoly_operands())
+@example(M("3^[2]"))
+@example(M("-inf"))
+@example(M("1^[1], 1^[-1]\n1^[1], 1^[1]"))
+def test_charpoly_equals_the_principal_minor_sum(a):
+    p = charpoly(a)
+    for route in (charpoly_by_minors, charpoly_symbolic):
+        q = route(a)
+        assert repr(p) == repr(q)
+        assert format_polynomial(p) == format_polynomial(q)
 
 
 def test_matrix_satisfies_its_characteristic_polynomial():
