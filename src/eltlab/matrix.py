@@ -591,17 +591,40 @@ class CycleInfo:
         return len(self.vertices)
 
 
+# the most path extensions simple_cycles makes; a cycle longer than one
+# vertex closes one of them, and the complete 9x9 digraph (125,673
+# cycles) fits
+CYCLES_MAX = 2**17
+
+
 def simple_cycles(a: ELTMatrix) -> Tuple[CycleInfo, ...]:
     """All simple cycles of the digraph of finite entries, each found
-    from its smallest vertex; no path length meets the recursion limit."""
+    from its smallest vertex; no path length meets the recursion limit.
+
+    A path from a start only takes vertices above it that lead back to
+    it through vertices above it.  Past CYCLES_MAX path extensions, over
+    all starts, the search raises WorkBudgetExceeded."""
     n = _require_square(a)
     adj = [
         [j for j in range(n) if not a.entry(i, j).is_neg_inf] for i in range(n)
     ]
+    into: List[List[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(adj):
+        for j in row:
+            into[j].append(i)
     found: list[CycleInfo] = []
+    paths = 0
     for start in range(n):
-        # depth-first over paths from start through larger vertices, on
-        # a stack of neighbour iterators that runs beside the path
+        # start and the vertices above it that reach it through such vertices
+        back = {start}
+        stack = [start]
+        while stack:
+            for u in into[stack.pop()]:
+                if u > start and u not in back:
+                    back.add(u)
+                    stack.append(u)
+        # depth-first over paths from start through back, on a stack of
+        # neighbour iterators that runs beside the path
         path = [start]
         used = {start}
         todo = [iter(adj[start])]
@@ -614,7 +637,13 @@ def simple_cycles(a: ELTMatrix) -> Tuple[CycleInfo, ...]:
                     found.append(
                         CycleInfo(tuple(path), weight, Fraction(weight.tangible, len(path)))
                     )
-                elif w > start and w not in used:
+                elif w in back and w not in used:
+                    paths += 1
+                    if paths > CYCLES_MAX:
+                        raise WorkBudgetExceeded(
+                            f"cycles of a {n}x{n} matrix: the search is limited "
+                            f"to {CYCLES_MAX} paths"
+                        )
                     used.add(w)
                     path.append(w)
                     todo.append(iter(adj[w]))

@@ -12,16 +12,20 @@ that any failure is reproducible.  The components of one identity with
 the same variable count share that generator: each trial's assignment
 is drawn once and judged for all of them.
 
-Each expression is compiled once, on an explicit stack, into a
-straight-line program: a topologically ordered list of binary sums and
-products over slots, one slot per distinct subtree.  Sampling runs that
-program on plain ints, since every sampled tangible and layer is an
-integer and so is every value computed from them: a max-plus value is
-an int, an ELT value a (tangible, layer) pair of ints, and -inf is
-None in both.  Scalars are built only to decide surpassing and to print
-counterexamples.  Expansion runs the same program over monomial tables,
-and rendering, equality and hashing walk the same children-first list
-of subtrees, so no operation on an expression recurses.
+Expressions are compiled, on an explicit stack, into a straight-line
+program: a topologically ordered list of binary sums and products over
+slots.  The program is value-numbered (Cocke 1970): sums and products
+commute in every model, so the same op on the same two slots gets one
+slot, and both sides of all the components in a group compile into
+one program that computes each shared subexpression once.  Sampling
+runs that program on plain ints, since every sampled tangible and
+layer is an integer and so is every value computed from them: a
+max-plus value is an int, an ELT value a (tangible, layer) pair of
+ints, and -inf is None in both.  Scalars are built only to decide
+surpassing and to print counterexamples.  Expansion runs the same
+program once over monomial tables, dropping each table after its last
+use, and rendering, equality and hashing walk the same children-first
+list of subtrees, so no operation on an expression recurses.
 
 The canned families encode the determinant, adjoint, and
 characteristic polynomial identities componentwise, plus a mutation
@@ -35,7 +39,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .core import ELTScalar, NEG_INF, format_scalar, parse_int
 from .errors import ParseError, UnboundVariable
@@ -107,7 +111,7 @@ class PolyExpression:
     def __init__(self, pos: Node, neg: Node = _ZERO):
         self.pos = pos
         self.neg = neg
-        self._program: Optional[_Program] = None  # set by _compile
+        self._program: Optional[_Program] = None  # set by _program
 
     @classmethod
     def zero(cls) -> "PolyExpression":
@@ -292,7 +296,7 @@ def format_expression(e: PolyExpression) -> str:
         body = texts[id(node)]
         return f"({body})" if in_product and isinstance(node, Add) else body
 
-    for node in _walk(e)[0]:
+    for node in _walk((e,))[0]:
         if isinstance(node, Mul):
             texts[id(node)] = "*".join(text(a, True) for a in node.args)
         else:
@@ -308,32 +312,37 @@ def format_expression(e: PolyExpression) -> str:
 
 # (is_product, left slot, right slot), in program order
 Ops = List[Tuple[bool, int, int]]
+# the (pos, neg) slots of each compiled expression
+Outputs = Tuple[Tuple[int, int], ...]
 
 
 class _Program(NamedTuple):
-    """An expression compiled to binary sums and products over slots.
+    """Expressions compiled together to binary sums and products over
+    slots.
 
     Slot 0 holds zero, slot 1 holds one and slot k + 1 holds x_k, for k
     up to ``top``, the highest variable index.  Op i, a triple
-    (is_product, left slot, right slot), writes slot 2 + top + i.
-    ``pos`` and ``neg`` are the slots of the two trees."""
+    (is_product, left slot, right slot) with left <= right, writes slot
+    2 + top + i.  ``outputs`` holds the (pos, neg) slots of each
+    expression, in the order given."""
 
     top: int
     ops: Ops
-    pos: int
-    neg: int
+    outputs: Outputs
 
 
-def _walk(e: PolyExpression) -> Tuple[List[Node], int]:
-    """The distinct sums and products of e, children first, and the
-    highest variable index.
+def _walk(exprs: Sequence[PolyExpression]) -> Tuple[List[Node], int]:
+    """The distinct sums and products of the expressions, children
+    first, and the highest variable index.
 
-    The trees are walked pos first, on an explicit stack, in
-    post-order; a subtree shared by identity is listed once."""
+    The trees are walked in order, pos before neg, on an explicit stack,
+    in post-order; a subtree shared by identity is listed once."""
     order: List[Node] = []
     seen = set()
     top = 0
-    stack: List[Tuple[Node, bool]] = [(e.neg, False), (e.pos, False)]
+    stack: List[Tuple[Node, bool]] = []
+    for e in reversed(exprs):
+        stack += ((e.neg, False), (e.pos, False))
     while stack:
         node, children_done = stack.pop()
         if children_done:
@@ -362,20 +371,22 @@ def _shapes(e: PolyExpression, number: Callable[[tuple], int]) -> Tuple[int, int
             return number((1, node.index))
         return numbers[id(node)]
 
-    for node in _walk(e)[0]:
+    for node in _walk((e,))[0]:
         numbers[id(node)] = number((2 + isinstance(node, Mul), *map(of, node.args)))
     return of(e.pos), of(e.neg)
 
 
-def _compile(e: PolyExpression) -> _Program:
-    """The program of e, built on the first call and cached on e.
+def _compile(exprs: Sequence[PolyExpression]) -> _Program:
+    """One program for all the expressions, value-numbered.
 
-    A subtree shared by identity gets one slot, and an n-ary sum or
-    product folds left in argument order."""
-    if e._program is not None:
-        return e._program
-    order, top = _walk(e)
+    An n-ary sum or product folds left in argument order.  Sums and
+    products commute in every model (monomial tables, max-plus ints and
+    ELT pairs), so a binary op is keyed by its kind and its two slots in
+    increasing order, and the same op on the same slots, in any
+    expression and on either side, gets one slot."""
+    order, top = _walk(exprs)
     slots: Dict[int, int] = {}
+    numbered: Dict[Tuple[bool, int, int], int] = {}
 
     def slot(node: Node) -> int:
         if isinstance(node, Const):
@@ -391,10 +402,24 @@ def _compile(e: PolyExpression) -> _Program:
         if node.args:
             acc = slot(node.args[0])
             for arg in node.args[1:]:
-                ops.append((product, acc, slot(arg)))
-                acc = top + 1 + len(ops)
+                b = slot(arg)
+                key = (product, acc, b) if acc <= b else (product, b, acc)
+                got = numbered.get(key)
+                if got is None:
+                    ops.append(key)
+                    got = numbered[key] = top + 1 + len(ops)
+                acc = got
         slots[id(node)] = acc
-    e._program = _Program(top, ops, slot(e.pos), slot(e.neg))
+    return _Program(top, ops, tuple((slot(e.pos), slot(e.neg)) for e in exprs))
+
+
+def _program(e: Union[PolyExpression, _Program]) -> _Program:
+    """e itself if it is a program, else the program of e alone, built
+    on the first call and cached on e."""
+    if isinstance(e, _Program):
+        return e
+    if e._program is None:
+        e._program = _compile((e,))
     return e._program
 
 
@@ -403,7 +428,8 @@ def _compile(e: PolyExpression) -> _Program:
 
 
 def num_variables(e: PolyExpression) -> int:
-    return _compile(e).top
+    """The highest variable index in e, 0 when it has none."""
+    return _walk((e,))[1]
 
 
 Exponents = Tuple[int, ...]
@@ -444,10 +470,14 @@ def _pad(key: Exponents, nvars: int) -> Exponents:
     return key + (0,) * (nvars - len(key))
 
 
-def _run_monomials(ops: Ops, v: List[Dict[Exponents, int]]) -> None:
+def _run_monomials(ops: Ops, v: List[Optional[Dict[Exponents, int]]], keep: Set[int]) -> None:
     """Run a program over monomial tables (exponents -> count),
-    appending one table per op to v."""
-    for product, a, b in ops:
+    appending one table per op to v.  The table of a slot outside
+    ``keep`` is dropped after the last op that reads it."""
+    last = {}
+    for i, (_, a, b) in enumerate(ops):
+        last[a] = last[b] = i
+    for i, (product, a, b) in enumerate(ops):
         x = v[a]
         y = v[b]
         if product:
@@ -461,34 +491,46 @@ def _run_monomials(ops: Ops, v: List[Dict[Exponents, int]]) -> None:
             for key, c in y.items():
                 out[key] = out.get(key, 0) + c
         v.append(out)
+        for used in (a, b):
+            if last[used] == i and used not in keep:
+                v[used] = None
 
 
-def expand(e: PolyExpression, nvars: Optional[int] = None) -> MonomialTable:
-    top, ops, pos, neg = _compile(e)
+def expand(
+    e: Union[PolyExpression, _Program], nvars: Optional[int] = None
+) -> Union[MonomialTable, Tuple[MonomialTable, ...]]:
+    """The monomial table of e over ``nvars`` variables, by default its
+    highest variable index.  Given a program compiled from several
+    expressions, the tuple of their tables, in order; the program runs
+    once for all of them."""
+    top, ops, outputs = _program(e)
     if nvars is None:
         nvars = top
     elif nvars < top:
         raise ValueError(f"expression has x{top}, more than {nvars} variables")
-    v: List[Dict[Exponents, int]] = [{}, {(0,) * nvars: 1}]
+    v: List[Optional[Dict[Exponents, int]]] = [{}, {(0,) * nvars: 1}]
     v.extend({tuple(int(k == i) for k in range(nvars)): 1} for i in range(top))
-    _run_monomials(ops, v)
-    entries = {key: (c, 0) for key, c in v[pos].items()}
-    for key, c in v[neg].items():
-        entries[key] = (entries.get(key, (0, 0))[0], c)
-    return MonomialTable(nvars, entries)
+    _run_monomials(ops, v, {s for pair in outputs for s in pair})
+    tables = []
+    for pos, neg in outputs:
+        entries = {key: (c, 0) for key, c in v[pos].items()}
+        for key, c in v[neg].items():
+            entries[key] = (entries.get(key, (0, 0))[0], c)
+        tables.append(MonomialTable(nvars, entries))
+    return tuple(tables) if isinstance(e, _Program) else tables[0]
 
 
 def ring_equal(p: PolyExpression, q: PolyExpression) -> bool:
     """Exact identity of both sides as integer polynomials."""
-    nvars = max(num_variables(p), num_variables(q))
-    return expand(p, nvars).net() == expand(q, nvars).net()
+    p_table, q_table = expand(_compile((p, q)))
+    return p_table.net() == q_table.net()
 
 
 # ---------------------------------------------------------------------------
 # evaluation models
 #
 # Each model runs a program on plain values, with None for -inf, and
-# returns the sum of pos and the negation of neg.
+# returns, for each output, the sum of pos and the negation of neg.
 
 
 def _dominates(x: Optional[int], y: Optional[int]) -> bool:
@@ -510,7 +552,7 @@ class MaxPlusModel:
     def show(self, a: Optional[int]) -> str:
         return "-inf" if a is None else str(a)
 
-    def run(self, ops: Ops, v: list, pos: int, neg: int) -> Optional[int]:
+    def run(self, ops: Ops, v: list, outputs: Outputs) -> Tuple[Optional[int], ...]:
         append = v.append
         for product, a, b in ops:
             x = v[a]
@@ -523,9 +565,9 @@ class MaxPlusModel:
                 append(x + y)
             else:
                 append(x if x >= y else y)
-        x = v[pos]
-        y = v[neg]
-        return x if _dominates(x, y) else y
+        return tuple(
+            v[pos] if _dominates(v[pos], v[neg]) else v[neg] for pos, neg in outputs
+        )
 
 
 Pair = Optional[Tuple[int, int]]
@@ -538,6 +580,17 @@ _LAYERS = (-2, -1, 0, 1, 2)
 def _scalar(a: Pair) -> ELTScalar:
     """The ELT scalar tangible^[layer] of a pair, -inf for None."""
     return NEG_INF if a is None else ELTScalar(*a)
+
+
+def _elt_difference(x: Pair, y: Pair) -> Pair:
+    """x + (-y) on pairs."""
+    if y is None:
+        return x
+    if x is None or x[0] < y[0]:
+        return y[0], -y[1]
+    if x[0] > y[0]:
+        return x
+    return x[0], x[1] - y[1]
 
 
 class ELTModel:
@@ -555,7 +608,7 @@ class ELTModel:
     def show(self, a: Pair) -> str:
         return format_scalar(_scalar(a))
 
-    def run(self, ops: Ops, v: list, pos: int, neg: int) -> Pair:
+    def run(self, ops: Ops, v: list, outputs: Outputs) -> Tuple[Pair, ...]:
         append = v.append
         for product, a, b in ops:
             x = v[a]
@@ -570,28 +623,23 @@ class ELTModel:
                 append(x if x[0] > y[0] else y)
             else:
                 append((x[0], x[1] + y[1]))
-        x = v[pos]
-        y = v[neg]
-        if y is None:
-            return x
-        if x is None or x[0] < y[0]:
-            return y[0], -y[1]
-        if x[0] > y[0]:
-            return x
-        return x[0], x[1] - y[1]
+        return tuple(_elt_difference(v[pos], v[neg]) for pos, neg in outputs)
 
 
 MAXPLUS_MODEL = MaxPlusModel()
 ELT_MODEL = ELTModel()
 
 
-def evaluate(e: PolyExpression, model, assignment: Sequence[object]):
+def evaluate(e: Union[PolyExpression, _Program], model, assignment: Sequence[object]):
     """Evaluate pos and neg in the model, with x_k bound to
-    assignment[k - 1], and combine them with the model's negation."""
-    top, ops, pos, neg = _compile(e)
+    assignment[k - 1], and combine them with the model's negation.
+    Given a program compiled from several expressions, the tuple of
+    their values, in order; the program runs once for all of them."""
+    top, ops, outputs = _program(e)
     if top > len(assignment):
         raise UnboundVariable(f"no value bound for x{top}")
-    return model.run(ops, [model.zero, model.one, *assignment[:top]], pos, neg)
+    values = model.run(ops, [model.zero, model.one, *assignment[:top]], outputs)
+    return values if isinstance(e, _Program) else values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -645,47 +693,51 @@ def _check_components(
 ) -> Tuple[CheckReport, ...]:
     """The report of ``check_identity`` on each (p, q) pair, in order.
 
-    Pairs with the same variable count share one generator seeded with
-    ``seed``: each trial draws its assignment once, and every pair of
-    the group is judged on it.  Those are the draws each pair would
-    make on a generator of its own, so its report is the same; the
-    draws are streamed, never stored."""
+    Pairs with the same variable count form a group: both sides of all
+    of them compile into one program, so a subexpression they share is
+    computed once.  The group shares one generator seeded with
+    ``seed``: each trial draws its assignment once and runs the program
+    once, and every pair of the group is judged on it.  Those are the
+    draws each pair would make on a generator of its own, so its report
+    is the same; the draws are streamed, never stored.  The program is
+    then expanded once for the symbolic stage."""
     stages = _STAGES[relation]
     groups: Dict[int, List[int]] = {}
     for i, (p, q) in enumerate(components):
         groups.setdefault(max(num_variables(p), num_variables(q)), []).append(i)
-    failures: List[List[str]] = [[] for _ in components]
-    verdicts: List[List[bool]] = [[] for _ in components]
+    reports: List[Optional[CheckReport]] = [None] * len(components)
     for nvars, members in groups.items():
+        program = _compile([side for i in members for side in components[i]])
+        failures: List[List[str]] = [[] for _ in members]
+        verdicts: List[List[bool]] = [[] for _ in members]
         rng = random.Random(seed)
         for label, model, holds in stages:
-            for i in members:
-                verdicts[i].append(True)
+            for verdict in verdicts:
+                verdict.append(True)
             for trial in range(trials):
                 values = tuple(model.sample(rng) for _ in range(nvars))
-                for i in members:
-                    p, q = components[i]
-                    lhs = evaluate(p, model, values)
-                    rhs = evaluate(q, model, values)
+                out = evaluate(program, model, values)
+                for k, (lhs, rhs) in enumerate(zip(out[::2], out[1::2])):
                     if not holds(lhs, rhs):
-                        verdicts[i][-1] = False
-                        if len(failures[i]) < 3:
+                        verdicts[k][-1] = False
+                        if len(failures[k]) < 3:
                             shown = ", ".join(
-                                f"x{k + 1}={model.show(v)}" for k, v in enumerate(values)
+                                f"x{j + 1}={model.show(v)}" for j, v in enumerate(values)
                             )
-                            failures[i].append(
+                            failures[k].append(
                                 f"{label} trial {trial}: {shown}: "
                                 f"lhs={model.show(lhs)} rhs={model.show(rhs)}"
                             )
-    reports = []
-    for (p, q), (maxplus_ok, elt_ok), failed in zip(components, verdicts, failures):
-        strong_ok = expand(q).has_disjoint_support if strong else None
-        if strong_ok is False:
-            failed.append("strong: right side has overlapping monomial support")
-        reports.append(CheckReport(
-            relation, ring_equal(p, q), maxplus_ok, elt_ok, strong_ok, trials,
-            seed, tuple(failed),
-        ))
+        tables = expand(program)
+        for k, (i, p_table, q_table) in enumerate(zip(members, tables[::2], tables[1::2])):
+            strong_ok = q_table.has_disjoint_support if strong else None
+            if strong_ok is False:
+                failures[k].append("strong: right side has overlapping monomial support")
+            maxplus_ok, elt_ok = verdicts[k]
+            reports[i] = CheckReport(
+                relation, p_table.net() == q_table.net(), maxplus_ok, elt_ok,
+                strong_ok, trials, seed, tuple(failures[k]),
+            )
     return tuple(reports)
 
 
@@ -933,8 +985,15 @@ def run_suite(
     """Run the families requested by name (all when names is None),
     sizes outer and families inner, plus the mutation control, which
     passes exactly when the corrupted identity is detected as failing.
-    Only the requested identities are built."""
-    wanted = SUITE_FAMILIES if names is None else set(names)
+    Only the requested identities are built.  An unknown name raises
+    ValueError."""
+    wanted = set(SUITE_FAMILIES if names is None else names)
+    unknown = sorted(wanted.difference(SUITE_FAMILIES))
+    if unknown:
+        raise ValueError(
+            f"not an identity family: {', '.join(unknown)}; "
+            f"the families are {', '.join(SUITE_FAMILIES)}"
+        )
     records = [
         run_identity(build(n), trials, seed)
         for n in sizes

@@ -3,19 +3,33 @@
 They compute what the library computes by other means (every
 permutation, every principal minor, every walk, every subtree scalar by
 scalar, a polynomial evaluated with and without one monomial, every
-power of a matrix), so they are slow, exponential or recursive, and
-live with the tests, not in ``eltlab``.
+power of a matrix, every side of an identity on a program of its own),
+so they are slow, exponential or recursive, and live with the tests,
+not in ``eltlab``.
 """
 
 import itertools
+import random
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
 from eltlab.core import BOTTOM
 from eltlab.errors import DegeneratePolynomial, UnboundVariable
 from eltlab.matrix import _parity, det
-from eltlab.transfer import Add, Const, PolyExpression, Var
+from eltlab.transfer import (
+    _STAGES,
+    Add,
+    CheckReport,
+    Component,
+    Const,
+    PolyExpression,
+    Var,
+    evaluate,
+    expand,
+    num_variables,
+    ring_equal,
+)
 
 
 def charpoly_symbolic(a: ELTMatrix) -> ELTPolynomial:
@@ -207,3 +221,49 @@ def fold_evaluate(e: PolyExpression, model, assignment: Sequence[object]):
         return out
 
     return model.add(walk(e.pos), model.neg(walk(e.neg)))
+
+
+def check_components_one_by_one(
+    components: Sequence[Component], relation: str, trials: int, seed: int, strong: bool
+) -> Tuple[CheckReport, ...]:
+    """``transfer._check_components`` with every side evaluated and
+    expanded on its own: the same grouped draws, but one program per
+    expression, ``ring_equal`` per pair and a second expansion of q for
+    the strong stage, where the library runs one program per group."""
+    stages = _STAGES[relation]
+    groups: Dict[int, List[int]] = {}
+    for i, (p, q) in enumerate(components):
+        groups.setdefault(max(num_variables(p), num_variables(q)), []).append(i)
+    failures: List[List[str]] = [[] for _ in components]
+    verdicts: List[List[bool]] = [[] for _ in components]
+    for nvars, members in groups.items():
+        rng = random.Random(seed)
+        for label, model, holds in stages:
+            for i in members:
+                verdicts[i].append(True)
+            for trial in range(trials):
+                values = tuple(model.sample(rng) for _ in range(nvars))
+                for i in members:
+                    p, q = components[i]
+                    lhs = evaluate(p, model, values)
+                    rhs = evaluate(q, model, values)
+                    if not holds(lhs, rhs):
+                        verdicts[i][-1] = False
+                        if len(failures[i]) < 3:
+                            shown = ", ".join(
+                                f"x{k + 1}={model.show(v)}" for k, v in enumerate(values)
+                            )
+                            failures[i].append(
+                                f"{label} trial {trial}: {shown}: "
+                                f"lhs={model.show(lhs)} rhs={model.show(rhs)}"
+                            )
+    reports = []
+    for (p, q), (maxplus_ok, elt_ok), failed in zip(components, verdicts, failures):
+        strong_ok = expand(q).has_disjoint_support if strong else None
+        if strong_ok is False:
+            failed.append("strong: right side has overlapping monomial support")
+        reports.append(CheckReport(
+            relation, ring_equal(p, q), maxplus_ok, elt_ok, strong_ok, trials,
+            seed, tuple(failed),
+        ))
+    return tuple(reports)

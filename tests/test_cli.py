@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eltlab import transfer
 from eltlab.cli import main
-from eltlab.matrix import CHARPOLY_MAX_ORDER, ELTMatrix, adjoint
+from eltlab.matrix import CHARPOLY_MAX_ORDER, CYCLES_MAX, ELTMatrix, adjoint
 from eltlab.transfer import SuiteRecord
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -386,6 +386,18 @@ def test_spectral_commands_on_a_12x12_matrix_are_fast(tmp_path, command):
     proc = run_process(command, str(path), timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.count("\n") == 1
+
+
+def test_cycles_of_a_dense_12x12_matrix_stop_at_the_work_budget(tmp_path):
+    # 119,481,296 simple cycles: listing them would take about 40 minutes
+    path = tmp_path / "dense.mat"
+    path.write_text(dense_matrix_text(12))
+    proc = run_process("cycles", str(path), timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "eltlab: WorkBudgetExceeded: cycles of a 12x12 matrix: "
+        f"the search is limited to {CYCLES_MAX} paths\n"
+    )
 
 
 def test_charpoly_work_budget_is_a_domain_error(capsys, tmp_path):

@@ -13,8 +13,10 @@ from eltlab.errors import (
     NotSquare,
     ParseError,
     SingularDeterminant,
+    WorkBudgetExceeded,
     ZeroVector,
 )
+from eltlab import matrix
 from eltlab.matrix import (
     EigenStatus,
     MonomialStatus,
@@ -355,6 +357,25 @@ def test_simple_cycles_of_a_long_cycle():
     (cyc,) = simple_cycles(a)
     assert cyc.vertices == tuple(range(n))
     assert (cyc.weight, cyc.mean) == (ELTScalar(n, 1), Fraction(1))
+
+
+def test_simple_cycles_of_an_acyclic_digraph_with_many_paths():
+    # x_ij finite for i < j only: 2^59 paths from vertex 0, no cycle
+    n = 60
+    a = ELTMatrix([[S("1^[1]") if i < j else NEG_INF for j in range(n)] for i in range(n)])
+    assert simple_cycles(a) == ()
+
+
+def test_simple_cycles_work_budget(monkeypatch):
+    # the complete 4x4 digraph: 4 loops and 20 longer cycles, each
+    # closing one path extension
+    a = ELTMatrix([[S("0^[1]")] * 4] * 4)
+    monkeypatch.setattr(matrix, "CYCLES_MAX", 20)
+    assert len(simple_cycles(a)) == 24
+    monkeypatch.setattr(matrix, "CYCLES_MAX", 19)
+    with pytest.raises(WorkBudgetExceeded) as info:
+        simple_cycles(a)
+    assert str(info.value) == "cycles of a 4x4 matrix: the search is limited to 19 paths"
 
 
 def test_power_entries_match_best_paths():

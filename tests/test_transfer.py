@@ -22,6 +22,7 @@ from eltlab.transfer import (
     Mul,
     PolyExpression,
     Var,
+    _compile,
     canned_identities,
     check_identity,
     corrupted_det_mult,
@@ -37,7 +38,7 @@ from eltlab.transfer import (
     run_suite,
     symbolic_matrix,
 )
-from oracles import FOLD_ELT, FOLD_MAXPLUS, fold_evaluate
+from oracles import FOLD_ELT, FOLD_MAXPLUS, check_components_one_by_one, fold_evaluate
 
 E = parse_expression
 
@@ -191,6 +192,76 @@ def test_int_evaluation_matches_the_scalar_fold(case):
     assert got is None or (type(got[0]) is int and type(got[1]) is int)
 
 
+@st.composite
+def expression_families(draw):
+    """Expressions over x1..xm drawn from one pool of subtrees, so they
+    share subtrees, with sums and products of the same operands, each
+    two-argument one also with its operands commuted, the constants 0
+    and 1 inside and at the top, and x - x for some x; plus an
+    assignment in each model."""
+    m = draw(st.integers(1, 4))
+    pool = [Const(0), Const(1)] + [Var(k) for k in range(1, m + 1)]
+    for _ in range(draw(st.integers(0, 10))):
+        args = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+        pool.append(Add(args))
+        pool.append(Mul(args))
+        if len(args) == 2:
+            pool.append(Add(args[::-1]))
+            pool.append(Mul(args[::-1]))
+    exprs = []
+    for _ in range(draw(st.integers(1, 5))):
+        pos = draw(st.sampled_from(pool))
+        neg = pos if draw(st.integers(0, 3)) == 0 else draw(st.sampled_from(pool))
+        exprs.append(PolyExpression(pos, neg))
+    pairs = [
+        draw(st.none() | st.tuples(st.integers(-10, 10), st.integers(-3, 3))) for _ in range(m)
+    ]
+    return exprs, pairs
+
+
+def _assert_joint_program_matches_each_alone(exprs, pairs):
+    program = _compile(exprs)
+    tangibles = [_tangible(x) for x in pairs]
+    assert evaluate(program, MAXPLUS_MODEL, tangibles) == tuple(
+        evaluate(e, MAXPLUS_MODEL, tangibles) for e in exprs
+    )
+    assert evaluate(program, ELT_MODEL, pairs) == tuple(
+        evaluate(e, ELT_MODEL, pairs) for e in exprs
+    )
+    for e, got in zip(exprs, evaluate(program, ELT_MODEL, pairs)):
+        want = fold_evaluate(
+            e, FOLD_ELT, [NEG_INF if x is None else ELTScalar(*x) for x in pairs]
+        )
+        assert (NEG_INF if got is None else ELTScalar(*got)) == want
+    assert expand(program) == tuple(expand(e, program.top) for e in exprs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression_families())
+def test_expressions_compiled_together_match_each_compiled_alone(case):
+    _assert_joint_program_matches_each_alone(*case)
+
+
+def test_value_numbering_shares_commuted_and_repeated_ops():
+    x1, x2 = E("x1"), E("x2")
+    # the parser and the operators drop 1 and 0 from products and sums
+    one_and_zero = PolyExpression(Add((Mul((Var(1), Const(1))), Const(0))))
+    exprs = [x1 * x2, x2 * x1, x1 + x2, x2 + x1, x1 * x2 - x1 * x2, one_and_zero, E("0"), E("1")]
+    program = _compile(exprs)
+    # one product and one sum of x1 and x2, then x1*1 and (x1*1) + 0
+    assert program.ops == [(True, 2, 3), (False, 2, 3), (True, 1, 2), (False, 0, 6)]
+    assert program.outputs == ((4, 0), (4, 0), (5, 0), (5, 0), (4, 4), (7, 0), (0, 0), (1, 0))
+    for pairs in ([(1, 2), (3, -1)], [None, (0, 3)], [(2, 1), (2, -1)]):
+        _assert_joint_program_matches_each_alone(exprs, pairs)
+    assert evaluate(program, ELT_MODEL, [(1, 2), (3, -1)]) == (
+        (4, -2), (4, -2), (3, -1), (3, -1), (4, 0), (1, 2), None, (0, 1),
+    )
+    assert [t.net() for t in expand(program)] == [
+        {(1, 1): 1}, {(1, 1): 1}, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1},
+        {}, {(1, 0): 1}, {}, {(0, 0): 1},
+    ]
+
+
 def test_deep_expressions_need_no_recursion():
     x1, x2, x3 = (PolyExpression.var(i) for i in (1, 2, 3))
 
@@ -329,6 +400,17 @@ def test_suite_family_selection_is_exact():
     assert run_suite([], 5, 7) == []
 
 
+def test_suite_rejects_an_unknown_family():
+    with pytest.raises(ValueError) as info:
+        run_suite(["det-mul"], 5, 7)
+    assert str(info.value) == (
+        "not an identity family: det-mul; the families are det-mult, a-adj, "
+        "det-a-adj, a-adj-sq, cayley-hamilton, mutation-control"
+    )
+    with pytest.raises(ValueError, match="not an identity family: det-mul, x; "):
+        run_suite(["x", "a-adj", "det-mul"], 5, 7)
+
+
 def test_mutated_identity_is_detected():
     broken = corrupted_det_mult()
     record = run_identity(broken, trials=12, seed=4)
@@ -337,11 +419,21 @@ def test_mutated_identity_is_detected():
     assert any(not rep.ring_ok for rep in record.reports)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [pytest.param(lambda f=f, n=n: FAMILIES[f](n), id=f"{f}-n{n}") for n in (2, 3) for f in FAMILIES]
-    + [pytest.param(corrupted_det_mult, id="mutated-det-mult-n2")],
+# builders of every canned identity and the mutated one
+CANNED = [
+    pytest.param(lambda f=f, n=n: FAMILIES[f](n), id=f"{f}-n{n}") for n in (2, 3) for f in FAMILIES
+] + [pytest.param(corrupted_det_mult, id="mutated-det-mult-n2")]
+
+# x1 + x2 against x1*x2 twice, around a three-variable component: the
+# relation fails in both models, on pairs in two groups
+MIXED = (
+    (E("x1 + x2"), E("x1*x2")),
+    (E("x1"), E("x1 + x2 + x3")),
+    (E("x2 + x1"), E("x1*x2")),
 )
+
+
+@pytest.mark.parametrize("build", CANNED)
 def test_components_sharing_draws_report_as_if_alone(build):
     ident = build()
     for seed in (1, 4, 42):
@@ -352,13 +444,21 @@ def test_components_sharing_draws_report_as_if_alone(build):
             )
 
 
+@pytest.mark.parametrize(
+    "build", CANNED + [pytest.param(lambda: CannedIdentity("mixed", "surpass", MIXED), id="mixed")]
+)
+def test_one_program_per_group_reports_as_one_program_per_side(build):
+    ident = build()
+    for trials in (1, 30, 1000):
+        for seed in range(1, 21):
+            record = run_identity(ident, trials, seed)
+            assert record.reports == check_components_one_by_one(
+                ident.components, ident.relation, trials, seed, ident.strong
+            )
+
+
 def test_components_with_different_variable_counts():
-    # x1 + x2 against x1*x2 twice, around a three-variable component
-    components = (
-        (E("x1 + x2"), E("x1*x2")),
-        (E("x1"), E("x1 + x2 + x3")),
-        (E("x2 + x1"), E("x1*x2")),
-    )
+    components = MIXED
     two = CheckReport("surpass", False, False, False, None, 8, 3, (
         "maxplus trial 1: x1=9, x2=10: lhs=10 rhs=19",
         "maxplus trial 4: x1=5, x2=7: lhs=7 rhs=12",
