@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ._markers import BOTTOM, Bottom
@@ -60,21 +59,14 @@ def _require_square_grid(t: TropicalMatrix) -> int:
 
 
 def column_critical_positions(t: TropicalMatrix) -> Tuple[Tuple[bool, ...], ...]:
-    """Mask of finite entries that are maximal within their column."""
-    n_rows = len(t)
-    n_cols = len(t[0])
-    mask = [[False] * n_cols for _ in range(n_rows)]
-    for j in range(n_cols):
-        col_max: Entry = BOTTOM
-        for i in range(n_rows):
-            if t[i][j] > col_max:
-                col_max = t[i][j]
-        if isinstance(col_max, Bottom):
-            continue
-        for i in range(n_rows):
-            if t[i][j] == col_max:
-                mask[i][j] = True
-    return tuple(tuple(row) for row in mask)
+    """Mask of finite entries that are maximal within their column,
+    compared as ints over the entries' common denominator."""
+    _, (w,) = integer_grids(t)
+    columns = []
+    for col in zip(*w):
+        top = max((x for x in col if x is not None), default=None)
+        columns.append([top is not None and x == top for x in col])
+    return tuple(zip(*columns))
 
 
 def is_critical(t: TropicalMatrix) -> Tuple[bool, Optional[Tuple[int, ...]]]:
@@ -263,22 +255,39 @@ def karp_max_mean_cycle(t: TropicalMatrix) -> Optional[Fraction]:
     denominator d, and the ratios are compared by cross-multiplying.  A
     vertex no k-edge walk reaches holds ``low``, so far below every true
     weight that a step from it stays under ``floor`` and is put back to
-    ``low``.
+    ``low``; so does a vertex with no in-edge.
+
+    Each vertex's in-edges are sorted once, heaviest first.  A step
+    with ``top`` the largest weight of the previous row scans them
+    until ``wt + top <= walk``, the best walk so far: no later edge
+    beats it.  Only the maximum is kept, so an edge that could merely
+    tie it is skipped too; the matrix product scans on through a tie,
+    because there a tie adds a layer.
     """
     n = _require_square_grid(t)
     d, (w,) = integer_grids(t)
     reach = n * max((abs(x) for row in w for x in row if x is not None), default=0)
     floor = -reach
     low = floor - reach - 1
-    # the in-edges of each vertex; one with none reads itself through a
-    # loop of weight low, which no walk can afford
-    sources = [[i for i in range(n) if w[i][j] is not None] or [j] for j in range(n)]
-    weights = [[low if w[i][j] is None else w[i][j] for i in srcs] for j, srcs in enumerate(sources)]
+    into = [
+        sorted(((w[i][j], i) for i in range(n) if w[i][j] is not None), reverse=True)
+        for j in range(n)
+    ]
     dist = [[0] * n]
     for _ in range(n):
-        step = dist[-1].__getitem__
-        row = [max(map(add, map(step, srcs), ws)) for srcs, ws in zip(sources, weights)]
-        dist.append([x if x >= floor else low for x in row])
+        prev = dist[-1]
+        top = max(prev)
+        row = []
+        for edges in into:
+            walk = low
+            for wt, i in edges:
+                if wt + top <= walk:
+                    break
+                wt += prev[i]
+                if wt > walk:
+                    walk = wt
+            row.append(walk if walk >= floor else low)
+        dist.append(row)
     best: Optional[Tuple[int, int]] = None
     for col in zip(*dist):
         full = col[n]

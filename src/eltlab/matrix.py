@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ._markers import BOTTOM, Bottom
@@ -209,9 +208,13 @@ def _products(
     Runs on exact ints: tangibles over the lcm d of all their
     denominators, layers over the lcm of each side's layer
     denominators, so a term is an int tangible sum with an int layer
-    product.  A -inf entry gets the tangible ``low``, far enough below
-    every finite one that a term through it stays under ``floor``, the
-    least finite term; an entry with no term at or above it is -inf.
+    product.  Each column's finite terms are sorted once, largest
+    first; a row with largest finite tangible ``top`` scans them until
+    ``b + top < best`` (the threshold algorithm's stop rule, Fagin,
+    Lotem & Naor 2003): no later term reaches the best sum.  The stop
+    is strict because a term with ``b + top == best`` can still tie,
+    and a tie adds its layer product.  An entry with no finite term is
+    -inf.
     """
     d, (row_t, col_t) = integer_grids(
         [[x.tangible for x in row] for row in rows],
@@ -219,30 +222,53 @@ def _products(
     )
     d_row, (row_l,) = integer_grids([[x.layer for x in row] for row in rows])
     d_col, (col_l,) = integer_grids([[x.layer for x in col] for col in cols])
-    reach = sum(
-        max((abs(x) for line in grid for x in line if x is not None), default=0)
-        for grid in (row_t, col_t)
-    )
-    floor = -reach
-    low = -2 * reach - 1
-    row_t = [[low if x is None else x for x in line] for line in row_t]
-    col_t = [[low if x is None else x for x in line] for line in col_t]
     d_layer = d_row * d_col
+    # (tangible, row index, layer) of each column's finite entries
+    terms = [
+        sorted(
+            ((b, j, l) for j, (b, l) in enumerate(zip(ct, cl)) if b is not None),
+            reverse=True,
+        )
+        for ct, cl in zip(col_t, col_l)
+    ]
+    tangibles: Dict[int, Fraction] = {}
+    layers: Dict[int, Fraction] = {}
     out = []
     for rt, rl in zip(row_t, row_l):
+        top = max((a for a in rt if a is not None), default=None)
+        if top is None:
+            out.append([NEG_INF] * len(terms))
+            continue
         out_row = []
-        for ct, cl in zip(col_t, col_l):
-            sums = list(map(add, rt, ct))
-            best = max(sums)
-            if best < floor:
+        for col in terms:
+            scan = iter(col)
+            for b, j, l in scan:
+                a = rt[j]
+                if a is not None:
+                    best, layer = a + b, rl[j] * l
+                    break
+            else:
                 out_row.append(NEG_INF)
                 continue
-            if sums.count(best) == 1:
-                j = sums.index(best)
-                layer = rl[j] * cl[j]
-            else:
-                layer = sum(a * b for s, a, b in zip(sums, rl, cl) if s == best)
-            out_row.append(ELTScalar(Fraction(best, d), Fraction(layer, d_layer)))
+            need = best - top
+            for b, j, l in scan:
+                if b < need:
+                    break
+                a = rt[j]
+                if a is None:
+                    continue
+                a += b
+                if a > best:
+                    best, layer, need = a, rl[j] * l, a - top
+                elif a == best:
+                    layer += rl[j] * l
+            t = tangibles.get(best)
+            if t is None:
+                t = tangibles[best] = Fraction(best, d)
+            s = layers.get(layer)
+            if s is None:
+                s = layers[layer] = Fraction(layer, d_layer)
+            out_row.append(ELTScalar(t, s))
         out.append(out_row)
     return out
 
@@ -603,11 +629,13 @@ def simple_cycles(a: ELTMatrix) -> Tuple[CycleInfo, ...]:
 
     A path from a start only takes vertices above it that lead back to
     it through vertices above it.  Past CYCLES_MAX path extensions, over
-    all starts, the search raises WorkBudgetExceeded."""
+    all starts, the search raises WorkBudgetExceeded.  The path's int
+    tangible sum and layer product (``core.integer_grids``) run on a
+    stack beside it, so a cycle's weight is built once, when it closes."""
     n = _require_square(a)
-    adj = [
-        [j for j in range(n) if not a.entry(i, j).is_neg_inf] for i in range(n)
-    ]
+    d, (tangibles,) = integer_grids([[x.tangible for x in row] for row in a.rows])
+    d_layer, (layers,) = integer_grids([[x.layer for x in row] for row in a.rows])
+    adj = [[j for j in range(n) if tangibles[i][j] is not None] for i in range(n)]
     into: List[List[int]] = [[] for _ in range(n)]
     for i, row in enumerate(adj):
         for j in row:
@@ -624,19 +652,24 @@ def simple_cycles(a: ELTMatrix) -> Tuple[CycleInfo, ...]:
                     back.add(u)
                     stack.append(u)
         # depth-first over paths from start through back, on a stack of
-        # neighbour iterators that runs beside the path
+        # neighbour iterators that runs beside the path, and one of the
+        # (tangible sum, layer product) of the path's edges
         path = [start]
         used = {start}
         todo = [iter(adj[start])]
+        sums = [(0, 1)]
         while todo:
+            v = path[-1]
+            t_row, l_row = tangibles[v], layers[v]
+            t_sum, l_prod = sums[-1]
             for w in todo[-1]:
                 if w == start:
-                    weight = ONE
-                    for x, y in zip(path, path[1:] + [start]):
-                        weight = weight * a.entry(x, y)
-                    found.append(
-                        CycleInfo(tuple(path), weight, Fraction(weight.tangible, len(path)))
+                    size = len(path)
+                    total = t_sum + t_row[w]
+                    weight = ELTScalar(
+                        Fraction(total, d), Fraction(l_prod * l_row[w], d_layer**size)
                     )
+                    found.append(CycleInfo(tuple(path), weight, Fraction(total, d * size)))
                 elif w in back and w not in used:
                     paths += 1
                     if paths > CYCLES_MAX:
@@ -647,9 +680,11 @@ def simple_cycles(a: ELTMatrix) -> Tuple[CycleInfo, ...]:
                     used.add(w)
                     path.append(w)
                     todo.append(iter(adj[w]))
+                    sums.append((t_sum + t_row[w], l_prod * l_row[w]))
                     break
             else:
                 todo.pop()
+                sums.pop()
                 used.discard(path.pop())
     return tuple(found)
 

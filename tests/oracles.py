@@ -4,17 +4,18 @@ They compute what the library computes by other means (every
 permutation, every principal minor, every walk, every subtree scalar by
 scalar, a polynomial evaluated with and without one monomial, every
 power of a matrix, every side of an identity on a program of its own),
-so they are slow, exponential or recursive, and live with the tests,
-not in ``eltlab``.
+or every term of a max-plus step, so they are slow, exponential or
+recursive, and live with the tests, not in ``eltlab``.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
-from eltlab.core import BOTTOM
+from eltlab.core import BOTTOM, integer_grids
 from eltlab.errors import DegeneratePolynomial, UnboundVariable
 from eltlab.matrix import _parity, det
 from eltlab.transfer import (
@@ -267,3 +268,44 @@ def check_components_one_by_one(
             seed, tuple(failed),
         ))
     return tuple(reports)
+
+
+def karp_full_scan(t) -> Optional[Fraction]:
+    """``assign.karp_max_mean_cycle`` with every step taking the max
+    over all in-edges of every vertex, where the library stops each
+    scan at the first edge that cannot beat the best walk.
+
+    The walk weights are ints, the entries scaled by their common
+    denominator d, and the ratios are compared by cross-multiplying.  A
+    vertex no k-edge walk reaches holds ``low``, so far below every true
+    weight that a step from it stays under ``floor`` and is put back to
+    ``low``.
+    """
+    n = len(t)
+    assert all(len(row) == n for row in t)
+    d, (w,) = integer_grids(t)
+    reach = n * max((abs(x) for row in w for x in row if x is not None), default=0)
+    floor = -reach
+    low = floor - reach - 1
+    # the in-edges of each vertex; one with none reads itself through a
+    # loop of weight low, which no walk can afford
+    sources = [[i for i in range(n) if w[i][j] is not None] or [j] for j in range(n)]
+    weights = [[low if w[i][j] is None else w[i][j] for i in srcs] for j, srcs in enumerate(sources)]
+    dist = [[0] * n]
+    for _ in range(n):
+        step = dist[-1].__getitem__
+        row = [max(map(add, map(step, srcs), ws)) for srcs, ws in zip(sources, weights)]
+        dist.append([x if x >= floor else low for x in row])
+    best: Optional[Tuple[int, int]] = None
+    for col in zip(*dist):
+        full = col[n]
+        if full == low or best is not None and full * best[1] <= best[0] * n:
+            continue  # no n-edge walk, or its k = 0 ratio cannot beat best
+        worst = (full, n)  # k = 0: every walk starts at weight 0
+        for k in range(1, n):
+            part = col[k]
+            if part != low and (full - part) * worst[1] < worst[0] * (n - k):
+                worst = (full - part, n - k)
+        if best is None or worst[0] * best[1] > best[0] * worst[1]:
+            best = worst
+    return None if best is None else Fraction(best[0], best[1] * d)

@@ -23,6 +23,7 @@ from eltlab.assign import (
 from eltlab.core import BOTTOM
 from eltlab.errors import InfeasibleAssignment
 from eltlab.matrix import simple_cycles
+from oracles import karp_full_scan
 from rand import random_matrix
 
 T = parse_tropical_matrix
@@ -289,3 +290,47 @@ def test_best_cycle_mean_of_a_long_cycle():
         [[Fraction(i, 7) if j == (i + 1) % n else BOTTOM for j in range(n)] for i in range(n)]
     )
     assert karp_max_mean_cycle(t) == Fraction(1099, 14)
+
+
+def karp_grids(rng, n):
+    """One grid per kind, n x n: dense, sparse, tie-heavy, mostly -inf,
+    acyclic, and one whose heaviest in-edges leave the lightest walks."""
+
+    def fill(finite_in_ten, value):
+        return [
+            [value() if rng.randrange(10) < finite_in_ten else BOTTOM for _ in range(n)]
+            for _ in range(n)
+        ]
+
+    def wide():
+        return Fraction(rng.randint(-999, 999), rng.choice((1, 2, 3)))
+
+    rank = list(range(n))
+    rng.shuffle(rank)
+    acyclic = [
+        [wide() if rank[i] < rank[j] else BOTTOM for j in range(n)] for i in range(n)
+    ]
+    # vertex i loops with weight 3i, so its walks gain 3i per step, and
+    # sends -3i to every other vertex: sorted heaviest first, the in-edges
+    # of a vertex come from the lightest walks and the best term comes last
+    adversarial = [
+        [Fraction(3 * i if i == j else -3 * i) for j in range(n)] for i in range(n)
+    ]
+    return {
+        "dense": fill(10, wide),
+        "sparse": fill(3, wide),
+        "ties": fill(9, lambda: Fraction(rng.randint(0, 1))),
+        "neg-inf": fill(1, wide),
+        "acyclic": acyclic,
+        "adversarial": adversarial,
+    }
+
+
+def test_pruned_karp_equals_the_full_scan():
+    rng = random.Random(149)
+    for n in [*range(1, 13), 20, 30, 40]:
+        for _ in range(3 if n <= 12 else 1):
+            for kind, grid in karp_grids(rng, n).items():
+                t = tropical_matrix(grid)
+                assert karp_max_mean_cycle(t) == karp_full_scan(t), (kind, n)
+    assert karp_max_mean_cycle(tropical_matrix(karp_grids(rng, 40)["adversarial"])) == 117

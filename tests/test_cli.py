@@ -388,6 +388,15 @@ def test_spectral_commands_on_a_12x12_matrix_are_fast(tmp_path, command):
     assert proc.stdout.count("\n") == 1
 
 
+def test_cycles_of_a_dense_9x9_matrix_are_fast(tmp_path):
+    # the complete 9x9 digraph with loops has 125,673 simple cycles
+    path = tmp_path / "dense.mat"
+    path.write_text(dense_matrix_text(9))
+    proc = run_process("cycles", str(path), timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.count("\n") == 125_673
+
+
 def test_cycles_of_a_dense_12x12_matrix_stop_at_the_work_budget(tmp_path):
     # 119,481,296 simple cycles: listing them would take about 40 minutes
     path = tmp_path / "dense.mat"

@@ -97,7 +97,40 @@ def product_operands(draw):
     return grid(p, q), grid(q, r), tuple(draw(entries) for _ in range(q))
 
 
-@given(product_operands())
+@st.composite
+def scan_operands(draw):
+    """A*B and A*v operands up to 12x12 for the sorted, early-stopping
+    scan of the product: tangibles either spread over a wide range of
+    rationals, so a scan stops well before its last term, or come from a
+    palette of at most two, so ties are common.  Denominators differ,
+    layers include zero, a share of entries is -inf, and some rows of A
+    and columns of B are all -inf."""
+    if draw(st.booleans()):
+        tangibles = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 9))
+    else:
+        tangibles = st.sampled_from(draw(st.lists(
+            st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6)), min_size=1, max_size=2
+        )))
+    finite = st.builds(ELTScalar, tangibles, st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)))
+    holes = draw(st.integers(0, 9))  # in tenths
+    entries = st.tuples(st.integers(0, 9), finite).map(lambda kx: NEG_INF if kx[0] < holes else kx[1])
+
+    def grid(nrows, ncols):
+        return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+    p, q, r = (draw(st.integers(1, 12)) for _ in range(3))
+    a, b = grid(p, q), grid(q, r)
+    for i in draw(st.lists(st.integers(0, p - 1), max_size=2)):
+        a[i] = [NEG_INF] * q
+    for j in draw(st.lists(st.integers(0, r - 1), max_size=2)):
+        for row in b:
+            row[j] = NEG_INF
+    return ELTMatrix(a), ELTMatrix(b), tuple(draw(entries) for _ in range(q))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(product_operands(), scan_operands()))
+@example((M("-inf, 0^[1]"), M("5^[2]\n-inf"), (S("5^[2]"), NEG_INF)))
 def test_products_match_the_scalar_fold(operands):
     a, b, v = operands
     cols = b.transpose().rows
