@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ._markers import BOTTOM, Bottom
-from .core import ELTScalar, integer_grids, parse_rational
+from .core import ELTScalar, integer_grid, parse_rational
 from .errors import InfeasibleAssignment, NotSquare, ParseError
 
 if TYPE_CHECKING:
@@ -61,7 +61,7 @@ def _require_square_grid(t: TropicalMatrix) -> int:
 def column_critical_positions(t: TropicalMatrix) -> Tuple[Tuple[bool, ...], ...]:
     """Mask of finite entries that are maximal within their column,
     compared as ints over the entries' common denominator."""
-    _, (w,) = integer_grids(t)
+    _, w = integer_grid(t)
     columns = []
     for col in zip(*w):
         top = max((x for x in col if x is not None), default=None)
@@ -146,7 +146,7 @@ def hungarian_scaling(t: TropicalMatrix) -> HungarianResult:
     denominator d; the duals and the value are divided by d at the end.
     """
     n = _require_square_grid(t)
-    d, (w,) = integer_grids(t)
+    d, w = integer_grid(t)
     u: List[int] = []
     for i in range(n):
         finite = [x for x in w[i] if x is not None]
@@ -265,7 +265,7 @@ def karp_max_mean_cycle(t: TropicalMatrix) -> Optional[Fraction]:
     because there a tie adds a layer.
     """
     n = _require_square_grid(t)
-    d, (w,) = integer_grids(t)
+    d, w = integer_grid(t)
     reach = n * max((abs(x) for row in w for x in row if x is not None), default=0)
     floor = -reach
     low = floor - reach - 1

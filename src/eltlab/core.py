@@ -40,28 +40,21 @@ BACKEND = _backend.BACKEND_NAME
 IntGrid = List[List[Optional[int]]]
 
 
-def integer_grids(
-    *grids: Sequence[Sequence[Union[Fraction, Bottom]]]
-) -> Tuple[int, List[IntGrid]]:
-    """Put grids of rationals over one common denominator.
+def integer_grid(
+    grid: Sequence[Sequence[Union[Fraction, Bottom]]]
+) -> Tuple[int, IntGrid]:
+    """Put a grid of rationals over one common denominator.
 
     Returns ``(d, scaled)``: d is the least common multiple of the
-    denominators of every rational in the grids (1 when there are
-    none), and ``scaled`` holds each grid with a rational x replaced by
-    the int x*d and BOTTOM by None.  Loops over the scaled grids then
-    run on exact ints and divide by d once at the end.
+    denominators of every rational in the grid (1 when there are none),
+    and ``scaled`` is the grid with a rational x replaced by the int x*d
+    and BOTTOM by None.  Loops over the scaled grid then run on exact
+    ints and divide by d once at the end.
     """
-    d = math.lcm(*{
-        x.denominator
-        for grid in grids for row in grid for x in row
-        if x is not BOTTOM
-    })
+    d = math.lcm(*{x.denominator for row in grid for x in row if x is not BOTTOM})
     scaled = [
-        [
-            [None if x is BOTTOM else x.numerator * (d // x.denominator) for x in row]
-            for row in grid
-        ]
-        for grid in grids
+        [None if x is BOTTOM else x.numerator * (d // x.denominator) for x in row]
+        for row in grid
     ]
     return d, scaled
 

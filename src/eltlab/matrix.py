@@ -17,6 +17,7 @@ simple-cycle enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,12 +27,13 @@ from ._markers import BOTTOM, Bottom
 from .assign import karp_max_mean_cycle
 from .core import (
     ELTScalar,
+    IntGrid,
     LayerRing,
     NEG_INF,
     ONE,
     Q_RING,
     format_scalar,
-    integer_grids,
+    integer_grid,
     invert,
     parse_int,
     parse_scalar,
@@ -47,12 +49,21 @@ from .errors import (
 from .poly import ELTPolynomial, MonomialStatus, RootDescription, elt_roots
 
 Vector = Tuple[ELTScalar, ...]
+IntForm = Tuple[int, IntGrid, int, IntGrid]
 
 
 class ELTMatrix:
-    """Immutable rectangular matrix of scalars."""
+    """Immutable rectangular matrix of scalars.
 
-    __slots__ = ("_rows",)
+    The int-based routines (products, ``charpoly``, ``simple_cycles``)
+    read its exact int form ``(d, tangibles, d_layer, layers)``: the
+    tangibles as ints over the lcm d of their denominators, None for
+    -inf, and the layers as ints over the lcm d_layer of theirs
+    (``core.integer_grid``).  The form is computed on first use and
+    kept, so a matrix used many times is converted once.
+    """
+
+    __slots__ = ("_rows", "_ints")
 
     def __init__(self, rows: Iterable[Iterable[ELTScalar]]):
         grid = tuple(tuple(row) for row in rows)
@@ -66,6 +77,7 @@ class ELTMatrix:
                 if not isinstance(x, ELTScalar):
                     raise TypeError(f"matrix entry must be a scalar, got {type(x).__name__}")
         self._rows = grid
+        self._ints: Optional[IntForm] = None
 
     @classmethod
     def identity(cls, n: int) -> "ELTMatrix":
@@ -103,6 +115,13 @@ class ELTMatrix:
     def entry(self, i: int, j: int) -> ELTScalar:
         return self._rows[i][j]
 
+    def _int_form(self) -> IntForm:
+        if self._ints is None:
+            d, tangibles = integer_grid([[x.tangible for x in row] for row in self._rows])
+            d_layer, layers = integer_grid([[x.layer for x in row] for row in self._rows])
+            self._ints = (d, tangibles, d_layer, layers)
+        return self._ints
+
     def transpose(self) -> "ELTMatrix":
         return ELTMatrix(zip(*self._rows))
 
@@ -130,7 +149,7 @@ class ELTMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        return ELTMatrix(_products(self._rows, tuple(zip(*other._rows))))
+        return ELTMatrix(_products(self._int_form(), other._int_form()))
 
     def scale(self, c: ELTScalar) -> "ELTMatrix":
         """Entrywise product with the scalar c."""
@@ -142,7 +161,8 @@ class ELTMatrix:
             raise DimensionMismatch(
                 f"cannot apply {self.nrows}x{self.ncols} to a vector of length {len(v)}"
             )
-        return tuple(row[0] for row in _products(self._rows, (tuple(v),)))
+        column = ELTMatrix([(x,) for x in v])
+        return tuple(row[0] for row in _products(self._int_form(), column._int_form()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ELTMatrix):
@@ -200,36 +220,32 @@ class ELTMatrix:
         return cls(grid)
 
 
-def _products(
-    rows: Sequence[Sequence[ELTScalar]], cols: Sequence[Sequence[ELTScalar]]
-) -> List[List[ELTScalar]]:
-    """Every row times every column, ``sum_j row[j] * col[j]``.
+def _products(left: IntForm, right: IntForm) -> List[List[ELTScalar]]:
+    """The product of two matrices' int forms (``ELTMatrix``): every row
+    of the left times every column of the right, ``sum_j row[j] * col[j]``.
 
-    Runs on exact ints: tangibles over the lcm d of all their
-    denominators, layers over the lcm of each side's layer
-    denominators, so a term is an int tangible sum with an int layer
-    product.  Each column's finite terms are sorted once, largest
-    first; a row with largest finite tangible ``top`` scans them until
-    ``b + top < best`` (the threshold algorithm's stop rule, Fagin,
-    Lotem & Naor 2003): no later term reaches the best sum.  The stop
-    is strict because a term with ``b + top == best`` can still tie,
-    and a tie adds its layer product.  An entry with no finite term is
-    -inf.
+    Both sides' int tangibles are rescaled to the lcm d of their two
+    denominators, so a term is an int tangible sum over d with an int
+    layer product over the product of the two layer denominators.
+    Each column's finite terms are sorted once, largest first; a row
+    with largest finite tangible ``top`` scans them until ``b + top <
+    best`` (the threshold algorithm's stop rule, Fagin, Lotem & Naor
+    2003): no later term reaches the best sum.  The stop is strict
+    because a term with ``b + top == best`` can still tie, and a tie
+    adds its layer product.  An entry with no finite term is -inf.
     """
-    d, (row_t, col_t) = integer_grids(
-        [[x.tangible for x in row] for row in rows],
-        [[x.tangible for x in col] for col in cols],
-    )
-    d_row, (row_l,) = integer_grids([[x.layer for x in row] for row in rows])
-    d_col, (col_l,) = integer_grids([[x.layer for x in col] for col in cols])
-    d_layer = d_row * d_col
+    d_left, row_t, d_left_layer, row_l = left
+    d_right, right_t, d_right_layer, right_l = right
+    d = math.lcm(d_left, d_right)
+    row_t, right_t = _rescaled(row_t, d // d_left), _rescaled(right_t, d // d_right)
+    d_layer = d_left_layer * d_right_layer
     # (tangible, row index, layer) of each column's finite entries
     terms = [
         sorted(
             ((b, j, l) for j, (b, l) in enumerate(zip(ct, cl)) if b is not None),
             reverse=True,
         )
-        for ct, cl in zip(col_t, col_l)
+        for ct, cl in zip(zip(*right_t), zip(*right_l))
     ]
     tangibles: Dict[int, Fraction] = {}
     layers: Dict[int, Fraction] = {}
@@ -271,6 +287,12 @@ def _products(
             out_row.append(ELTScalar(t, s))
         out.append(out_row)
     return out
+
+
+def _rescaled(grid: IntGrid, k: int) -> IntGrid:
+    if k == 1:
+        return grid
+    return [[None if x is None else x * k for x in row] for row in grid]
 
 
 def _parse_dim(line: str, label: str) -> int:
@@ -454,6 +476,10 @@ def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
 
 
 CHARPOLY_MAX_ORDER = 16
+# the largest power bound is_nilpotent accepts: the layers of A^m can
+# grow by log2(n) bits per power, and the 32x32 all-0^[1] matrix takes
+# 3.5 s from the command line at this bound
+NILPOTENT_MAX_BOUND = 2**14
 
 
 def charpoly(a: ELTMatrix) -> ELTPolynomial:
@@ -470,10 +496,9 @@ def charpoly(a: ELTMatrix) -> ELTPolynomial:
     in about 2^n*n^2 int operations instead of a determinant per minor.
     The leading coefficient is 0^[1].
 
-    Tangibles run over their common denominator, layers over theirs
-    (``core.integer_grids``); every term of the L^m slot is a product of
-    ``r+1-m`` entries, so its layers share one power of that
-    denominator.  Orders above CHARPOLY_MAX_ORDER raise
+    It runs on the matrix's int form (``ELTMatrix``); every term of the
+    L^m slot is a product of ``r+1-m`` entries, so its layers share one
+    power of the layer denominator.  Orders above CHARPOLY_MAX_ORDER raise
     WorkBudgetExceeded.
     """
     n = _require_square(a)
@@ -482,8 +507,7 @@ def charpoly(a: ELTMatrix) -> ELTPolynomial:
             f"charpoly of a {n}x{n} matrix: the 2^n expansion is limited "
             f"to {CHARPOLY_MAX_ORDER}x{CHARPOLY_MAX_ORDER}"
         )
-    d, (tangibles,) = integer_grids([[x.tangible for x in row] for row in a.rows])
-    d_layer, (layers,) = integer_grids([[x.layer for x in row] for row in a.rows])
+    d, tangibles, d_layer, layers = a._int_form()
     # column set -> (tangible per L power, None for -inf; layer per L power)
     dp: Dict[int, Tuple[List[Optional[int]], List[int]]] = {0: ([0], [1])}
     for r in range(n):
@@ -630,11 +654,10 @@ def simple_cycles(a: ELTMatrix) -> Tuple[CycleInfo, ...]:
     A path from a start only takes vertices above it that lead back to
     it through vertices above it.  Past CYCLES_MAX path extensions, over
     all starts, the search raises WorkBudgetExceeded.  The path's int
-    tangible sum and layer product (``core.integer_grids``) run on a
+    tangible sum and layer product (from the matrix's int form) run on a
     stack beside it, so a cycle's weight is built once, when it closes."""
     n = _require_square(a)
-    d, (tangibles,) = integer_grids([[x.tangible for x in row] for row in a.rows])
-    d_layer, (layers,) = integer_grids([[x.layer for x in row] for row in a.rows])
+    d, tangibles, d_layer, layers = a._int_form()
     adj = [[j for j in range(n) if tangibles[i][j] is not None] for i in range(n)]
     into: List[List[int]] = [[] for _ in range(n)]
     for i, row in enumerate(adj):
@@ -772,7 +795,8 @@ def is_nilpotent(a: ELTMatrix, bound: Optional[int] = None) -> Tuple[bool, Optio
     """First power index at which every entry of A^m has layer zero.
 
     Returns (True, m) for the least such m up to the bound (default
-    n^2), else (False, None).
+    n^2), else (False, None).  A bound above NILPOTENT_MAX_BOUND raises
+    WorkBudgetExceeded.
 
     Every term of A^m * A^k carries a factor of A^m, so once A^m has
     layer zero so have all higher powers: the layer-zero powers form a
@@ -783,6 +807,11 @@ def is_nilpotent(a: ELTMatrix, bound: Optional[int] = None) -> Tuple[bool, Optio
     n = _require_square(a)
     if bound is None:
         bound = n * n
+    if bound > NILPOTENT_MAX_BOUND:
+        raise WorkBudgetExceeded(
+            f"nilpotency up to power {bound}: the search is limited "
+            f"to powers up to {NILPOTENT_MAX_BOUND}"
+        )
     squares = [a]
     while 2 ** len(squares) <= bound:
         squares.append(squares[-1] * squares[-1])

@@ -35,7 +35,7 @@ from .core import (
     parse_int,
     parse_scalar,
 )
-from .errors import DegeneratePolynomial, ParseError
+from .errors import DegeneratePolynomial, ParseError, WorkBudgetExceeded
 
 Bound = Union[Fraction, Bottom, Top]
 
@@ -305,18 +305,29 @@ def _divisors(n: int) -> Tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
+# the most bits a root candidate's power may take: evaluating one such
+# candidate, 255/254 at degree 2^19, takes about 0.5 s
+ROOT_POWER_MAX_BITS = 2**22
+
+
 def _rational_roots(int_coeffs: Dict[int, int], ring: LayerRing) -> Tuple[Fraction, ...]:
     """All ring roots of a nonzero integer polynomial, by the rational
-    root bound plus exact verification."""
+    root bound plus exact verification.
+
+    A candidate p/q is evaluated as an exact ``(p/q)**top``; when that
+    power would take more than ROOT_POWER_MAX_BITS bits the search
+    raises WorkBudgetExceeded.  The candidates 1 and -1 stay exempt.
+    """
     roots = []
     degs = sorted(d for d, a in int_coeffs.items() if a != 0)
     low = degs[0]
     if low > 0 and Fraction(0) in ring:
         roots.append(Fraction(0))
     shifted = {d - low: int_coeffs[d] for d in degs}
-    if max(shifted) == 0:
+    top = max(shifted)
+    if top == 0:
         return tuple(roots)
-    lead = shifted[max(shifted)]
+    lead = shifted[top]
     const = shifted[0]
     seen = set(roots)
     for num in _divisors(const):
@@ -325,6 +336,13 @@ def _rational_roots(int_coeffs: Dict[int, int], ring: LayerRing) -> Tuple[Fracti
                 cand = Fraction(sign * num, den)
                 if cand in seen or cand not in ring:
                     continue
+                # (m - 1).bit_length() is ceil(log2 m), 0 for 1 and -1
+                bits = top * (max(abs(cand.numerator), cand.denominator) - 1).bit_length()
+                if bits > ROOT_POWER_MAX_BITS:
+                    raise WorkBudgetExceeded(
+                        f"root candidate {cand} at degree {top}: the search is "
+                        f"limited to powers of {ROOT_POWER_MAX_BITS} bits"
+                    )
                 value = sum(a * cand**d for d, a in shifted.items())
                 if value == 0:
                     seen.add(cand)

@@ -520,12 +520,6 @@ def expand(
     return tuple(tables) if isinstance(e, _Program) else tables[0]
 
 
-def ring_equal(p: PolyExpression, q: PolyExpression) -> bool:
-    """Exact identity of both sides as integer polynomials."""
-    p_table, q_table = expand(_compile((p, q)))
-    return p_table.net() == q_table.net()
-
-
 # ---------------------------------------------------------------------------
 # evaluation models
 #

@@ -15,7 +15,7 @@ from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
-from eltlab.core import BOTTOM, integer_grids
+from eltlab.core import BOTTOM, integer_grid
 from eltlab.errors import DegeneratePolynomial, UnboundVariable
 from eltlab.matrix import _parity, det
 from eltlab.transfer import (
@@ -26,10 +26,10 @@ from eltlab.transfer import (
     Const,
     PolyExpression,
     Var,
+    _compile,
     evaluate,
     expand,
     num_variables,
-    ring_equal,
 )
 
 
@@ -224,6 +224,12 @@ def fold_evaluate(e: PolyExpression, model, assignment: Sequence[object]):
     return model.add(walk(e.pos), model.neg(walk(e.neg)))
 
 
+def ring_equal(p: PolyExpression, q: PolyExpression) -> bool:
+    """Exact identity of both sides as integer polynomials."""
+    p_table, q_table = expand(_compile((p, q)))
+    return p_table.net() == q_table.net()
+
+
 def check_components_one_by_one(
     components: Sequence[Component], relation: str, trials: int, seed: int, strong: bool
 ) -> Tuple[CheckReport, ...]:
@@ -283,7 +289,7 @@ def karp_full_scan(t) -> Optional[Fraction]:
     """
     n = len(t)
     assert all(len(row) == n for row in t)
-    d, (w,) = integer_grids(t)
+    d, w = integer_grid(t)
     reach = n * max((abs(x) for row in w for x in row if x is not None), default=0)
     floor = -reach
     low = floor - reach - 1

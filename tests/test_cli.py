@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eltlab import transfer
 from eltlab.cli import main
-from eltlab.matrix import CHARPOLY_MAX_ORDER, CYCLES_MAX, ELTMatrix, adjoint
+from eltlab.matrix import CHARPOLY_MAX_ORDER, CYCLES_MAX, NILPOTENT_MAX_BOUND, ELTMatrix, adjoint
+from eltlab.poly import ROOT_POWER_MAX_BITS
 from eltlab.transfer import SuiteRecord
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -370,6 +371,37 @@ def test_nilpotent_on_a_32x32_matrix_is_fast(tmp_path):
     path.write_text("\n".join(", ".join(["0^[1]"] * n) for _ in range(n)) + "\n")
     proc = run_process("nilpotent", str(path), timeout=8)
     assert (proc.returncode, proc.stdout) == (0, "no\n")
+
+
+def test_a_huge_nilpotent_bound_stops_at_the_work_budget(capsys, tmp_path):
+    # the layers of A^m are 2^(m-1) here, so the squares up to 2^28 take 6 s
+    path = tmp_path / "ones.mat"
+    path.write_text("0^[1], 0^[1]\n0^[1], 0^[1]\n")
+    code, out, _ = run(capsys, "nilpotent", str(path), "--bound", str(NILPOTENT_MAX_BOUND))
+    assert (code, out) == (0, "no\n")
+    bound = 10**18
+    proc = run_process("nilpotent", str(path), "--bound", str(bound), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"eltlab: WorkBudgetExceeded: nilpotency up to power {bound}: "
+        f"the search is limited to powers up to {NILPOTENT_MAX_BOUND}\n"
+    )
+
+
+def test_roots_with_a_huge_degree_gap_stop_at_the_work_budget(capsys, tmp_path):
+    # the corner at 0 solves 2*x^d = 1; its candidate 1/2 takes d bits at degree d
+    path = tmp_path / "gap.poly"
+    path.write_text(f"0^[2]*L^{ROOT_POWER_MAX_BITS} + 0^[-1]\n")
+    code, out, _ = run(capsys, "roots", str(path))
+    assert (code, out) == (0, "corner 0: layers {}\ninterval (0, +inf): layers {0}\nneg-inf: not-a-root\n")
+    degree = 10**12
+    path.write_text(f"0^[2]*L^{degree} + 0^[-1]\n")
+    proc = run_process("roots", str(path), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"eltlab: WorkBudgetExceeded: root candidate 1/2 at degree {degree}: "
+        f"the search is limited to powers of {ROOT_POWER_MAX_BITS} bits\n"
+    )
 
 
 def dense_matrix_text(n):

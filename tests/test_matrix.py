@@ -138,6 +138,54 @@ def test_products_match_the_scalar_fold(operands):
     assert a.apply(v) == tuple(fold_dot(row, v) for row in a.rows)
 
 
+@st.composite
+def reused_operands(draw):
+    """A square A, a B with A's column count and a C with A's row count,
+    and a vector for A.  Each matrix draws its tangibles over its own
+    denominator, mostly coprime to the others', so a product rescales
+    both factors to a common one; small numerators make ties common."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+
+    def grid(nrows, ncols):
+        den = draw(st.sampled_from((1, 2, 3, 5, 6, 7)))
+        finite = st.builds(
+            ELTScalar,
+            st.builds(Fraction, st.integers(-4, 4), st.just(den)),
+            st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)),
+        )
+        entries = st.one_of(st.just(NEG_INF), finite)
+        return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+    return ELTMatrix(grid(n, n)), ELTMatrix(grid(m, n)), ELTMatrix(grid(n, m)), tuple(grid(1, n)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(reused_operands())
+@example((
+    M("1/2^[1], -inf\n1/3^[-1], 1^[1]"),
+    M("1/5^[1], 2/5^[2]"),
+    M("1/7^[1]\n-inf"),
+    (S("1/5^[1]"), S("0^[1]")),
+))
+def test_one_matrix_object_serves_every_product_and_expansion(operands):
+    """A matrix converts to ints once and keeps that form: reused on
+    either side of products with other denominators, with itself, in
+    apply and in the expansions, every result is still the scalar
+    fold's or a fresh copy's."""
+    a, b, c, v = operands
+
+    def fold(x, y):
+        cols = y.transpose().rows
+        return tuple(tuple(fold_dot(row, col) for col in cols) for row in x.rows)
+
+    assert (b * a).rows == fold(b, a)
+    assert (a * c).rows == fold(a, c)
+    assert (a * a).rows == fold(a, a)
+    assert a.apply(v) == tuple(fold_dot(row, v) for row in a.rows)
+    assert charpoly(a) == charpoly(ELTMatrix(a.rows))
+    assert simple_cycles(a) == simple_cycles(ELTMatrix(a.rows))
+
+
 def test_product_examples():
     assert M("1/2^[3]") * M("-1/3^[-1/2]") == M("1/6^[-3/2]")
     assert M("1/2^[3]") * M("-inf") == M("-inf")

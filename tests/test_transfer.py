@@ -33,12 +33,11 @@ from eltlab.transfer import (
     matmul_expression,
     num_variables,
     parse_expression,
-    ring_equal,
     run_identity,
     run_suite,
     symbolic_matrix,
 )
-from oracles import FOLD_ELT, FOLD_MAXPLUS, check_components_one_by_one, fold_evaluate
+from oracles import FOLD_ELT, FOLD_MAXPLUS, check_components_one_by_one, fold_evaluate, ring_equal
 
 E = parse_expression
 
