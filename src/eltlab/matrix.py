@@ -334,6 +334,27 @@ def _require_square(a: ELTMatrix) -> int:
 # determinant and adjoint
 
 
+# the largest orders the n! permutation sums accept, where one order
+# more costs about n times as much: from the command line on a dense
+# matrix, pure-Python kernel, det of a 9x9 takes 5.6 s, adjoint of an
+# 8x8 (64 determinants of order 7) 3.9 s and quasi_inverse of an 8x8
+# (its determinant, its adjoint and two checked products) 5.5 s
+DET_MAX_ORDER = 9
+ADJOINT_MAX_ORDER = 8
+QUASI_INVERSE_MAX_ORDER = 8
+
+
+def _require_order(a: ELTMatrix, limit: int, what: str) -> int:
+    """The order of square a, or WorkBudgetExceeded above limit."""
+    n = _require_square(a)
+    if n > limit:
+        raise WorkBudgetExceeded(
+            f"{what} of a {n}x{n} matrix: the permutation sum is limited "
+            f"to {limit}x{limit}"
+        )
+    return n
+
+
 def _parity(perm: Sequence[int]) -> int:
     inv = 0
     for i in range(len(perm)):
@@ -347,9 +368,10 @@ def det_pair(a: ELTMatrix) -> Tuple[ELTScalar, ELTScalar]:
     """Sums of permutation products over even and odd permutations.
 
     The determinant is ``plus + (-)minus``; the pair itself is what
-    symbolic identities are checked against.
+    symbolic identities are checked against.  Orders above
+    DET_MAX_ORDER raise WorkBudgetExceeded.
     """
-    n = _require_square(a)
+    n = _require_order(a, DET_MAX_ORDER, "det")
     plus = NEG_INF
     minus = NEG_INF
     rows = a.rows
@@ -386,8 +408,9 @@ def minor(a: ELTMatrix, i: int, j: int) -> ELTMatrix:
 
 
 def adjoint(a: ELTMatrix) -> ELTMatrix:
-    """Signed transposed cofactor matrix; for 1x1 it is [[0^[1]]]."""
-    n = _require_square(a)
+    """Signed transposed cofactor matrix; for 1x1 it is [[0^[1]]].
+    Orders above ADJOINT_MAX_ORDER raise WorkBudgetExceeded."""
+    n = _require_order(a, ADJOINT_MAX_ORDER, "adjoint")
     if n == 1:
         return ELTMatrix([[ONE]])
     out = []
@@ -455,9 +478,10 @@ def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
 
     Raises SingularDeterminant unless the determinant is finite with a
     unit layer.  The left and right reports certify that both products
-    with A are quasi-identities.
+    with A are quasi-identities.  Orders above QUASI_INVERSE_MAX_ORDER
+    raise WorkBudgetExceeded.
     """
-    _require_square(a)
+    _require_order(a, QUASI_INVERSE_MAX_ORDER, "quasi_inverse")
     d = det(a)
     if d.is_neg_inf or not ring.is_unit(d.layer):
         raise SingularDeterminant(

@@ -21,11 +21,13 @@ one program that computes each shared subexpression once.  Sampling
 runs that program on plain ints, since every sampled tangible and
 layer is an integer and so is every value computed from them: a
 max-plus value is an int, an ELT value a (tangible, layer) pair of
-ints, and -inf is None in both.  Scalars are built only to decide
-surpassing and to print counterexamples.  Expansion runs the same
-program once over monomial tables, dropping each table after its last
-use, and rendering, equality and hashing walk the same children-first
-list of subtrees, so no operation on an expression recurses.
+ints, and -inf is None in both.  Surpassing is decided on the pairs by
+its closed form, and scalars are built only to print counterexamples.
+Expansion runs the same program once over monomial tables whose
+monomials are packed into ints (Kronecker substitution), dropping each
+table after its last use, and rendering, equality and hashing walk the
+same children-first list of subtrees, so no operation on an expression
+recurses.
 
 The canned families encode the determinant, adjoint, and
 characteristic polynomial identities componentwise, plus a mutation
@@ -336,24 +338,24 @@ def _walk(exprs: Sequence[PolyExpression]) -> Tuple[List[Node], int]:
     first, and the highest variable index.
 
     The trees are walked in order, pos before neg, on an explicit stack,
-    in post-order; a subtree shared by identity is listed once."""
+    in post-order; a subtree shared by identity is listed once.  A
+    1-tuple on the stack marks a node whose children are done."""
     order: List[Node] = []
     seen = set()
     top = 0
-    stack: List[Tuple[Node, bool]] = []
-    for e in reversed(exprs):
-        stack += ((e.neg, False), (e.pos, False))
+    stack: list = [side for e in reversed(exprs) for side in (e.neg, e.pos)]
     while stack:
-        node, children_done = stack.pop()
-        if children_done:
-            order.append(node)
-        elif id(node) not in seen:
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:
+            order.append(node[0])
+        elif kind is Var:
+            if node.index > top:
+                top = node.index
+        elif kind is not Const and id(node) not in seen:
             seen.add(id(node))
-            if isinstance(node, Var):
-                top = max(top, node.index)
-            elif not isinstance(node, Const):
-                stack.append((node, True))
-                stack.extend((arg, False) for arg in reversed(node.args))
+            stack.append((node,))
+            stack.extend(reversed(node.args))
     return order, top
 
 
@@ -470,10 +472,11 @@ def _pad(key: Exponents, nvars: int) -> Exponents:
     return key + (0,) * (nvars - len(key))
 
 
-def _run_monomials(ops: Ops, v: List[Optional[Dict[Exponents, int]]], keep: Set[int]) -> None:
-    """Run a program over monomial tables (exponents -> count),
-    appending one table per op to v.  The table of a slot outside
-    ``keep`` is dropped after the last op that reads it."""
+def _run_monomials(ops: Ops, v: List[Optional[Dict[int, int]]], keep: Set[int]) -> None:
+    """Run a program over monomial tables (packed exponents -> count),
+    appending one table per op to v.  A product of two monomials is the
+    sum of their keys.  The table of a slot outside ``keep`` is dropped
+    after the last op that reads it."""
     last = {}
     for i, (_, a, b) in enumerate(ops):
         last[a] = last[b] = i
@@ -481,11 +484,12 @@ def _run_monomials(ops: Ops, v: List[Optional[Dict[Exponents, int]]], keep: Set[
         x = v[a]
         y = v[b]
         if product:
-            out: Dict[Exponents, int] = {}
+            out: Dict[int, int] = {}
+            get = out.get
             for k1, c1 in x.items():
                 for k2, c2 in y.items():
-                    key = tuple(map(operator.add, k1, k2))
-                    out[key] = out.get(key, 0) + c1 * c2
+                    key = k1 + k2
+                    out[key] = get(key, 0) + c1 * c2
         else:
             out = dict(x)
             for key, c in y.items():
@@ -502,20 +506,40 @@ def expand(
     """The monomial table of e over ``nvars`` variables, by default its
     highest variable index.  Given a program compiled from several
     expressions, the tuple of their tables, in order; the program runs
-    once for all of them."""
+    once for all of them.
+
+    Monomials are packed into ints (Kronecker substitution): each slot
+    gets a bound on its total degree, the sum of its inputs' bounds for
+    a product and the larger one for a sum, and with ``base`` the
+    largest bound plus one, x_k is ``base**(k-1)``.  No exponent can
+    reach ``base``, so a product of monomials is one int addition that
+    never carries, and only the output tables are unpacked to exponent
+    tuples."""
     top, ops, outputs = _program(e)
     if nvars is None:
         nvars = top
     elif nvars < top:
         raise ValueError(f"expression has x{top}, more than {nvars} variables")
-    v: List[Optional[Dict[Exponents, int]]] = [{}, {(0,) * nvars: 1}]
-    v.extend({tuple(int(k == i) for k in range(nvars)): 1} for i in range(top))
+    bound = [0, 0] + [1] * top
+    for product, a, b in ops:
+        bound.append(bound[a] + bound[b] if product else max(bound[a], bound[b]))
+    base = max(bound) + 1
+    v: List[Optional[Dict[int, int]]] = [{}, {0: 1}]
+    v.extend({base**k: 1} for k in range(top))
     _run_monomials(ops, v, {s for pair in outputs for s in pair})
+    pad = (0,) * (nvars - top)
     tables = []
     for pos, neg in outputs:
-        entries = {key: (c, 0) for key, c in v[pos].items()}
+        counts = {key: (c, 0) for key, c in v[pos].items()}
         for key, c in v[neg].items():
-            entries[key] = (entries.get(key, (0, 0))[0], c)
+            counts[key] = (counts.get(key, (0, 0))[0], c)
+        entries = {}
+        for key, pair in counts.items():
+            digits = []
+            for _ in range(top):
+                key, digit = divmod(key, base)
+                digits.append(digit)
+            entries[(*digits, *pad)] = pair
         tables.append(MonomialTable(nvars, entries))
     return tuple(tables) if isinstance(e, _Program) else tables[0]
 
@@ -527,9 +551,19 @@ def expand(
 # returns, for each output, the sum of pos and the negation of neg.
 
 
+Pair = Optional[Tuple[int, int]]
+
+
 def _dominates(x: Optional[int], y: Optional[int]) -> bool:
     """x >= y on the ints with None below every int."""
     return y is None or (x is not None and x >= y)
+
+
+def _surpasses(x: Pair, y: Pair) -> bool:
+    """x surpasses y on ELT pairs, by the closed form of
+    ``ELTScalar.surpasses``: x equals y, or x has layer 0 and y is -inf
+    or has a smaller tangible."""
+    return x == y or (x is not None and x[1] == 0 and (y is None or x[0] > y[0]))
 
 
 class MaxPlusModel:
@@ -564,15 +598,14 @@ class MaxPlusModel:
         )
 
 
-Pair = Optional[Tuple[int, int]]
-
 # LAYER_CHOICES of tests/rand.py as ints: a choice over either takes the
 # same draw
 _LAYERS = (-2, -1, 0, 1, 2)
 
 
 def _scalar(a: Pair) -> ELTScalar:
-    """The ELT scalar tangible^[layer] of a pair, -inf for None."""
+    """The ELT scalar tangible^[layer] of a pair, -inf for None, for
+    printing."""
     return NEG_INF if a is None else ELTScalar(*a)
 
 
@@ -666,7 +699,7 @@ class CheckReport:
 _STAGES = {
     "surpass": (
         ("maxplus", MAXPLUS_MODEL, _dominates),
-        ("elt", ELT_MODEL, lambda lhs, rhs: _scalar(lhs).surpasses(_scalar(rhs))),
+        ("elt", ELT_MODEL, _surpasses),
     ),
     "equal": (
         ("maxplus", MAXPLUS_MODEL, operator.eq),
@@ -687,9 +720,10 @@ def _check_components(
 ) -> Tuple[CheckReport, ...]:
     """The report of ``check_identity`` on each (p, q) pair, in order.
 
-    Pairs with the same variable count form a group: both sides of all
-    of them compile into one program, so a subexpression they share is
-    computed once.  The group shares one generator seeded with
+    One walk over each pair finds its variable count, and pairs with
+    the same variable count form a group: both sides of all of them
+    compile into one program, so a subexpression they share is computed
+    once.  The group shares one generator seeded with
     ``seed``: each trial draws its assignment once and runs the program
     once, and every pair of the group is judged on it.  Those are the
     draws each pair would make on a generator of its own, so its report
@@ -697,8 +731,8 @@ def _check_components(
     then expanded once for the symbolic stage."""
     stages = _STAGES[relation]
     groups: Dict[int, List[int]] = {}
-    for i, (p, q) in enumerate(components):
-        groups.setdefault(max(num_variables(p), num_variables(q)), []).append(i)
+    for i, pair in enumerate(components):
+        groups.setdefault(_walk(pair)[1], []).append(i)
     reports: List[Optional[CheckReport]] = [None] * len(components)
     for nvars, members in groups.items():
         program = _compile([side for i in members for side in components[i]])

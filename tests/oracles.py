@@ -3,16 +3,18 @@
 They compute what the library computes by other means (every
 permutation, every principal minor, every walk, every subtree scalar by
 scalar, a polynomial evaluated with and without one monomial, every
-power of a matrix, every side of an identity on a program of its own),
-or every term of a max-plus step, so they are slow, exponential or
-recursive, and live with the tests, not in ``eltlab``.
+power of a matrix, every side of an identity on a program of its own,
+every monomial product as a tuple of exponents), or every term of a
+max-plus step, so they are slow, exponential or recursive, and live
+with the tests, not in ``eltlab``.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
 from eltlab.core import BOTTOM, integer_grid
@@ -20,15 +22,21 @@ from eltlab.errors import DegeneratePolynomial, UnboundVariable
 from eltlab.matrix import _parity, det
 from eltlab.transfer import (
     _STAGES,
+    ELT_MODEL,
+    MAXPLUS_MODEL,
     Add,
     CheckReport,
     Component,
     Const,
+    Exponents,
+    MonomialTable,
+    Ops,
     PolyExpression,
     Var,
+    _Program,
     _compile,
+    _dominates,
     evaluate,
-    expand,
     num_variables,
 )
 
@@ -224,9 +232,74 @@ def fold_evaluate(e: PolyExpression, model, assignment: Sequence[object]):
     return model.add(walk(e.pos), model.neg(walk(e.neg)))
 
 
+def _run_monomials(ops: Ops, v: List[Optional[Dict[Exponents, int]]], keep: Set[int]) -> None:
+    """Run a program over monomial tables (exponents -> count),
+    appending one table per op to v.  The table of a slot outside
+    ``keep`` is dropped after the last op that reads it."""
+    last = {}
+    for i, (_, a, b) in enumerate(ops):
+        last[a] = last[b] = i
+    for i, (product, a, b) in enumerate(ops):
+        x = v[a]
+        y = v[b]
+        if product:
+            out: Dict[Exponents, int] = {}
+            for k1, c1 in x.items():
+                for k2, c2 in y.items():
+                    key = tuple(map(operator.add, k1, k2))
+                    out[key] = out.get(key, 0) + c1 * c2
+        else:
+            out = dict(x)
+            for key, c in y.items():
+                out[key] = out.get(key, 0) + c
+        v.append(out)
+        for used in (a, b):
+            if last[used] == i and used not in keep:
+                v[used] = None
+
+
+def expand_by_tuples(
+    e: Union[PolyExpression, _Program], nvars: Optional[int] = None
+) -> Union[MonomialTable, Tuple[MonomialTable, ...]]:
+    """``transfer.expand`` with every monomial an exponent tuple and
+    every product of two monomials a tuple addition, where the library
+    packs each monomial into one int."""
+    top, ops, outputs = e if isinstance(e, _Program) else _compile((e,))
+    if nvars is None:
+        nvars = top
+    elif nvars < top:
+        raise ValueError(f"expression has x{top}, more than {nvars} variables")
+    v: List[Optional[Dict[Exponents, int]]] = [{}, {(0,) * nvars: 1}]
+    v.extend({tuple(int(k == i) for k in range(nvars)): 1} for i in range(top))
+    _run_monomials(ops, v, {s for pair in outputs for s in pair})
+    tables = []
+    for pos, neg in outputs:
+        entries = {key: (c, 0) for key, c in v[pos].items()}
+        for key, c in v[neg].items():
+            entries[key] = (entries.get(key, (0, 0))[0], c)
+        tables.append(MonomialTable(nvars, entries))
+    return tuple(tables) if isinstance(e, _Program) else tables[0]
+
+
+def scalar_surpasses(x, y) -> bool:
+    """ELT surpassing of two pairs, None for -inf, decided on their
+    scalars by ``ELTScalar.surpasses``."""
+    def lift(a):
+        return NEG_INF if a is None else ELTScalar(*a)
+
+    return lift(x).surpasses(lift(y))
+
+
+# transfer._STAGES with ELT surpassing decided on scalars
+STAGES = {
+    "surpass": (("maxplus", MAXPLUS_MODEL, _dominates), ("elt", ELT_MODEL, scalar_surpasses)),
+    "equal": _STAGES["equal"],
+}
+
+
 def ring_equal(p: PolyExpression, q: PolyExpression) -> bool:
     """Exact identity of both sides as integer polynomials."""
-    p_table, q_table = expand(_compile((p, q)))
+    p_table, q_table = expand_by_tuples(_compile((p, q)))
     return p_table.net() == q_table.net()
 
 
@@ -236,8 +309,10 @@ def check_components_one_by_one(
     """``transfer._check_components`` with every side evaluated and
     expanded on its own: the same grouped draws, but one program per
     expression, ``ring_equal`` per pair and a second expansion of q for
-    the strong stage, where the library runs one program per group."""
-    stages = _STAGES[relation]
+    the strong stage, both over exponent tuples, and ELT surpassing
+    decided on scalars, where the library runs one program per group,
+    expands it over packed keys and decides surpassing on pairs."""
+    stages = STAGES[relation]
     groups: Dict[int, List[int]] = {}
     for i, (p, q) in enumerate(components):
         groups.setdefault(max(num_variables(p), num_variables(q)), []).append(i)
@@ -266,7 +341,7 @@ def check_components_one_by_one(
                             )
     reports = []
     for (p, q), (maxplus_ok, elt_ok), failed in zip(components, verdicts, failures):
-        strong_ok = expand(q).has_disjoint_support if strong else None
+        strong_ok = expand_by_tuples(q).has_disjoint_support if strong else None
         if strong_ok is False:
             failed.append("strong: right side has overlapping monomial support")
         reports.append(CheckReport(

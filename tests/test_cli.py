@@ -10,7 +10,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eltlab import transfer
 from eltlab.cli import main
-from eltlab.matrix import CHARPOLY_MAX_ORDER, CYCLES_MAX, NILPOTENT_MAX_BOUND, ELTMatrix, adjoint
+from eltlab.matrix import (
+    ADJOINT_MAX_ORDER,
+    CHARPOLY_MAX_ORDER,
+    CYCLES_MAX,
+    DET_MAX_ORDER,
+    NILPOTENT_MAX_BOUND,
+    QUASI_INVERSE_MAX_ORDER,
+    ELTMatrix,
+    adjoint,
+)
 from eltlab.poly import ROOT_POWER_MAX_BITS
 from eltlab.transfer import SuiteRecord
 
@@ -456,3 +465,48 @@ def test_charpoly_work_budget_is_a_domain_error(capsys, tmp_path):
             f"eltlab: WorkBudgetExceeded: charpoly of a {n + 1}x{n + 1} matrix: "
             f"the 2^n expansion is limited to {n}x{n}\n"
         )
+
+
+def identity_matrix_text(n):
+    return "\n".join(
+        ", ".join("0^[1]" if i == j else "-inf" for j in range(n)) for i in range(n)
+    ) + "\n"
+
+
+# (command, library function, largest order) of the n! permutation sums
+PERMUTATION_SUMS = [
+    ("det", "det", DET_MAX_ORDER),
+    ("adj", "adjoint", ADJOINT_MAX_ORDER),
+    ("qinv", "quasi_inverse", QUASI_INVERSE_MAX_ORDER),
+]
+
+
+@pytest.mark.parametrize("command, function, limit", PERMUTATION_SUMS)
+def test_permutation_sums_stop_at_the_work_budget(capsys, tmp_path, command, function, limit):
+    # at the limit the identity answers at once: every other permutation
+    # meets -inf in its first rows
+    path = tmp_path / "identity.mat"
+    path.write_text(identity_matrix_text(limit))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, err) == (0, "")
+    assert out.count("\n") == (1 if command == "det" else limit)
+    path.write_text(identity_matrix_text(limit + 1))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"eltlab: WorkBudgetExceeded: {function} of a {limit + 1}x{limit + 1} matrix: "
+        f"the permutation sum is limited to {limit}x{limit}\n"
+    )
+
+
+@pytest.mark.parametrize("command, function, limit", PERMUTATION_SUMS)
+def test_permutation_sums_of_a_dense_11x11_matrix_stop_at_the_work_budget(tmp_path, command, function, limit):
+    # det alone would sum 11! = 39,916,800 permutations
+    path = tmp_path / "dense.mat"
+    path.write_text(dense_matrix_text(11))
+    proc = run_process(command, str(path), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"eltlab: WorkBudgetExceeded: {function} of a 11x11 matrix: "
+        f"the permutation sum is limited to {limit}x{limit}\n"
+    )

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eltlab.core import BOTTOM, NEG_INF, ELTScalar
 from eltlab.errors import ParseError, UnboundVariable
@@ -23,6 +23,7 @@ from eltlab.transfer import (
     PolyExpression,
     Var,
     _compile,
+    _surpasses,
     canned_identities,
     check_identity,
     corrupted_det_mult,
@@ -37,7 +38,15 @@ from eltlab.transfer import (
     run_suite,
     symbolic_matrix,
 )
-from oracles import FOLD_ELT, FOLD_MAXPLUS, check_components_one_by_one, fold_evaluate, ring_equal
+from oracles import (
+    FOLD_ELT,
+    FOLD_MAXPLUS,
+    check_components_one_by_one,
+    expand_by_tuples,
+    fold_evaluate,
+    ring_equal,
+    scalar_surpasses,
+)
 
 E = parse_expression
 
@@ -239,6 +248,78 @@ def _assert_joint_program_matches_each_alone(exprs, pairs):
 @given(expression_families())
 def test_expressions_compiled_together_match_each_compiled_alone(case):
     _assert_joint_program_matches_each_alone(*case)
+
+
+def _degree_bound(node, memo):
+    """The largest total degree a monomial of the tree can have."""
+    if isinstance(node, Const):
+        return 0
+    if isinstance(node, Var):
+        return 1
+    if id(node) not in memo:
+        bounds = [_degree_bound(arg, memo) for arg in node.args]
+        memo[id(node)] = sum(bounds) if isinstance(node, Mul) else max(bounds, default=0)
+    return memo[id(node)]
+
+
+def _power(k, d):
+    """x_k^d for d >= 1, as a DAG of shared squares."""
+    result, square = None, Var(k)
+    while True:
+        if d & 1:
+            result = square if result is None else Mul((result, square))
+        d >>= 1
+        if not d:
+            return result
+        square = Mul((square, square))
+
+
+@st.composite
+def powered_families(draw):
+    """The expressions of ``expression_families`` with x_k^D among
+    them, D the largest degree bound of any of them, so one exponent
+    of the program's output equals its degree bound; plus a number of
+    variables to pad the tables with."""
+    exprs, pairs = draw(expression_families())
+    memo = {}
+    top = max(_degree_bound(side, memo) for e in exprs for side in (e.pos, e.neg))
+    power = PolyExpression(_power(draw(st.integers(1, len(pairs))), max(top, 1)))
+    exprs.insert(draw(st.integers(0, len(exprs))), power)
+    return exprs, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(powered_families())
+# the degree bound is 7, and x1^7 has the digit 7
+@example(([E("x1*x1*x1*x1*x1*x1*x1 + x2*x1*x1*x1 - x2*x2")], 1))
+def test_packed_expansion_matches_the_tuple_expansion(case):
+    exprs, pad = case
+    program = _compile(exprs)
+    for nvars in (None, program.top + pad):
+        # repr, so the entries must also come in the same order
+        assert repr(expand(program, nvars)) == repr(expand_by_tuples(program, nvars))
+    for e in exprs:
+        nvars = num_variables(e) + pad
+        assert repr(expand(e)) == repr(expand_by_tuples(e))
+        assert repr(expand(e, nvars)) == repr(expand_by_tuples(e, nvars))
+
+
+ELT_PAIRS = st.none() | st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ELT_PAIRS, ELT_PAIRS)
+@example(None, None)
+@example((1, 0), None)
+@example((1, 2), None)
+@example(None, (1, 0))
+@example((1, 0), (1, 0))
+@example((1, 0), (1, 2))
+@example((1, 2), (1, 0))
+@example((2, 0), (1, 2))
+@example((1, 0), (2, 0))
+def test_int_pair_surpassing_matches_the_scalars(x, y):
+    assert _surpasses(x, y) == scalar_surpasses(x, y)
 
 
 def test_value_numbering_shares_commuted_and_repeated_ops():
