@@ -28,7 +28,7 @@ from typing import Union
 
 from ._markers import BOTTOM, Bottom
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 _ZERO = Fraction(0)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ._markers import BOTTOM, Bottom
 from .core import ELTScalar, integer_grid, parse_rational
@@ -24,8 +24,8 @@ from .errors import InfeasibleAssignment, NotSquare, ParseError
 if TYPE_CHECKING:
     from .matrix import ELTMatrix
 
-Entry = Union[Fraction, Bottom]
-TropicalMatrix = Tuple[Tuple[Entry, ...], ...]
+Entry = Fraction | Bottom
+TropicalMatrix = tuple[tuple[Entry, ...], ...]
 
 
 def tropical_matrix(rows: Sequence[Sequence[object]]) -> TropicalMatrix:

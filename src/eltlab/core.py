@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from ._markers import BOTTOM, TOP, Bottom, Top  # re-exported
 from .errors import NonInvertible, ParseError
@@ -37,7 +37,7 @@ ONE = _backend.ONE
 BACKEND = _backend.BACKEND_NAME
 
 
-IntGrid = List[List[Optional[int]]]
+IntGrid = list[list[int | None]]
 
 
 def integer_grid(

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._markers import BOTTOM, Bottom
 from .assign import karp_max_mean_cycle
@@ -48,8 +48,8 @@ from .errors import (
 )
 from .poly import ELTPolynomial, MonomialStatus, RootDescription, elt_roots
 
-Vector = Tuple[ELTScalar, ...]
-IntForm = Tuple[int, IntGrid, int, IntGrid]
+Vector = tuple[ELTScalar, ...]
+IntForm = tuple[int, IntGrid, int, IntGrid]
 
 
 class ELTMatrix:
@@ -501,9 +501,15 @@ def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
 
 CHARPOLY_MAX_ORDER = 16
 # the largest power bound is_nilpotent accepts: the layers of A^m can
-# grow by log2(n) bits per power, and the 32x32 all-0^[1] matrix takes
-# 3.5 s from the command line at this bound
+# grow by log2(n) bits per power, so this caps the layer bits of small
+# matrices, and NILPOTENT_MAX_WORK caps the work of large ones
 NILPOTENT_MAX_BOUND = 2**14
+# the most work is_nilpotent spends, counted over its matrix products
+# as n^3 times the bit length of the product's layers.  All-0^[1]
+# matrices at their default bound n^2 take, from the command line on a
+# 2-vCPU host with the pure-Python kernel, 2.5 s at 48x48 (work 3.9e9)
+# and, at 64x64, 7.0 s (1.3e10), which this stops after 1.5 s
+NILPOTENT_MAX_WORK = 6 * 10**9
 
 
 def charpoly(a: ELTMatrix) -> ELTPolynomial:
@@ -740,7 +746,7 @@ def simple_cycles(a: ELTMatrix) -> Tuple[CycleInfo, ...]:
 # essential trace
 
 
-Bound = Union[Fraction, Bottom]
+Bound = Fraction | Bottom
 
 
 @dataclass(frozen=True)
@@ -815,11 +821,20 @@ def essential_trace_value(a: ELTMatrix) -> ELTScalar:
 # nilpotency
 
 
+def _layer_bits(a: ELTMatrix) -> int:
+    """The bit length of a's largest layer over their common
+    denominator, plus that of the denominator."""
+    d_layer, layers = a._int_form()[2:]
+    top = max((abs(x) for row in layers for x in row if x is not None), default=0)
+    return top.bit_length() + d_layer.bit_length()
+
+
 def is_nilpotent(a: ELTMatrix, bound: Optional[int] = None) -> Tuple[bool, Optional[int]]:
     """First power index at which every entry of A^m has layer zero.
 
     Returns (True, m) for the least such m up to the bound (default
-    n^2), else (False, None).  A bound above NILPOTENT_MAX_BOUND raises
+    n^2), else (False, None).  A bound above NILPOTENT_MAX_BOUND, or
+    products that would take more than NILPOTENT_MAX_WORK, raise
     WorkBudgetExceeded.
 
     Every term of A^m * A^k carries a factor of A^m, so once A^m has
@@ -836,14 +851,28 @@ def is_nilpotent(a: ELTMatrix, bound: Optional[int] = None) -> Tuple[bool, Optio
             f"nilpotency up to power {bound}: the search is limited "
             f"to powers up to {NILPOTENT_MAX_BOUND}"
         )
+    work = 0
+
+    def product(x: ELTMatrix, y: ELTMatrix) -> ELTMatrix:
+        nonlocal work
+        # a layer of x*y is a sum of n products of a layer of x and one of y
+        work += n**3 * (_layer_bits(x) + _layer_bits(y) + n.bit_length())
+        if work > NILPOTENT_MAX_WORK:
+            raise WorkBudgetExceeded(
+                f"nilpotency of a {n}x{n} matrix up to power {bound}: the search "
+                f"is limited to {NILPOTENT_MAX_WORK} for n^3 times the layer bits, "
+                f"summed over its matrix products"
+            )
+        return x * y
+
     squares = [a]
     while 2 ** len(squares) <= bound:
-        squares.append(squares[-1] * squares[-1])
+        squares.append(product(squares[-1], squares[-1]))
     m, power = 0, None
     for j in reversed(range(len(squares))):
         if m + 2**j > bound:
             continue
-        lifted = squares[j] if power is None else power * squares[j]
+        lifted = squares[j] if power is None else product(power, squares[j])
         if not all(x.layer == 0 for row in lifted.rows for x in row):
             m, power = m + 2**j, lifted
     if m >= bound:

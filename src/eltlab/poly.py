@@ -37,7 +37,7 @@ from .core import (
 )
 from .errors import DegeneratePolynomial, ParseError, WorkBudgetExceeded
 
-Bound = Union[Fraction, Bottom, Top]
+Bound = Fraction | Bottom | Top
 
 
 class MonomialStatus(Enum):

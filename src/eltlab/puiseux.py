@@ -22,7 +22,7 @@ from ._markers import TOP, Top
 from .core import ELTScalar, NEG_INF, parse_rational
 from .errors import ParseError
 
-Term = Tuple[Fraction, Fraction]  # (exponent, coefficient)
+Term = tuple[Fraction, Fraction]  # (exponent, coefficient)
 
 
 class PuiseuxSeries:

@@ -10,7 +10,10 @@ layered conclusion (surpassing or equality) is then sampled in the
 max-plus model and then the ELT model, on one seeded generator, so
 that any failure is reproducible.  The components of one identity with
 the same variable count share that generator: each trial's assignment
-is drawn once and judged for all of them.
+is drawn once and judged for all of them.  The compiled programs and
+the symbolic verdicts depend on no seed: they form a plan, which
+``run_suite`` builds once per family and size and keeps for the life
+of the process, so a repeated suite only draws and evaluates.
 
 Expressions are compiled, on an explicit stack, into a straight-line
 program: a topologically ordered list of binary sums and products over
@@ -37,6 +40,7 @@ must reject.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -71,7 +75,7 @@ class Mul:
     args: Tuple["Node", ...]
 
 
-Node = Union[Const, Var, Add, Mul]
+Node = Const | Var | Add | Mul
 
 _ZERO = Const(0)
 _UNIT = Const(1)
@@ -313,9 +317,9 @@ def format_expression(e: PolyExpression) -> str:
 
 
 # (is_product, left slot, right slot), in program order
-Ops = List[Tuple[bool, int, int]]
+Ops = list[tuple[bool, int, int]]
 # the (pos, neg) slots of each compiled expression
-Outputs = Tuple[Tuple[int, int], ...]
+Outputs = tuple[tuple[int, int], ...]
 
 
 class _Program(NamedTuple):
@@ -434,7 +438,7 @@ def num_variables(e: PolyExpression) -> int:
     return _walk((e,))[1]
 
 
-Exponents = Tuple[int, ...]
+Exponents = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -551,7 +555,7 @@ def expand(
 # returns, for each output, the sum of pos and the negation of neg.
 
 
-Pair = Optional[Tuple[int, int]]
+Pair = tuple[int, int] | None
 
 
 def _dominates(x: Optional[int], y: Optional[int]) -> bool:
@@ -708,64 +712,88 @@ _STAGES = {
 }
 
 
-Component = Tuple[PolyExpression, PolyExpression]
+Component = tuple[PolyExpression, PolyExpression]
 
 
-def _check_components(
-    components: Sequence[Component],
-    relation: str,
-    trials: int,
-    seed: int,
-    strong: bool,
-) -> Tuple[CheckReport, ...]:
-    """The report of ``check_identity`` on each (p, q) pair, in order.
+class _Plan(NamedTuple):
+    """The part of checking (p, q) pairs that no seed changes.
 
-    One walk over each pair finds its variable count, and pairs with
-    the same variable count form a group: both sides of all of them
-    compile into one program, so a subexpression they share is computed
-    once.  The group shares one generator seeded with
-    ``seed``: each trial draws its assignment once and runs the program
-    once, and every pair of the group is judged on it.  Those are the
-    draws each pair would make on a generator of its own, so its report
-    is the same; the draws are streamed, never stored.  The program is
-    then expanded once for the symbolic stage."""
-    stages = _STAGES[relation]
+    Pairs with the same variable count form a group, and ``groups``
+    holds each group's variable count, the indices of its pairs and the
+    program of both sides of all of them, p before q.  ``ring_ok`` and
+    ``strong_ok`` hold each pair's symbolic verdicts, in pair order;
+    ``strong_ok`` is None outside strong mode.  A plan holds no
+    expression and no monomial table."""
+
+    groups: tuple[tuple[int, tuple[int, ...], _Program], ...]
+    ring_ok: tuple[bool, ...]
+    strong_ok: tuple[bool | None, ...]
+
+
+def _plan(components: Sequence[Component], strong: bool) -> _Plan:
+    """The plan of the (p, q) pairs.
+
+    One walk over each pair finds its variable count.  Both sides of
+    all the pairs of a group compile into one program, so a
+    subexpression they share is computed once, and the program is
+    expanded once for the symbolic stage."""
     groups: Dict[int, List[int]] = {}
     for i, pair in enumerate(components):
         groups.setdefault(_walk(pair)[1], []).append(i)
-    reports: List[Optional[CheckReport]] = [None] * len(components)
+    planned = []
+    ring_ok = [False] * len(components)
+    strong_ok: List[Optional[bool]] = [None] * len(components)
     for nvars, members in groups.items():
         program = _compile([side for i in members for side in components[i]])
-        failures: List[List[str]] = [[] for _ in members]
-        verdicts: List[List[bool]] = [[] for _ in members]
+        tables = expand(program)
+        for i, p_table, q_table in zip(members, tables[::2], tables[1::2]):
+            ring_ok[i] = p_table.net() == q_table.net()
+            if strong:
+                strong_ok[i] = q_table.has_disjoint_support
+        planned.append((nvars, tuple(members), program))
+    return _Plan(tuple(planned), tuple(ring_ok), tuple(strong_ok))
+
+
+def _sample(plan: _Plan, relation: str, trials: int, seed: int) -> Tuple[CheckReport, ...]:
+    """The report of ``check_identity`` on each pair of the plan, in
+    order.
+
+    Each group shares one generator seeded with ``seed``: each trial
+    draws its assignment once and runs the group's program once, and
+    every pair of the group is judged on it.  Those are the draws each
+    pair would make on a generator of its own, so its report is the
+    same; the draws are streamed, never stored."""
+    stages = _STAGES[relation]
+    failures: List[List[str]] = [[] for _ in plan.ring_ok]
+    verdicts: List[List[bool]] = [[] for _ in plan.ring_ok]
+    for nvars, members, program in plan.groups:
         rng = random.Random(seed)
         for label, model, holds in stages:
-            for verdict in verdicts:
-                verdict.append(True)
+            for i in members:
+                verdicts[i].append(True)
             for trial in range(trials):
                 values = tuple(model.sample(rng) for _ in range(nvars))
                 out = evaluate(program, model, values)
-                for k, (lhs, rhs) in enumerate(zip(out[::2], out[1::2])):
+                for i, lhs, rhs in zip(members, out[::2], out[1::2]):
                     if not holds(lhs, rhs):
-                        verdicts[k][-1] = False
-                        if len(failures[k]) < 3:
+                        verdicts[i][-1] = False
+                        if len(failures[i]) < 3:
                             shown = ", ".join(
                                 f"x{j + 1}={model.show(v)}" for j, v in enumerate(values)
                             )
-                            failures[k].append(
+                            failures[i].append(
                                 f"{label} trial {trial}: {shown}: "
                                 f"lhs={model.show(lhs)} rhs={model.show(rhs)}"
                             )
-        tables = expand(program)
-        for k, (i, p_table, q_table) in enumerate(zip(members, tables[::2], tables[1::2])):
-            strong_ok = q_table.has_disjoint_support if strong else None
-            if strong_ok is False:
-                failures[k].append("strong: right side has overlapping monomial support")
-            maxplus_ok, elt_ok = verdicts[k]
-            reports[i] = CheckReport(
-                relation, p_table.net() == q_table.net(), maxplus_ok, elt_ok,
-                strong_ok, trials, seed, tuple(failures[k]),
-            )
+    reports = []
+    for ring_ok, strong_ok, (maxplus_ok, elt_ok), failed in zip(
+        plan.ring_ok, plan.strong_ok, verdicts, failures
+    ):
+        if strong_ok is False:
+            failed.append("strong: right side has overlapping monomial support")
+        reports.append(CheckReport(
+            relation, ring_ok, maxplus_ok, elt_ok, strong_ok, trials, seed, tuple(failed),
+        ))
     return tuple(reports)
 
 
@@ -782,14 +810,14 @@ def check_identity(
     for "surpass", equality in both for "equal".  In strong mode the
     right side must also have disjoint monomial support.  At most
     three sampled counterexamples are kept."""
-    return _check_components(((p, q),), relation, trials, seed, strong)[0]
+    return _sample(_plan(((p, q),), strong), relation, trials, seed)[0]
 
 
 # ---------------------------------------------------------------------------
 # expression-level linear algebra
 
 
-ExprMatrix = Tuple[Tuple[PolyExpression, ...], ...]
+ExprMatrix = tuple[tuple[PolyExpression, ...], ...]
 
 
 def symbolic_matrix(n: int, offset: int = 0) -> ExprMatrix:
@@ -997,11 +1025,27 @@ class SuiteRecord:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name} {self.seed}"
 
 
+def _record(name: str, relation: str, plan: _Plan, trials: int, seed: int) -> SuiteRecord:
+    reports = _sample(plan, relation, trials, seed)
+    return SuiteRecord(name, all(r.ok for r in reports), seed, reports)
+
+
 def run_identity(ident: CannedIdentity, trials: int = 1000, seed: int = 42) -> SuiteRecord:
-    reports = _check_components(
-        ident.components, ident.relation, trials, seed, ident.strong
+    return _record(
+        ident.name, ident.relation, _plan(ident.components, ident.strong), trials, seed
     )
-    return SuiteRecord(ident.name, all(r.ok for r in reports), seed, reports)
+
+
+@functools.cache
+def _suite_plan(family: str, n: int) -> Tuple[str, str, _Plan]:
+    """The name, relation and plan of a suite family's identity for
+    n x n matrices, "mutation-control" standing for
+    ``corrupted_det_mult``.  A plan does not depend on the seed or the
+    trial count, so each is built on its first call and kept for the
+    life of the process, and a repeated suite only draws and
+    evaluates."""
+    ident = corrupted_det_mult(n) if family == "mutation-control" else FAMILIES[family](n)
+    return ident.name, ident.relation, _plan(ident.components, ident.strong)
 
 
 def run_suite(
@@ -1013,8 +1057,8 @@ def run_suite(
     """Run the families requested by name (all when names is None),
     sizes outer and families inner, plus the mutation control, which
     passes exactly when the corrupted identity is detected as failing.
-    Only the requested identities are built.  An unknown name raises
-    ValueError."""
+    Only the requested identities are built, each once per process.
+    An unknown name raises ValueError."""
     wanted = set(SUITE_FAMILIES if names is None else names)
     unknown = sorted(wanted.difference(SUITE_FAMILIES))
     if unknown:
@@ -1023,13 +1067,13 @@ def run_suite(
             f"the families are {', '.join(SUITE_FAMILIES)}"
         )
     records = [
-        run_identity(build(n), trials, seed)
+        _record(*_suite_plan(family, n), trials, seed)
         for n in sizes
-        for family, build in FAMILIES.items()
+        for family in FAMILIES
         if family in wanted
     ]
     if "mutation-control" in wanted:
-        mutated = run_identity(corrupted_det_mult(), trials=10, seed=seed)
+        mutated = _record(*_suite_plan("mutation-control", 2), 10, seed)
         records.append(
             SuiteRecord("mutation-control", not mutated.ok, seed, mutated.reports)
         )

@@ -306,12 +306,13 @@ def ring_equal(p: PolyExpression, q: PolyExpression) -> bool:
 def check_components_one_by_one(
     components: Sequence[Component], relation: str, trials: int, seed: int, strong: bool
 ) -> Tuple[CheckReport, ...]:
-    """``transfer._check_components`` with every side evaluated and
-    expanded on its own: the same grouped draws, but one program per
-    expression, ``ring_equal`` per pair and a second expansion of q for
-    the strong stage, both over exponent tuples, and ELT surpassing
-    decided on scalars, where the library runs one program per group,
-    expands it over packed keys and decides surpassing on pairs."""
+    """``transfer._sample(transfer._plan(...))`` with every side
+    evaluated and expanded on its own: the same grouped draws, but one
+    program per expression, ``ring_equal`` per pair and a second
+    expansion of q for the strong stage, both over exponent tuples, and
+    ELT surpassing decided on scalars, where the library runs one
+    program per group, expands it over packed keys and decides
+    surpassing on pairs."""
     stages = STAGES[relation]
     groups: Dict[int, List[int]] = {}
     for i, (p, q) in enumerate(components):

@@ -34,8 +34,10 @@ def test_the_result_is_the_last_line_of_a_run():
 def test_summary_of_canned_pairs():
     base = [ab_pairs.parse_result(result_line(ops, 3.0, 30.0)) for ops in (200, 210, 190, 205, 195)]
     change = [
-        ab_pairs.parse_result(result_line(ops, p50, 31.5, failed))
-        for ops, p50, failed in ((240, 2.0, 0), (250, 2.5, 0), (180, 3.5, 2), (245, 2.0, 0), (235, 3.0, 0))
+        ab_pairs.parse_result(result_line(ops, p50, 31.5, failed, attempted))
+        for ops, p50, failed, attempted in (
+            (240, 2.0, 0, 120), (250, 2.5, 0, 125), (180, 3.5, 2, 90), (245, 2.0, 0, 122), (235, 3.0, 0, 117),
+        )
     ]
     better = ab_pairs.directions(json.dumps({"end_to_end": [
         {"name": "ops_per_ref_s", "better": "higher"},
@@ -47,9 +49,10 @@ def test_summary_of_canned_pairs():
         "change better in 4/5 (higher is better)",
         "op_p50_ref_ms [ref_ms]: 3 [3, 3] -> 2.5 [2, 3] (-16.7%); "
         "change better in 3/5 (lower is better)",
-        "peak_rss_mb [MB]: 30 [30, 30] -> 31.5 [31.5, 31.5] (+5.0%); no direction",
+        "peak_rss_mb [MB]: 30 [30, 30] -> 31.5 [31.5, 31.5] (+5.0%); no direction; "
+        "operations per run, median 100 -> 120",
         "failed operations, base: 0 of 500 (per run [0, 0, 0, 0, 0])",
-        "failed operations, change: 2 of 500 (per run [0, 0, 2, 0, 0])",
+        "failed operations, change: 2 of 574 (per run [0, 0, 2, 0, 0])",
     ]
 
 

@@ -16,6 +16,7 @@ from eltlab.matrix import (
     CYCLES_MAX,
     DET_MAX_ORDER,
     NILPOTENT_MAX_BOUND,
+    NILPOTENT_MAX_WORK,
     QUASI_INVERSE_MAX_ORDER,
     ELTMatrix,
     adjoint,
@@ -395,6 +396,22 @@ def test_a_huge_nilpotent_bound_stops_at_the_work_budget(capsys, tmp_path):
         f"eltlab: WorkBudgetExceeded: nilpotency up to power {bound}: "
         f"the search is limited to powers up to {NILPOTENT_MAX_BOUND}\n"
     )
+
+
+def test_nilpotent_on_a_64x64_matrix_stops_at_the_work_budget(tmp_path):
+    # the squares up to A^4096 alone take 7 s: n^3 times their layer bits
+    # sum to 1.3e10
+    n = 64
+    path = tmp_path / "ones.mat"
+    path.write_text("\n".join(", ".join(["0^[1]"] * n) for _ in range(n)) + "\n")
+    for bound, argv in ((n * n, ()), (16384, ("--bound", "16384"))):
+        proc = run_process("nilpotent", str(path), *argv, timeout=15)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"eltlab: WorkBudgetExceeded: nilpotency of a 64x64 matrix up to power {bound}: "
+            f"the search is limited to {NILPOTENT_MAX_WORK} for n^3 times the layer bits, "
+            f"summed over its matrix products\n"
+        )
 
 
 def test_roots_with_a_huge_degree_gap_stop_at_the_work_budget(capsys, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eltlab.core import BOTTOM, NEG_INF, ELTScalar
+from eltlab import transfer
 from eltlab.errors import ParseError, UnboundVariable
 from eltlab.transfer import (
     ELT_MODEL,
@@ -554,3 +555,75 @@ def test_components_with_different_variable_counts():
         record = run_identity(CannedIdentity("mixed", "surpass", order), trials=8, seed=3)
         assert not record.ok
         assert record.reports == tuple(expected[c] for c in order)
+
+
+# ---------------------------------------------------------------------------
+# plans kept across run_suite calls
+
+# (trials, seed) of repeated suites; the mutation control always runs 10
+SUITE_CALLS = [(trials, seed) for seed in (1, 4, 42) for trials in (1, 5, 30)]
+SUITE_SIZES = ((1, 2), (2, 3), (3,))
+
+
+@pytest.fixture
+def fresh_plans():
+    """An empty plan cache, emptied again afterwards, so that plans
+    built by a test's patched builders do not outlive it."""
+    transfer._suite_plan.cache_clear()
+    yield
+    transfer._suite_plan.cache_clear()
+
+
+def test_suite_builds_each_plan_once_per_process(fresh_plans, monkeypatch):
+    built = []
+
+    def counting(key, build):
+        def wrapped(n=2):
+            built.append((key, n))
+            return build(n)
+        return wrapped
+
+    for family, build in FAMILIES.items():
+        monkeypatch.setitem(FAMILIES, family, counting(family, build))
+    monkeypatch.setattr(
+        transfer, "corrupted_det_mult", counting("mutation-control", corrupted_det_mult)
+    )
+    for sizes in SUITE_SIZES:
+        for trials, seed in SUITE_CALLS:
+            assert all(r.ok for r in run_suite(None, trials, seed, sizes))
+            run_suite(["a-adj", "mutation-control"], trials, seed + 1, sizes)
+    assert sorted(built) == sorted(
+        [(family, n) for family in FAMILIES for n in (1, 2, 3)] + [("mutation-control", 2)]
+    )
+
+
+def test_cached_reports_match_uncached_reports_and_the_oracle(fresh_plans):
+    for sizes in SUITE_SIZES:
+        for trials, seed in SUITE_CALLS:
+            records = run_suite(None, trials, seed, sizes)
+            idents = [FAMILIES[f](n) for n in sizes for f in FAMILIES] + [corrupted_det_mult()]
+            for record, ident in zip(records, idents):
+                trials_run = 10 if ident.name.startswith("mutated") else trials
+                alone = run_identity(ident, trials_run, seed)
+                assert repr(record.reports) == repr(alone.reports)
+                assert record.reports == check_components_one_by_one(
+                    ident.components, ident.relation, trials_run, seed, ident.strong
+                )
+            control = records[-1]
+            assert control.name == "mutation-control" and control.ok
+            assert not any(rep.ring_ok for rep in control.reports)
+    # one plan per family and size, and one for the mutation control
+    assert transfer._suite_plan.cache_info().misses == 3 * len(FAMILIES) + 1
+
+
+def test_cached_plan_holds_only_programs_and_verdicts(fresh_plans):
+    run_suite(trials=1, seed=1)
+    for family in SUITE_FAMILIES:
+        for n in (2, 3) if family in FAMILIES else (2,):
+            stack = [transfer._suite_plan(family, n)]
+            while stack:
+                item = stack.pop()
+                if isinstance(item, (tuple, list)):
+                    stack.extend(item)
+                else:
+                    assert type(item) in (int, bool, str, type(None)), (family, n, item)

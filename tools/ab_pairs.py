@@ -19,8 +19,11 @@ create``).
 The summary gives, per metric, each side's median and quartiles over
 the pairs, the change's relative difference of medians, and in how many
 pairs the change was better, by the direction ``BENCHMARK.json`` gives
-the metric; then the failed operations of each side.  It uses the
-standard library only.
+the metric.  The ``peak_rss_mb`` line also gives each side's median
+number of operations per run: a run stores a sample per operation, so
+a faster side's peak grows with its count, apart from the library's
+own memory.  Then come the failed operations of each side.  It uses
+the standard library only.
 """
 
 from __future__ import annotations
@@ -116,6 +119,9 @@ def summarise(base: Sequence[Result], change: Sequence[Result], better: Dict[str
         else:
             won = sum((y > x) if way == "higher" else (y < x) for x, y in zip(b, c))
             wins = f"change better in {won}/{n} ({way} is better)"
+        if name == "peak_rss_mb":
+            b_ops, c_ops = (statistics.median(r.get("attempted", 0) for r in rs) for rs in (base, change))
+            wins += f"; operations per run, median {b_ops:.6g} -> {c_ops:.6g}"
         lines.append(
             f"{name} [{unit}]: {bq[1]:.6g} [{bq[0]:.6g}, {bq[2]:.6g}] -> "
             f"{cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}] ({rel}); {wins}"
