@@ -12,7 +12,6 @@ floating point anywhere.
 """
 
 from .core import (
-    BACKEND,
     BOTTOM,
     NEG_INF,
     ONE,
@@ -33,7 +32,6 @@ from .transfer import PolyExpression, parse_expression
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BOTTOM",
     "NEG_INF",
     "ONE",

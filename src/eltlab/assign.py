@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from ._markers import BOTTOM, Bottom
-from .core import ELTScalar, integer_grid, parse_rational
+from .core import BOTTOM, Bottom, ELTScalar, integer_grid, parse_rational
 from .errors import InfeasibleAssignment, NotSquare, ParseError
 
 if TYPE_CHECKING:

@@ -23,9 +23,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._markers import BOTTOM, Bottom
 from .assign import karp_max_mean_cycle
 from .core import (
+    BOTTOM,
+    Bottom,
     ELTScalar,
     IntGrid,
     LayerRing,
@@ -336,9 +337,9 @@ def _require_square(a: ELTMatrix) -> int:
 
 # the largest orders the n! permutation sums accept, where one order
 # more costs about n times as much: from the command line on a dense
-# matrix, pure-Python kernel, det of a 9x9 takes 5.6 s, adjoint of an
-# 8x8 (64 determinants of order 7) 3.9 s and quasi_inverse of an 8x8
-# (its determinant, its adjoint and two checked products) 5.5 s
+# matrix, det of a 9x9 takes 5.6 s, adjoint of an 8x8 (64 determinants
+# of order 7) 3.9 s and quasi_inverse of an 8x8 (its determinant, its
+# adjoint and two checked products) 5.5 s
 DET_MAX_ORDER = 9
 ADJOINT_MAX_ORDER = 8
 QUASI_INVERSE_MAX_ORDER = 8
@@ -507,8 +508,8 @@ NILPOTENT_MAX_BOUND = 2**14
 # the most work is_nilpotent spends, counted over its matrix products
 # as n^3 times the bit length of the product's layers.  All-0^[1]
 # matrices at their default bound n^2 take, from the command line on a
-# 2-vCPU host with the pure-Python kernel, 2.5 s at 48x48 (work 3.9e9)
-# and, at 64x64, 7.0 s (1.3e10), which this stops after 1.5 s
+# 2-vCPU host, 2.5 s at 48x48 (work 3.9e9) and, at 64x64, 7.0 s
+# (1.3e10), which this stops after 1.5 s
 NILPOTENT_MAX_WORK = 6 * 10**9
 
 

@@ -25,12 +25,15 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from ._markers import BOTTOM, TOP, Bottom, Top
 from .core import (
+    BOTTOM,
+    Bottom,
     ELTScalar,
     LayerRing,
     NEG_INF,
     Q_RING,
+    TOP,
+    Top,
     format_scalar,
     parse_int,
     parse_scalar,
@@ -308,6 +311,20 @@ def _divisors(n: int) -> Tuple[int, ...]:
 # the most bits a root candidate's power may take: evaluating one such
 # candidate, 255/254 at degree 2^19, takes about 0.5 s
 ROOT_POWER_MAX_BITS = 2**22
+# the most work one root search spends, in steps of trial division; an
+# exactly evaluated candidate counts ROOT_CANDIDATE_WORK steps, about its
+# cost (10 us against 45 ns on a 2-vCPU host).  So the budget allows
+# about 0.2 s of trial division or 25,000 candidates: a layer of 10^14
+# alone takes 10^7 steps
+ROOTS_MAX_WORK = 5 * 10**6
+ROOT_CANDIDATE_WORK = 200
+
+
+def _roots_budget_exceeded(degree: int) -> WorkBudgetExceeded:
+    return WorkBudgetExceeded(
+        f"roots of a layer equation of degree {degree}: the search is limited "
+        f"to {ROOTS_MAX_WORK} steps of trial division and candidate evaluation"
+    )
 
 
 def _rational_roots(int_coeffs: Dict[int, int], ring: LayerRing) -> Tuple[Fraction, ...]:
@@ -317,6 +334,10 @@ def _rational_roots(int_coeffs: Dict[int, int], ring: LayerRing) -> Tuple[Fracti
     A candidate p/q is evaluated as an exact ``(p/q)**top``; when that
     power would take more than ROOT_POWER_MAX_BITS bits the search
     raises WorkBudgetExceeded.  The candidates 1 and -1 stay exempt.
+    It raises the same when the steps of the trial division that lists
+    the divisors of the constant and leading coefficients, plus
+    ROOT_CANDIDATE_WORK for each candidate evaluated, would pass
+    ROOTS_MAX_WORK.
     """
     roots = []
     degs = sorted(d for d, a in int_coeffs.items() if a != 0)
@@ -330,12 +351,20 @@ def _rational_roots(int_coeffs: Dict[int, int], ring: LayerRing) -> Tuple[Fracti
     lead = shifted[top]
     const = shifted[0]
     seen = set(roots)
+    # _divisors(n) takes isqrt(|n|) steps
+    work = math.isqrt(abs(const)) + math.isqrt(abs(lead))
+    if work > ROOTS_MAX_WORK:
+        raise _roots_budget_exceeded(top)
+    dens = _divisors(lead)
     for num in _divisors(const):
-        for den in _divisors(lead):
+        for den in dens:
             for sign in (1, -1):
                 cand = Fraction(sign * num, den)
                 if cand in seen or cand not in ring:
                     continue
+                work += ROOT_CANDIDATE_WORK
+                if work > ROOTS_MAX_WORK:
+                    raise _roots_budget_exceeded(top)
                 # (m - 1).bit_length() is ceil(log2 m), 0 for 1 and -1
                 bits = top * (max(abs(cand.numerator), cand.denominator) - 1).bit_length()
                 if bits > ROOT_POWER_MAX_BITS:

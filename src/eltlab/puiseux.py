@@ -18,8 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
 
-from ._markers import TOP, Top
-from .core import ELTScalar, NEG_INF, parse_rational
+from .core import ELTScalar, NEG_INF, TOP, Top, parse_rational
 from .errors import ParseError
 
 Term = tuple[Fraction, Fraction]  # (exponent, coefficient)

@@ -21,7 +21,7 @@ from eltlab.matrix import (
     ELTMatrix,
     adjoint,
 )
-from eltlab.poly import ROOT_POWER_MAX_BITS
+from eltlab.poly import ROOT_POWER_MAX_BITS, ROOTS_MAX_WORK
 from eltlab.transfer import SuiteRecord
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -427,6 +427,26 @@ def test_roots_with_a_huge_degree_gap_stop_at_the_work_budget(capsys, tmp_path):
     assert proc.stderr == (
         f"eltlab: WorkBudgetExceeded: root candidate 1/2 at degree {degree}: "
         f"the search is limited to powers of {ROOT_POWER_MAX_BITS} bits\n"
+    )
+
+
+@pytest.mark.parametrize("text", [
+    # a corner solving 10^14*x^2 + x + 10^14: 225 x 225 x 2 candidates, and
+    # the leading coefficient's 10^7 trial divisions were redone for each of
+    # the 225 numerators
+    "0^[100000000000000]*L^2 + 0^[1]*L + 0^[100000000000000]",
+    # x^2 + 10^14: trial division of 10^14 alone takes 10^7 steps
+    "0^[1]*L^2 + 0^[100000000000000]",
+], ids=["three-terms", "two-terms"])
+def test_roots_with_huge_layers_stop_at_the_work_budget(tmp_path, text):
+    path = tmp_path / "huge.poly"
+    path.write_text(text + "\n")
+    proc = run_process("roots", str(path), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "eltlab: WorkBudgetExceeded: roots of a layer equation of degree 2: "
+        f"the search is limited to {ROOTS_MAX_WORK} steps of trial division "
+        "and candidate evaluation\n"
     )
 
 

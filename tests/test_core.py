@@ -224,6 +224,17 @@ def test_construction_normalises_and_hashes():
         ELTScalar(1.5, 1)
 
 
+def test_scalar_contract():
+    one = ELTScalar(0, 1)
+    assert one == ONE
+    assert hash(one) == hash(ONE)
+    assert NEG_INF + ONE == ONE
+    assert NEG_INF * ONE is NEG_INF
+    assert str(NEG_INF) == "-inf"
+    with pytest.raises(ValueError):
+        ONE ** -1
+
+
 def test_neg_inf_projections():
     assert NEG_INF.tangible is BOTTOM
     assert NEG_INF.layer == 0

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from eltlab import ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, Q_RING, Z_RING
 from eltlab.core import BOTTOM, TOP, parse_scalar
-from eltlab.errors import DegeneratePolynomial, ParseError
+from eltlab.errors import DegeneratePolynomial, ParseError, WorkBudgetExceeded
 from eltlab.poly import (
+    ROOT_CANDIDATE_WORK,
+    ROOTS_MAX_WORK,
     LayerSolutions,
     elt_roots,
     envelope,
@@ -283,6 +285,16 @@ def test_first_envelope_touch_matches_best_ratio():
             if statuses[n - k] is not MonomialStatus.INESSENTIAL
         )
         assert first == mu
+
+
+def test_root_search_counts_candidates_against_its_budget():
+    # 720720 has 240 divisors: 115,200 candidates after 1,698 steps of trial division
+    assert 2 * 240 * 240 * ROOT_CANDIDATE_WORK > ROOTS_MAX_WORK
+    with pytest.raises(WorkBudgetExceeded, match="degree 2"):
+        elt_roots(P("0^[720720]*L^2 + 0^[1]*L + 0^[720720]"))
+    # 5040 has 60 divisors: 7,200 candidates fit.  (70x - 72)(72x - 70)
+    roots = elt_roots(P("0^[5040]*L^2 + 0^[-10084]*L + 0^[5040]"))
+    assert roots.corners[0].layers == LayerSolutions(False, (Fraction(35, 36), Fraction(36, 35)))
 
 
 def test_degenerate_polynomial_is_rejected():
