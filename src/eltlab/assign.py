@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .core import BOTTOM, Bottom, ELTScalar, integer_grid, parse_rational
+from .core import BOTTOM, Bottom, ELTScalar, exact_rational, integer_grid, parse_rational
 from .errors import InfeasibleAssignment, NotSquare, ParseError
 
 if TYPE_CHECKING:
@@ -31,7 +31,7 @@ def tropical_matrix(rows: Sequence[Sequence[object]]) -> TropicalMatrix:
     """Normalise a grid of rationals / -inf markers into a tropical
     matrix."""
     grid = tuple(
-        tuple(x if isinstance(x, Bottom) else Fraction(x) for x in row)
+        tuple(x if isinstance(x, Bottom) else exact_rational(x) for x in row)
         for row in rows
     )
     if not grid or not grid[0]:

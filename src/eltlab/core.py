@@ -137,8 +137,9 @@ RationalLike = Fraction | int | str
 _ZERO = Fraction(0)
 
 
-def _coerce(value: RationalLike) -> Fraction:
-    """Exact conversion to Fraction; floats are refused, not rounded."""
+def exact_rational(value: RationalLike) -> Fraction:
+    """Exact conversion to Fraction of every rational a caller passes
+    in; floats are refused with TypeError, not rounded."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -159,8 +160,8 @@ class ELTScalar:
     __slots__ = ("_t", "_l", "_fin")
 
     def __init__(self, tangible: RationalLike, layer: RationalLike):
-        self._t = _coerce(tangible)
-        self._l = _coerce(layer)
+        self._t = exact_rational(tangible)
+        self._l = exact_rational(layer)
         self._fin = True
 
     @staticmethod

@@ -6,12 +6,13 @@ plain max-plus are recovered here up to layers, and the functions in
 this module report those layers exactly.
 
 Highlights: a permanent-style determinant split into even and odd
-permutation sums, the adjoint and the quasi-inverse (inverse up to
-quasi-identities), the characteristic polynomial by one signed
-expansion over column subsets, a Cayley-Hamilton check up to
-layer-zero slack, eigenpair verification, the essential trace with its
-spectral-dominance report, nilpotency of index at most n^2, and
-simple-cycle enumeration.
+permutation sums, the adjoint by one cofactor walk of the same sums
+(both for any carrier, so ``transfer`` builds its identities on them),
+the quasi-inverse (inverse up to quasi-identities), the characteristic
+polynomial by one signed expansion over column subsets, a
+Cayley-Hamilton check up to layer-zero slack, eigenpair verification,
+the essential trace with its spectral-dominance report, nilpotency of
+index at most n^2, and simple-cycle enumeration.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .assign import karp_max_mean_cycle
 from .core import (
@@ -51,6 +52,7 @@ from .poly import ELTPolynomial, MonomialStatus, RootDescription, elt_roots
 
 Vector = tuple[ELTScalar, ...]
 IntForm = tuple[int, IntGrid, int, IntGrid]
+Entry = TypeVar("Entry")  # of any carrier the permutation expansions run over
 
 
 class ELTMatrix:
@@ -337,9 +339,9 @@ def _require_square(a: ELTMatrix) -> int:
 
 # the largest orders the n! permutation sums accept, where one order
 # more costs about n times as much: from the command line on a dense
-# matrix, det of a 9x9 takes 5.6 s, adjoint of an 8x8 (64 determinants
-# of order 7) 3.9 s and quasi_inverse of an 8x8 (its determinant, its
-# adjoint and two checked products) 5.5 s
+# matrix (2-vCPU host), det of a 9x9 takes 6.3 s, adjoint of an 8x8 2.0
+# s (a 9x9 would take 17 s) and quasi_inverse of an 8x8 (its
+# determinant, its adjoint and two checked products) 3.9 s
 DET_MAX_ORDER = 9
 ADJOINT_MAX_ORDER = 8
 QUASI_INVERSE_MAX_ORDER = 8
@@ -365,28 +367,61 @@ def _parity(perm: Sequence[int]) -> int:
     return inv & 1
 
 
-def det_pair(a: ELTMatrix) -> Tuple[ELTScalar, ELTScalar]:
-    """Sums of permutation products over even and odd permutations.
-
-    The determinant is ``plus + (-)minus``; the pair itself is what
-    symbolic identities are checked against.  Orders above
-    DET_MAX_ORDER raise WorkBudgetExceeded.
-    """
-    n = _require_order(a, DET_MAX_ORDER, "det")
-    plus = NEG_INF
-    minus = NEG_INF
-    rows = a.rows
-    for perm in itertools.permutations(range(n)):
-        prod = ONE
-        for i, j in enumerate(perm):
-            x = rows[i][j]
-            if x.is_neg_inf:
-                prod = NEG_INF
+def permutation_terms(
+    rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
+) -> Iterator[Tuple[int, Entry]]:
+    """(odd, product) for each permutation of the square grid rows, the
+    product of ``rows[i][perm[i]]`` built in row order, over any carrier
+    with this zero and one: ELT scalars, expressions, polynomials.  A
+    product stops once it *is* zero, and its term is left out."""
+    for perm in itertools.permutations(range(len(rows))):
+        prod = one
+        for row, j in zip(rows, perm):
+            prod = prod * row[j]
+            if prod is zero:
                 break
-            prod = prod * x
-        if prod.is_neg_inf:
-            continue
-        if _parity(perm):
+        else:
+            yield _parity(perm), prod
+
+
+def adjugate(
+    rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
+) -> Tuple[Tuple[Entry, ...], ...]:
+    """The transposed cofactor matrix of the square grid rows, over the
+    carrier of ``permutation_terms``, in one walk of the permutations.
+
+    Cofactor (k, c) is the sum over sigma with sigma(k) = c of sgn(sigma)
+    times the product over rows l != k of a_{l, sigma(l)}.  So for each
+    row k a permutation adds that product, signed by its parity, to
+    entry (sigma(k), k), built as ``before[k] * (entries[k+1] * ...)``:
+    in row order, as a minor's expansion builds it.  No minor is formed,
+    and a 1x1 grid gets [[one]].
+    """
+    n = len(rows)
+    out = [[zero] * n for _ in range(n)]
+    for perm in itertools.permutations(range(n)):
+        entries = [row[j] for row, j in zip(rows, perm)]
+        before = [one]
+        for x in entries[:-1]:
+            before.append(before[-1] * x)
+        odd = _parity(perm)
+        after = one
+        for k in range(n - 1, -1, -1):
+            cofactor = before[k] * after
+            if cofactor is not zero:
+                out[perm[k]][k] = out[perm[k]][k] + (-cofactor if odd else cofactor)
+            after = entries[k] * after
+    return tuple(tuple(row) for row in out)
+
+
+def det_pair(a: ELTMatrix) -> Tuple[ELTScalar, ELTScalar]:
+    """Sums of the even and of the odd permutation products; the
+    determinant is ``plus + (-)minus``.  Orders above DET_MAX_ORDER
+    raise WorkBudgetExceeded."""
+    _require_order(a, DET_MAX_ORDER, "det")
+    plus = minus = NEG_INF
+    for odd, prod in permutation_terms(a.rows, NEG_INF, ONE):
+        if odd:
             minus = minus + prod
         else:
             plus = plus + prod
@@ -398,30 +433,11 @@ def det(a: ELTMatrix) -> ELTScalar:
     return plus + (-minus)
 
 
-def minor(a: ELTMatrix, i: int, j: int) -> ELTMatrix:
-    """Submatrix with row i and column j removed (0-based)."""
-    n = _require_square(a)
-    if n == 1:
-        raise ValueError("a 1x1 matrix has no minors")
-    keep_r = [r for r in range(n) if r != i]
-    keep_c = [c for c in range(n) if c != j]
-    return a.submatrix(keep_r, keep_c)
-
-
 def adjoint(a: ELTMatrix) -> ELTMatrix:
     """Signed transposed cofactor matrix; for 1x1 it is [[0^[1]]].
     Orders above ADJOINT_MAX_ORDER raise WorkBudgetExceeded."""
-    n = _require_order(a, ADJOINT_MAX_ORDER, "adjoint")
-    if n == 1:
-        return ELTMatrix([[ONE]])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cof = det(minor(a, j, i))
-            row.append(cof if (i + j) % 2 == 0 else -cof)
-        out.append(row)
-    return ELTMatrix(out)
+    _require_order(a, ADJOINT_MAX_ORDER, "adjoint")
+    return ELTMatrix(adjugate(a.rows, NEG_INF, ONE))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .core import (
     Q_RING,
     TOP,
     Top,
+    exact_rational,
     format_scalar,
     parse_int,
     parse_scalar,
@@ -242,7 +243,7 @@ class LayerSolutions:
     values: Tuple[Fraction, ...] = ()
 
     def __contains__(self, layer: object) -> bool:
-        return self.all_layers or Fraction(layer) in self.values
+        return self.all_layers or exact_rational(layer) in self.values
 
     @property
     def is_empty(self) -> bool:
@@ -285,7 +286,7 @@ class RootDescription:
 
     def layers_at(self, a: Fraction) -> LayerSolutions:
         """Root layers of the tangible point a."""
-        a = Fraction(a)
+        a = exact_rational(a)
         for corner in self.corners:
             if corner.tangible == a:
                 return corner.layers
@@ -337,7 +338,7 @@ def _rational_roots(int_coeffs: Dict[int, int], ring: LayerRing) -> Tuple[Fracti
     It raises the same when the steps of the trial division that lists
     the divisors of the constant and leading coefficients, plus
     ROOT_CANDIDATE_WORK for each candidate evaluated, would pass
-    ROOTS_MAX_WORK.
+    ROOTS_MAX_WORK.  Only coprime divisor pairs are tried: each rational once.
     """
     roots = []
     degs = sorted(d for d, a in int_coeffs.items() if a != 0)
@@ -358,6 +359,8 @@ def _rational_roots(int_coeffs: Dict[int, int], ring: LayerRing) -> Tuple[Fracti
     dens = _divisors(lead)
     for num in _divisors(const):
         for den in dens:
+            if math.gcd(num, den) != 1:
+                continue  # num/den in lowest terms is another pair's candidate
             for sign in (1, -1):
                 cand = Fraction(sign * num, den)
                 if cand in seen or cand not in ring:

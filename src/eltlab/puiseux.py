@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
 
-from .core import ELTScalar, NEG_INF, TOP, Top, parse_rational
+from .core import ELTScalar, NEG_INF, TOP, Top, exact_rational, parse_rational
 from .errors import ParseError
 
 Term = tuple[Fraction, Fraction]  # (exponent, coefficient)
@@ -32,8 +32,8 @@ class PuiseuxSeries:
     def __init__(self, terms: Iterable[Tuple[object, object]] = ()):
         merged: dict[Fraction, Fraction] = {}
         for exp, coeff in terms:
-            e = Fraction(exp)
-            c = Fraction(coeff)
+            e = exact_rational(exp)
+            c = exact_rational(coeff)
             if e in merged:
                 merged[e] += c
             else:
@@ -93,7 +93,7 @@ class PuiseuxSeries:
 
     def scale(self, alpha: object) -> "PuiseuxSeries":
         """Multiply every coefficient by the constant alpha."""
-        a = Fraction(alpha)
+        a = exact_rational(alpha)
         return PuiseuxSeries((e, a * c) for e, c in self._terms)
 
     def __eq__(self, other: object) -> bool:

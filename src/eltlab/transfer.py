@@ -45,11 +45,11 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .core import ELTScalar, NEG_INF, format_scalar, parse_int
 from .errors import ParseError, UnboundVariable
-from .matrix import _parity
+from .matrix import adjugate, permutation_terms
 
 # ---------------------------------------------------------------------------
 # positive expression trees
@@ -843,43 +843,17 @@ def matmul_expression(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
     return tuple(out)
 
 
-def _det_terms(m: ExprMatrix) -> Iterator[Tuple[bool, PolyExpression]]:
-    """(odd, product) for each permutation term of det(m)."""
-    for perm in itertools.permutations(range(len(m))):
-        prod = PolyExpression.one()
-        for i, j in enumerate(perm):
-            prod = prod * m[i][j]
-        yield bool(_parity(perm)), prod
-
-
 def det_expression(m: ExprMatrix) -> PolyExpression:
     """Permutation expansion with signs carried by the pair algebra."""
     total = PolyExpression.zero()
-    for odd, prod in _det_terms(m):
+    for odd, prod in permutation_terms(m, PolyExpression.zero(), PolyExpression.one()):
         total = total + (-prod if odd else prod)
     return total
 
 
-def _det_submatrix(m: ExprMatrix, rows: Sequence[int], cols: Sequence[int]) -> PolyExpression:
-    return det_expression(
-        tuple(tuple(m[i][j] for j in cols) for i in rows)
-    )
-
-
 def adjoint_expression(m: ExprMatrix) -> ExprMatrix:
-    n = len(m)
-    if n == 1:
-        return ((PolyExpression.one(),),)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            keep_r = [r for r in range(n) if r != j]
-            keep_c = [c for c in range(n) if c != i]
-            cof = _det_submatrix(m, keep_r, keep_c)
-            row.append(-cof if (i + j) % 2 else cof)
-        out.append(tuple(row))
-    return tuple(out)
+    """The adjugate of m, by the cofactor walk of ``matrix.adjugate``."""
+    return adjugate(m, PolyExpression.zero(), PolyExpression.one())
 
 
 def charpoly_at_self(m: ExprMatrix) -> ExprMatrix:
@@ -890,7 +864,7 @@ def charpoly_at_self(m: ExprMatrix) -> ExprMatrix:
     for k in range(1, n + 1):
         acc = PolyExpression.zero()
         for subset in itertools.combinations(range(n), k):
-            acc = acc + _det_submatrix(m, subset, subset)
+            acc = acc + det_expression(tuple(tuple(m[i][j] for j in subset) for i in subset))
         coeffs.append(-acc if k % 2 else acc)
     powers = [_identity_expression(n)]
     for _ in range(n):
@@ -1004,7 +978,7 @@ def corrupted_det_mult(n: int = 2) -> CannedIdentity:
     det_ab = det_expression(matmul_expression(a, b))
     total = PolyExpression.zero()
     flipped = False
-    for odd, prod in _det_terms(b):
+    for odd, prod in permutation_terms(b, PolyExpression.zero(), PolyExpression.one()):
         total = total + (-prod if odd and flipped else prod)
         flipped = flipped or odd
     return CannedIdentity(

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
 from eltlab.core import BOTTOM, integer_grid
 from eltlab.errors import DegeneratePolynomial, UnboundVariable
-from eltlab.matrix import _parity, det
+from eltlab.matrix import det, permutation_terms
 from eltlab.transfer import (
     _STAGES,
     ELT_MODEL,
@@ -62,16 +62,29 @@ def charpoly_symbolic(a: ELTMatrix) -> ELTPolynomial:
             row.append(ELTPolynomial(cells))
         entries.append(row)
     total = ELTPolynomial.zero()
-    for perm in itertools.permutations(range(n)):
-        prod = ELTPolynomial.constant(ONE)
-        for i, j in enumerate(perm):
-            prod = prod * entries[i][j]
-            if prod.is_zero:
-                break
-        if _parity(perm):
-            prod = -prod
-        total = total + prod
+    for odd, prod in permutation_terms(entries, ELTPolynomial.zero(), ELTPolynomial.constant(ONE)):
+        total = total + (-prod if odd else prod)
     return total
+
+
+def adjoint_by_minors(a: ELTMatrix) -> ELTMatrix:
+    """Signed transposed cofactor matrix, one determinant per minor: a
+    second route to ``matrix.adjoint``'s single cofactor walk.  For 1x1
+    it is [[0^[1]]]."""
+    assert a.is_square
+    n = a.nrows
+    if n == 1:
+        return ELTMatrix([[ONE]])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            keep_r = [r for r in range(n) if r != j]
+            keep_c = [c for c in range(n) if c != i]
+            cof = det(a.submatrix(keep_r, keep_c))
+            row.append(cof if (i + j) % 2 == 0 else -cof)
+        out.append(row)
+    return ELTMatrix(out)
 
 
 def charpoly_by_minors(a: ELTMatrix) -> ELTPolynomial:

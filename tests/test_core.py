@@ -15,8 +15,11 @@ from eltlab import (
     invert,
     parse_scalar,
 )
+from eltlab.assign import tropical_matrix
 from eltlab.core import format_scalar
 from eltlab.errors import NonInvertible, ParseError
+from eltlab.poly import LayerSolutions, elt_roots, parse_polynomial
+from eltlab.puiseux import PuiseuxSeries
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 finite = st.builds(ELTScalar, rationals, rationals)
@@ -222,6 +225,30 @@ def test_construction_normalises_and_hashes():
     assert ELTScalar("5/3", -2) == ELTScalar(Fraction(5, 3), -2)
     with pytest.raises(TypeError):
         ELTScalar(1.5, 1)
+
+
+# every constructor and query that takes a rational from the caller, each
+# reduced to a value that shows the rational it read
+RATIONAL_GATES = {
+    "ELTScalar": lambda x: ELTScalar(x, x),
+    "tropical_matrix": lambda x: tropical_matrix([[x, BOTTOM]]),
+    "PuiseuxSeries": lambda x: PuiseuxSeries([(x, x), (1, 1)]).terms,
+    "PuiseuxSeries.scale": lambda x: PuiseuxSeries([(0, 1)]).scale(x).terms,
+    "LayerSolutions.__contains__": lambda x: x in LayerSolutions(False, (Fraction(3, 2),)),
+    # one corner, at 3/2, and an interval on each side
+    "RootDescription.layers_at": lambda x: elt_roots(
+        parse_polynomial("0^[1]*L^2 + 3/2^[2]*L + 3^[1]")
+    ).layers_at(x),
+}
+
+
+@pytest.mark.parametrize("gate", RATIONAL_GATES.values(), ids=RATIONAL_GATES)
+def test_rationals_pass_one_exactness_gate(gate):
+    for x in (0, 3, "3/2", "-7/4", Fraction(3, 2)):
+        assert gate(x) == gate(Fraction(x))
+    for x in (1.5, 0.1):
+        with pytest.raises(TypeError, match="floating point"):
+            gate(x)
 
 
 def test_scalar_contract():

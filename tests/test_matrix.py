@@ -39,7 +39,13 @@ from eltlab.matrix import (
     trace,
 )
 from eltlab.poly import format_polynomial, parse_polynomial
-from oracles import charpoly_by_minors, charpoly_symbolic, nilpotent_one_by_one, power_entry_paths
+from oracles import (
+    adjoint_by_minors,
+    charpoly_by_minors,
+    charpoly_symbolic,
+    nilpotent_one_by_one,
+    power_entry_paths,
+)
 from rand import (
     random_matrix,
     random_monomial_matrix,
@@ -326,7 +332,7 @@ def test_characteristic_polynomial_routes_agree():
 
 
 @st.composite
-def charpoly_operands(draw):
+def square_operands(draw):
     """Square matrices of order 1..6.  Tangibles are tie-heavy (0, 1 or
     2) or rationals; layers are +-1, so that tied terms cancel to layer
     zero, or rationals including 0; none, a quarter or three quarters
@@ -348,7 +354,7 @@ def charpoly_operands(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(charpoly_operands())
+@given(square_operands())
 @example(M("3^[2]"))
 @example(M("-inf"))
 @example(M("1^[1], 1^[-1]\n1^[1], 1^[1]"))
@@ -358,6 +364,15 @@ def test_charpoly_equals_the_principal_minor_sum(a):
         q = route(a)
         assert repr(p) == repr(q)
         assert format_polynomial(p) == format_polynomial(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_operands())
+@example(M("-inf"))
+@example(M("1^[1], -inf\n-inf, 2^[1]"))
+@example(M("1^[1], 1^[-1]\n1^[1], 1^[1]"))
+def test_adjoint_walk_equals_the_minor_determinants(a):
+    assert repr(adjoint(a)) == repr(adjoint_by_minors(a))
 
 
 def test_matrix_satisfies_its_characteristic_polynomial():

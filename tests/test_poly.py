@@ -288,10 +288,18 @@ def test_first_envelope_touch_matches_best_ratio():
 
 
 def test_root_search_counts_candidates_against_its_budget():
-    # 720720 has 240 divisors: 115,200 candidates after 1,698 steps of trial division
-    assert 2 * 240 * 240 * ROOT_CANDIDATE_WORK > ROOTS_MAX_WORK
+    # 720720 = 2^4*3^2*5*7*11*13 has 240 divisors, but only 3,645 of the
+    # 57,600 divisor pairs are coprime: 7,290 distinct candidates fit
+    assert 2 * 3645 * ROOT_CANDIDATE_WORK < ROOTS_MAX_WORK < 2 * 240 * 240 * ROOT_CANDIDATE_WORK
+    roots = elt_roots(P("0^[720720]*L^2 + 0^[1]*L + 0^[720720]"))
+    # 720720*x^2 + x + 720720 has a negative discriminant
+    assert len(roots.corners) == 1
+    assert roots.corners[0].layers == LayerSolutions(False, ())
+    # 247110827 = 17*19*23*29*31*37 is coprime to 720720: all 240 x 64
+    # pairs are distinct candidates, 30,720 with their signs
+    assert 2 * 240 * 64 * ROOT_CANDIDATE_WORK > ROOTS_MAX_WORK
     with pytest.raises(WorkBudgetExceeded, match="degree 2"):
-        elt_roots(P("0^[720720]*L^2 + 0^[1]*L + 0^[720720]"))
+        elt_roots(P("0^[247110827]*L^2 + 0^[1]*L + 0^[720720]"))
     # 5040 has 60 divisors: 7,200 candidates fit.  (70x - 72)(72x - 70)
     roots = elt_roots(P("0^[5040]*L^2 + 0^[-10084]*L + 0^[5040]"))
     assert roots.corners[0].layers == LayerSolutions(False, (Fraction(35, 36), Fraction(36, 35)))
