@@ -7,17 +7,20 @@ this module report those layers exactly.
 
 Highlights: a permanent-style determinant split into even and odd
 permutation sums, the adjoint by one cofactor walk of the same sums
-(both for any carrier, so ``transfer`` builds its identities on them),
-the quasi-inverse (inverse up to quasi-identities), the characteristic
-polynomial by one signed expansion over column subsets, a
-Cayley-Hamilton check up to layer-zero slack, eigenpair verification,
-the essential trace with its spectral-dominance report, nilpotency of
-index at most n^2, and simple-cycle enumeration.
+(both for any carrier, so ``transfer`` builds its identities on them,
+and both on one depth-first walk of the permutations that shares prefix
+products and carries the parity; the determinant's walk also drops
+every permutation through a prefix that is zero), the quasi-inverse
+(inverse up to quasi-identities, its determinant and adjoint from one
+cofactor walk), the characteristic polynomial by one signed expansion
+over column subsets, a Cayley-Hamilton check up to layer-zero slack,
+eigenpair verification, the essential trace with its
+spectral-dominance report, nilpotency of index at most n^2, and
+simple-cycle enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -127,9 +130,6 @@ class ELTMatrix:
 
     def transpose(self) -> "ELTMatrix":
         return ELTMatrix(zip(*self._rows))
-
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "ELTMatrix":
-        return ELTMatrix([[self._rows[i][j] for j in cols] for i in rows])
 
     def __add__(self, other: "ELTMatrix") -> "ELTMatrix":
         if not isinstance(other, ELTMatrix):
@@ -339,9 +339,10 @@ def _require_square(a: ELTMatrix) -> int:
 
 # the largest orders the n! permutation sums accept, where one order
 # more costs about n times as much: from the command line on a dense
-# matrix (2-vCPU host), det of a 9x9 takes 6.3 s, adjoint of an 8x8 2.0
-# s (a 9x9 would take 17 s) and quasi_inverse of an 8x8 (its
-# determinant, its adjoint and two checked products) 3.9 s
+# matrix (2-vCPU host), det of a 9x9 takes 2.0 s, adjoint of an 8x8 1.4
+# s (a 9x9 would take about 14 s) and quasi_inverse of an 8x8 (one
+# cofactor walk for its determinant and adjoint, and two checked
+# products) 1.9 s
 DET_MAX_ORDER = 9
 ADJOINT_MAX_ORDER = 8
 QUASI_INVERSE_MAX_ORDER = 8
@@ -358,30 +359,65 @@ def _require_order(a: ELTMatrix, limit: int, what: str) -> int:
     return n
 
 
-def _parity(perm: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return inv & 1
+def _walk(
+    rows: Sequence[Sequence[Entry]], zero: Optional[Entry], one: Entry
+) -> Iterator[Tuple[int, List[int], List[Entry]]]:
+    """Depth-first over the permutations of the square grid rows, in
+    lexicographic order, on an explicit stack.
+
+    Yields ``(odd, cols, prods)`` once per permutation: row r sits in
+    column ``cols[r]`` and ``prods[r]`` is the product of rows
+    ``0..r-1``, built in row order from ``prods[0] = one``, so
+    ``prods[n]`` is the whole product.  Both lists are the walk's own
+    and change with the next step.  A prefix product is built once and
+    shared by all its completions, about e*n! products in all.  Placing
+    row r in column j adds one inversion per used column above j, so
+    the parity is carried down the walk.  A prefix that *is* zero ends
+    its whole subtree; with zero None every permutation is yielded.
+    """
+    n = len(rows)
+    cols = [0] * n
+    prods = [one] * (n + 1)
+    if not n:  # the one permutation of no rows
+        yield 0, cols, prods
+        return
+    every = (1 << n) - 1
+    # (row, column, used columns with it, parity with it) still to place
+    todo = [(0, j, 1 << j, 0) for j in reversed(range(n))]
+    while todo:
+        r, j, used, odd = todo.pop()
+        prod = prods[r] * rows[r][j]
+        if prod is zero:
+            continue
+        cols[r] = j
+        r += 1
+        prods[r] = prod
+        if r == n - 1:  # the last row takes the one column left
+            k = (every ^ used).bit_length() - 1
+            prod = prod * rows[r][k]
+            if prod is not zero:
+                cols[r] = k
+                prods[n] = prod
+                yield odd ^ (used >> k).bit_count() & 1, cols, prods
+            continue
+        if r == n:  # a 1x1 grid
+            yield odd, cols, prods
+            continue
+        for k in reversed(range(n)):
+            if not used >> k & 1:
+                todo.append((r, k, used | 1 << k, odd ^ (used >> k).bit_count() & 1))
 
 
 def permutation_terms(
     rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
 ) -> Iterator[Tuple[int, Entry]]:
-    """(odd, product) for each permutation of the square grid rows, the
-    product of ``rows[i][perm[i]]`` built in row order, over any carrier
-    with this zero and one: ELT scalars, expressions, polynomials.  A
-    product stops once it *is* zero, and its term is left out."""
-    for perm in itertools.permutations(range(len(rows))):
-        prod = one
-        for row, j in zip(rows, perm):
-            prod = prod * row[j]
-            if prod is zero:
-                break
-        else:
-            yield _parity(perm), prod
+    """(odd, product) for each permutation of the square grid rows, in
+    ``itertools.permutations`` order, the product of ``rows[i][perm[i]]``
+    built in row order, over any carrier with this zero and one: ELT
+    scalars, expressions, polynomials.  A prefix product that *is* zero
+    drops every permutation through it."""
+    for odd, _, prods in _walk(rows, zero, one):
+        yield odd, prods[-1]
 
 
 def adjugate(
@@ -394,23 +430,31 @@ def adjugate(
     times the product over rows l != k of a_{l, sigma(l)}.  So for each
     row k a permutation adds that product, signed by its parity, to
     entry (sigma(k), k), built as ``before[k] * (entries[k+1] * ...)``:
-    in row order, as a minor's expansion builds it.  No minor is formed,
-    and a 1x1 grid gets [[one]].
+    in row order, as a minor's expansion builds it, with ``before[k]``
+    the walk's shared prefix.  No minor is formed, and a 1x1 grid gets
+    [[one]].
     """
+    return _cofactors(rows, zero, one, None)
+
+
+def _cofactors(
+    rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry, pair: Optional[List[Entry]]
+) -> Tuple[Tuple[Entry, ...], ...]:
+    """``adjugate``; when pair is given, ``pair[odd]`` also gains each
+    permutation's whole product, so it ends as ``det_pair``'s sums."""
     n = len(rows)
     out = [[zero] * n for _ in range(n)]
-    for perm in itertools.permutations(range(n)):
-        entries = [row[j] for row, j in zip(rows, perm)]
-        before = [one]
-        for x in entries[:-1]:
-            before.append(before[-1] * x)
-        odd = _parity(perm)
+    for odd, cols, prods in _walk(rows, None, one):
+        if pair is not None and prods[n] is not zero:
+            pair[odd] = pair[odd] + prods[n]
         after = one
         for k in range(n - 1, -1, -1):
-            cofactor = before[k] * after
+            c = cols[k]
+            cofactor = prods[k] * after
             if cofactor is not zero:
-                out[perm[k]][k] = out[perm[k]][k] + (-cofactor if odd else cofactor)
-            after = entries[k] * after
+                out[c][k] = out[c][k] + (-cofactor if odd else cofactor)
+            if k:
+                after = rows[k][c] * after
     return tuple(tuple(row) for row in out)
 
 
@@ -491,7 +535,8 @@ class QuasiInverseResult:
 
 
 def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
-    """Inverse up to quasi-identities: det(A)^(-1) times the adjoint.
+    """Inverse up to quasi-identities: det(A)^(-1) times the adjoint,
+    both from one cofactor walk of the permutations.
 
     Raises SingularDeterminant unless the determinant is finite with a
     unit layer.  The left and right reports certify that both products
@@ -499,12 +544,14 @@ def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
     raise WorkBudgetExceeded.
     """
     _require_order(a, QUASI_INVERSE_MAX_ORDER, "quasi_inverse")
-    d = det(a)
+    pair = [NEG_INF, NEG_INF]
+    adj = ELTMatrix(_cofactors(a.rows, NEG_INF, ONE, pair))
+    d = pair[0] + (-pair[1])
     if d.is_neg_inf or not ring.is_unit(d.layer):
         raise SingularDeterminant(
             f"determinant {d} has no unit layer in {ring.name}"
         )
-    qi = adjoint(a).scale(invert(d, ring))
+    qi = adj.scale(invert(d, ring))
     return QuasiInverseResult(
         qi,
         quasi_identity_check(qi * a),
@@ -828,10 +875,6 @@ def essential_trace(a: ELTMatrix) -> EtrReport:
     return EtrReport(
         tr, coefficients, l_set, mu, dominant, long_bound, status, value
     )
-
-
-def essential_trace_value(a: ELTMatrix) -> ELTScalar:
-    return essential_trace(a).value
 
 
 # ---------------------------------------------------------------------------

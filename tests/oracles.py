@@ -1,12 +1,12 @@
 """Brute-force routes that the library's algorithms are checked against.
 
 They compute what the library computes by other means (every
-permutation, every principal minor, every walk, every subtree scalar by
-scalar, a polynomial evaluated with and without one monomial, every
-power of a matrix, every side of an identity on a program of its own,
-every monomial product as a tuple of exponents), or every term of a
-max-plus step, so they are slow, exponential or recursive, and live
-with the tests, not in ``eltlab``.
+permutation one by one, every principal minor, every walk, every
+subtree scalar by scalar, a polynomial evaluated with and without one
+monomial, every power of a matrix, every side of an identity on a
+program of its own, every monomial product as a tuple of exponents),
+or every term of a max-plus step, so they are slow, exponential or
+recursive, and live with the tests, not in ``eltlab``.
 """
 
 import itertools
@@ -14,12 +14,12 @@ import operator
 import random
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
 from eltlab.core import BOTTOM, integer_grid
 from eltlab.errors import DegeneratePolynomial, UnboundVariable
-from eltlab.matrix import det, permutation_terms
+from eltlab.matrix import essential_trace
 from eltlab.transfer import (
     _STAGES,
     ELT_MODEL,
@@ -39,6 +39,78 @@ from eltlab.transfer import (
     evaluate,
     num_variables,
 )
+
+Entry = TypeVar("Entry")  # of any carrier the permutation expansions run over
+
+
+def parity(perm: Sequence[int]) -> int:
+    """1 for an odd permutation, by counting its inversions."""
+    inv = 0
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                inv += 1
+    return inv & 1
+
+
+def permutation_terms_one_by_one(
+    rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
+) -> Iterator[Tuple[int, Entry]]:
+    """``matrix.permutation_terms`` with each permutation built on its
+    own from ``one`` and its parity counted anew, where the
+    library walks the permutations depth-first and shares prefixes."""
+    for perm in itertools.permutations(range(len(rows))):
+        prod = one
+        for row, j in zip(rows, perm):
+            prod = prod * row[j]
+            if prod is zero:
+                break
+        else:
+            yield parity(perm), prod
+
+
+def adjugate_one_by_one(
+    rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
+) -> Tuple[Tuple[Entry, ...], ...]:
+    """``matrix.adjugate`` with every permutation's prefixes built on
+    their own: the same cofactor identity and term order, a walk of
+    ``itertools.permutations``."""
+    n = len(rows)
+    out = [[zero] * n for _ in range(n)]
+    for perm in itertools.permutations(range(n)):
+        entries = [row[j] for row, j in zip(rows, perm)]
+        before = [one]
+        for x in entries[:-1]:
+            before.append(before[-1] * x)
+        odd = parity(perm)
+        after = one
+        for k in range(n - 1, -1, -1):
+            cofactor = before[k] * after
+            if cofactor is not zero:
+                out[perm[k]][k] = out[perm[k]][k] + (-cofactor if odd else cofactor)
+            after = entries[k] * after
+    return tuple(tuple(row) for row in out)
+
+
+def det_one_by_one(a: ELTMatrix) -> ELTScalar:
+    """The determinant as even minus odd permutation sums, over
+    ``permutation_terms_one_by_one``: a route to ``matrix.det`` that
+    shares no code with the library's walk."""
+    plus = minus = NEG_INF
+    for odd, prod in permutation_terms_one_by_one(a.rows, NEG_INF, ONE):
+        if odd:
+            minus = minus + prod
+        else:
+            plus = plus + prod
+    return plus + (-minus)
+
+
+def submatrix(a: ELTMatrix, rows: Sequence[int], cols: Sequence[int]) -> ELTMatrix:
+    return ELTMatrix([[a.entry(i, j) for j in cols] for i in rows])
+
+
+def essential_trace_value(a: ELTMatrix) -> ELTScalar:
+    return essential_trace(a).value
 
 
 def charpoly_symbolic(a: ELTMatrix) -> ELTPolynomial:
@@ -62,7 +134,9 @@ def charpoly_symbolic(a: ELTMatrix) -> ELTPolynomial:
             row.append(ELTPolynomial(cells))
         entries.append(row)
     total = ELTPolynomial.zero()
-    for odd, prod in permutation_terms(entries, ELTPolynomial.zero(), ELTPolynomial.constant(ONE)):
+    for odd, prod in permutation_terms_one_by_one(
+        entries, ELTPolynomial.zero(), ELTPolynomial.constant(ONE)
+    ):
         total = total + (-prod if odd else prod)
     return total
 
@@ -81,7 +155,7 @@ def adjoint_by_minors(a: ELTMatrix) -> ELTMatrix:
         for j in range(n):
             keep_r = [r for r in range(n) if r != j]
             keep_c = [c for c in range(n) if c != i]
-            cof = det(a.submatrix(keep_r, keep_c))
+            cof = det_one_by_one(submatrix(a, keep_r, keep_c))
             row.append(cof if (i + j) % 2 == 0 else -cof)
         out.append(row)
     return ELTMatrix(out)
@@ -101,7 +175,7 @@ def charpoly_by_minors(a: ELTMatrix) -> ELTPolynomial:
     for k in range(1, n + 1):
         acc = NEG_INF
         for subset in itertools.combinations(indices, k):
-            acc = acc + det(a.submatrix(subset, subset))
+            acc = acc + det_one_by_one(submatrix(a, subset, subset))
         if k % 2 == 1:
             acc = -acc
         if not acc.is_neg_inf:

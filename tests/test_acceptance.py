@@ -29,7 +29,6 @@ from eltlab.matrix import (
     eigen_candidates,
     eigen_verify,
     essential_trace,
-    essential_trace_value,
     is_nilpotent,
     parse_vector,
     quasi_identity_check,
@@ -47,7 +46,7 @@ from eltlab.transfer import (
     run_suite,
     symbolic_matrix,
 )
-from oracles import charpoly_symbolic
+from oracles import charpoly_symbolic, essential_trace_value
 from rand import (
     random_matrix,
     random_monomial_matrix,

@@ -1,12 +1,13 @@
 """Matrix arithmetic, determinants, characteristic polynomials, and traces."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eltlab import ELTMatrix, ELTScalar, NEG_INF, ONE, Z_RING
+from eltlab import ELTMatrix, ELTScalar, NEG_INF, ONE, Q_RING, Z_RING, invert
 from eltlab.core import BOTTOM, parse_scalar
 from eltlab.errors import (
     DimensionMismatch,
@@ -28,7 +29,6 @@ from eltlab.matrix import (
     eigen_candidates,
     eigen_verify,
     essential_trace,
-    essential_trace_value,
     format_vector,
     is_nilpotent,
     parse_vector,
@@ -38,12 +38,17 @@ from eltlab.matrix import (
     simple_cycles,
     trace,
 )
-from eltlab.poly import format_polynomial, parse_polynomial
+from eltlab.poly import ELTPolynomial, format_polynomial, parse_polynomial
+from eltlab.transfer import PolyExpression, format_expression
 from oracles import (
     adjoint_by_minors,
+    adjugate_one_by_one,
     charpoly_by_minors,
     charpoly_symbolic,
+    det_one_by_one,
+    essential_trace_value,
     nilpotent_one_by_one,
+    permutation_terms_one_by_one,
     power_entry_paths,
 )
 from rand import (
@@ -373,6 +378,92 @@ def test_charpoly_equals_the_principal_minor_sum(a):
 @example(M("1^[1], 1^[-1]\n1^[1], 1^[1]"))
 def test_adjoint_walk_equals_the_minor_determinants(a):
     assert repr(adjoint(a)) == repr(adjoint_by_minors(a))
+
+
+@st.composite
+def walk_grids(draw):
+    """A square grid of order 1..6 with the zero and one of its carrier,
+    and a function that shows an entry exactly: ELT scalars, whose rows
+    are each generic, tie-heavy (tangibles 0 and 1, layers +-1),
+    -inf-heavy or all -inf, so that products become -inf at every depth
+    of the walk; polynomials in L; or symbolic expressions over x1..x4,
+    0 and 1."""
+    n = draw(st.integers(1, 6))
+    carrier = draw(st.sampled_from(["elt", "poly", "expr"]))
+    if carrier == "elt":
+        generic = st.builds(
+            ELTScalar,
+            st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+            st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)),
+        )
+        tie = st.builds(ELTScalar, st.integers(0, 1), st.sampled_from([-1, 1]))
+        holes = st.integers(0, 3).flatmap(lambda q: generic if q == 0 else st.just(NEG_INF))
+        rows = []
+        for _ in range(n):
+            entry = draw(st.sampled_from([generic, tie, holes, st.just(NEG_INF)]))
+            rows.append([draw(entry) for _ in range(n)])
+        return rows, NEG_INF, ONE, repr
+    if carrier == "poly":
+        coeff = st.one_of(
+            st.just(NEG_INF), st.builds(ELTScalar, st.integers(-2, 2), st.sampled_from([-1, 1, 2]))
+        )
+        entry = st.lists(coeff, min_size=1, max_size=3).map(
+            lambda cs: ELTPolynomial({d: c for d, c in enumerate(cs) if not c.is_neg_inf})
+        )
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        return rows, ELTPolynomial.zero(), ELTPolynomial.constant(ONE), repr
+    entry = st.one_of(
+        st.integers(1, 4).map(PolyExpression.var),
+        st.sampled_from([PolyExpression.zero(), PolyExpression.one()]),
+    )
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return rows, PolyExpression.zero(), PolyExpression.one(), format_expression
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_grids())
+@example(([], NEG_INF, ONE, repr))
+@example(([[ONE]], NEG_INF, ONE, repr))
+@example(([[NEG_INF]], NEG_INF, ONE, repr))
+@example(([[ONE, NEG_INF, ONE], [NEG_INF, ONE, NEG_INF], [ONE, ONE, NEG_INF]], NEG_INF, ONE, repr))
+def test_permutation_walk_yields_the_one_by_one_terms_in_order(grid):
+    """The depth-first walk gives every term of the permutations one by
+    one, the same (odd, product) in the same order: the same parities,
+    products built in the same row order, and no term the one-by-one
+    walk drops because a product became zero."""
+    rows, zero, one, show = grid
+    walked = [(odd, show(prod)) for odd, prod in matrix.permutation_terms(rows, zero, one)]
+    one_by_one = [(odd, show(prod)) for odd, prod in permutation_terms_one_by_one(rows, zero, one)]
+    assert walked == one_by_one
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_grids())
+@example(([[ONE]], NEG_INF, ONE, repr))
+@example(([[NEG_INF, ONE], [ONE, NEG_INF]], NEG_INF, ONE, repr))
+def test_adjugate_equals_the_one_by_one_cofactor_walk(grid):
+    rows, zero, one, show = grid
+    walked = [[show(x) for x in row] for row in matrix.adjugate(rows, zero, one)]
+    one_by_one = [[show(x) for x in row] for row in adjugate_one_by_one(rows, zero, one)]
+    assert walked == one_by_one
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_operands(), st.sampled_from([Q_RING, Z_RING]))
+@example(M("-inf, 1^[1]\n1^[1], -inf"), Q_RING)
+@example(M("1^[1], 1^[-1]\n1^[1], 1^[1]"), Q_RING)
+def test_quasi_inverse_takes_its_determinant_from_the_cofactor_walk(a, ring):
+    """quasi_inverse reads det(A) off the walk that builds the adjoint;
+    it is the one-by-one determinant, and the inverse is its inverse
+    times the one-by-one adjoint."""
+    d = det_one_by_one(a)
+    assert repr(det(a)) == repr(d)
+    if d.is_neg_inf or not ring.is_unit(d.layer):
+        with pytest.raises(SingularDeterminant, match=re.escape(f"determinant {d} ")):
+            quasi_inverse(a, ring)
+        return
+    inverse = ELTMatrix(adjugate_one_by_one(a.rows, NEG_INF, ONE)).scale(invert(d, ring))
+    assert repr(quasi_inverse(a, ring).inverse) == repr(inverse)
 
 
 def test_matrix_satisfies_its_characteristic_polynomial():

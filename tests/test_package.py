@@ -73,3 +73,27 @@ def test_every_module_is_imported_by_another():
 def test_no_module_takes_another_modules_private_names():
     borrowed = {p.stem: borrowed_private_names(p) for p in PACKAGE.glob("*.py")}
     assert {name: names for name, names in borrowed.items() if names} == {}
+
+
+def one_by_one_walk_names(path):
+    """Uses of ``itertools.permutations`` and definitions or uses of a
+    ``_parity`` in one module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            found += [f"itertools.{a.name}" for a in node.names if a.name == "permutations"]
+        elif isinstance(node, ast.Attribute) and node.attr == "permutations":
+            found.append(f"{getattr(node.value, 'id', '?')}.permutations")
+        elif isinstance(node, (ast.FunctionDef, ast.Name, ast.alias)):
+            name = getattr(node, "name", None) or getattr(node, "id", None)
+            if name == "_parity":
+                found.append(name)
+    return found
+
+
+def test_the_permutations_are_walked_one_by_one_only_in_the_tests():
+    """The library walks the permutations depth-first, carrying the
+    parity; the walk that takes each permutation on its own and counts
+    its inversions is the tests' oracle (``tests/oracles.py``)."""
+    found = {p.stem: one_by_one_walk_names(p) for p in PACKAGE.glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {}
