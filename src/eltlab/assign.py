@@ -218,14 +218,6 @@ def hungarian_scaling(t: TropicalMatrix) -> HungarianResult:
     )
 
 
-def scale_rows(t: TropicalMatrix, alphas: Sequence[Fraction]) -> TropicalMatrix:
-    """Add alpha_i to every finite entry of row i."""
-    return tuple(
-        tuple(x if isinstance(x, Bottom) else x + a for x in row)
-        for row, a in zip(t, alphas)
-    )
-
-
 def critical_scaling_elt(a: ELTMatrix) -> ELTMatrix:
     """Invertible diagonal D with unit layers such that t(DA) is
     critical; the diagonal lifts the Hungarian row offsets."""

@@ -6,15 +6,15 @@ plain max-plus are recovered here up to layers, and the functions in
 this module report those layers exactly.
 
 Highlights: a permanent-style determinant split into even and odd
-permutation sums, the adjoint by one cofactor walk of the same sums
-(both for any carrier, so ``transfer`` builds its identities on them,
-and both on one depth-first walk of the permutations that shares prefix
-products and carries the parity; the determinant's walk also drops
-every permutation through a prefix that is zero), the quasi-inverse
-(inverse up to quasi-identities, its determinant and adjoint from one
-cofactor walk), the characteristic polynomial by one signed expansion
-over column subsets, a Cayley-Hamilton check up to layer-zero slack,
-eigenpair verification, the essential trace with its
+permutation sums, on one depth-first walk of the permutations that
+shares prefix products, carries the parity and drops every permutation
+through a prefix that is zero; the adjoint from one signed expansion of
+each row-deleted minor over column subsets (both for any carrier, so
+``transfer`` builds its identities on them); the quasi-inverse (inverse
+up to quasi-identities, refused on a singular determinant before any
+cofactor is formed); the characteristic polynomial by one signed
+expansion over column subsets, a Cayley-Hamilton check up to layer-zero
+slack, eigenpair verification, the essential trace with its
 spectral-dominance report, nilpotency of index at most n^2, and
 simple-cycle enumeration.
 """
@@ -337,75 +337,28 @@ def _require_square(a: ELTMatrix) -> int:
 # determinant and adjoint
 
 
-# the largest orders the n! permutation sums accept, where one order
-# more costs about n times as much: from the command line on a dense
-# matrix (2-vCPU host), det of a 9x9 takes 2.0 s, adjoint of an 8x8 1.4
-# s (a 9x9 would take about 14 s) and quasi_inverse of an 8x8 (one
-# cofactor walk for its determinant and adjoint, and two checked
-# products) 1.9 s
+# the largest orders the expansions accept.  det sums the n!
+# permutations, where one order more costs about n times as much;
+# adjoint expands the n row-deleted minors over column subsets, about
+# n^2*2^(n-1) products, where one order more costs about 2.3 times as
+# much.  From the command line on a dense matrix (2-vCPU host): det of
+# a 9x9 takes 2.0 s, adjoint of a 13x13 1.8 s (an 8x8 0.07 s) and
+# quasi_inverse of an 8x8 (three n! determinants: its own and those of
+# the two checked products) 0.7 s
 DET_MAX_ORDER = 9
-ADJOINT_MAX_ORDER = 8
+ADJOINT_MAX_ORDER = 13
 QUASI_INVERSE_MAX_ORDER = 8
 
 
-def _require_order(a: ELTMatrix, limit: int, what: str) -> int:
+def _require_order(a: ELTMatrix, limit: int, what: str, method: str = "permutation sum") -> int:
     """The order of square a, or WorkBudgetExceeded above limit."""
     n = _require_square(a)
     if n > limit:
         raise WorkBudgetExceeded(
-            f"{what} of a {n}x{n} matrix: the permutation sum is limited "
+            f"{what} of a {n}x{n} matrix: the {method} is limited "
             f"to {limit}x{limit}"
         )
     return n
-
-
-def _walk(
-    rows: Sequence[Sequence[Entry]], zero: Optional[Entry], one: Entry
-) -> Iterator[Tuple[int, List[int], List[Entry]]]:
-    """Depth-first over the permutations of the square grid rows, in
-    lexicographic order, on an explicit stack.
-
-    Yields ``(odd, cols, prods)`` once per permutation: row r sits in
-    column ``cols[r]`` and ``prods[r]`` is the product of rows
-    ``0..r-1``, built in row order from ``prods[0] = one``, so
-    ``prods[n]`` is the whole product.  Both lists are the walk's own
-    and change with the next step.  A prefix product is built once and
-    shared by all its completions, about e*n! products in all.  Placing
-    row r in column j adds one inversion per used column above j, so
-    the parity is carried down the walk.  A prefix that *is* zero ends
-    its whole subtree; with zero None every permutation is yielded.
-    """
-    n = len(rows)
-    cols = [0] * n
-    prods = [one] * (n + 1)
-    if not n:  # the one permutation of no rows
-        yield 0, cols, prods
-        return
-    every = (1 << n) - 1
-    # (row, column, used columns with it, parity with it) still to place
-    todo = [(0, j, 1 << j, 0) for j in reversed(range(n))]
-    while todo:
-        r, j, used, odd = todo.pop()
-        prod = prods[r] * rows[r][j]
-        if prod is zero:
-            continue
-        cols[r] = j
-        r += 1
-        prods[r] = prod
-        if r == n - 1:  # the last row takes the one column left
-            k = (every ^ used).bit_length() - 1
-            prod = prod * rows[r][k]
-            if prod is not zero:
-                cols[r] = k
-                prods[n] = prod
-                yield odd ^ (used >> k).bit_count() & 1, cols, prods
-            continue
-        if r == n:  # a 1x1 grid
-            yield odd, cols, prods
-            continue
-        for k in reversed(range(n)):
-            if not used >> k & 1:
-                todo.append((r, k, used | 1 << k, odd ^ (used >> k).bit_count() & 1))
 
 
 def permutation_terms(
@@ -414,47 +367,101 @@ def permutation_terms(
     """(odd, product) for each permutation of the square grid rows, in
     ``itertools.permutations`` order, the product of ``rows[i][perm[i]]``
     built in row order, over any carrier with this zero and one: ELT
-    scalars, expressions, polynomials.  A prefix product that *is* zero
-    drops every permutation through it."""
-    for odd, _, prods in _walk(rows, zero, one):
-        yield odd, prods[-1]
+    scalars, expressions, polynomials.
+
+    The rows are walked depth-first on an explicit stack.  A prefix
+    product is built once, from ``one``, and shared by all its
+    completions, about e*n! products in all.  Placing row r in column j
+    adds one inversion per used column above j, so the parity is
+    carried down the walk.  A prefix product that *is* zero drops every
+    permutation through it.
+    """
+    n = len(rows)
+    if not n:  # the one permutation of no rows
+        yield 0, one
+        return
+    every = (1 << n) - 1
+    prods = [one] * n  # prods[r]: the product of rows 0..r-1 on the walk
+    # (row, column, used columns with it, parity with it) still to place
+    todo = [(0, j, 1 << j, 0) for j in reversed(range(n))]
+    while todo:
+        r, j, used, odd = todo.pop()
+        prod = prods[r] * rows[r][j]
+        if prod is zero:
+            continue
+        r += 1
+        if r == n:  # a 1x1 grid
+            yield odd, prod
+            continue
+        if r == n - 1:  # the last row takes the one column left
+            k = (every ^ used).bit_length() - 1
+            prod = prod * rows[r][k]
+            if prod is not zero:
+                yield odd ^ (used >> k).bit_count() & 1, prod
+            continue
+        prods[r] = prod
+        for k in reversed(range(n)):
+            if not used >> k & 1:
+                todo.append((r, k, used | 1 << k, odd ^ (used >> k).bit_count() & 1))
+
+
+def _subset_terms(
+    rows: Iterable[Sequence[Entry]], zero: Entry, one: Entry
+) -> Dict[int, Entry]:
+    """The signed expansion of the grid rows over column subsets, over
+    the carrier of ``permutation_terms``: column set C (a bit mask) ->
+    the sum, over the ways of placing the rows in distinct columns of C,
+    of the product of their entries, signed by the inversions.
+
+    The rows are placed in order, each in a column no earlier row took;
+    placing a row in column j multiplies by its entry there and flips
+    the sign once per used column above j.  A product that *is* zero is
+    dropped, and a set no product reaches is left out.  For a square
+    grid the one full set holds the determinant; for n-1 rows of width
+    n the set without column j holds the minor that deletes column j.
+    About 2^n*n products per row.
+    """
+    dp = {0: one}
+    for row in rows:
+        placed: Dict[int, Entry] = {}
+        for used, prefix in dp.items():
+            for j, x in enumerate(row):
+                if used >> j & 1:
+                    continue
+                prod = prefix * x
+                if prod is zero:
+                    continue
+                if (used >> j).bit_count() & 1:
+                    prod = -prod
+                cols = used | 1 << j
+                have = placed.get(cols)
+                placed[cols] = prod if have is None else have + prod
+        dp = placed
+    return dp
 
 
 def adjugate(
     rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
 ) -> Tuple[Tuple[Entry, ...], ...]:
     """The transposed cofactor matrix of the square grid rows, over the
-    carrier of ``permutation_terms``, in one walk of the permutations.
+    carrier of ``permutation_terms``.
 
-    Cofactor (k, c) is the sum over sigma with sigma(k) = c of sgn(sigma)
-    times the product over rows l != k of a_{l, sigma(l)}.  So for each
-    row k a permutation adds that product, signed by its parity, to
-    entry (sigma(k), k), built as ``before[k] * (entries[k+1] * ...)``:
-    in row order, as a minor's expansion builds it, with ``before[k]``
-    the walk's shared prefix.  No minor is formed, and a 1x1 grid gets
-    [[one]].
+    For each row k the rows without it are expanded over column subsets
+    (``_subset_terms``); entry (j, k) is ``(-1)^(j+k)`` times the value
+    at the set of all columns but j, the minor that deletes row k and
+    column j.  That is n expansions of about 2^(n-1)*n products each,
+    where a cofactor walk of the permutations takes about (2n+e)*n!.
+    A 1x1 grid gets [[one]].
     """
-    return _cofactors(rows, zero, one, None)
-
-
-def _cofactors(
-    rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry, pair: Optional[List[Entry]]
-) -> Tuple[Tuple[Entry, ...], ...]:
-    """``adjugate``; when pair is given, ``pair[odd]`` also gains each
-    permutation's whole product, so it ends as ``det_pair``'s sums."""
     n = len(rows)
+    every = (1 << n) - 1
     out = [[zero] * n for _ in range(n)]
-    for odd, cols, prods in _walk(rows, None, one):
-        if pair is not None and prods[n] is not zero:
-            pair[odd] = pair[odd] + prods[n]
-        after = one
-        for k in range(n - 1, -1, -1):
-            c = cols[k]
-            cofactor = prods[k] * after
-            if cofactor is not zero:
-                out[c][k] = out[c][k] + (-cofactor if odd else cofactor)
-            if k:
-                after = rows[k][c] * after
+    for k in range(n):
+        minors = _subset_terms((row for i, row in enumerate(rows) if i != k), zero, one)
+        for j in range(n):
+            minor = minors.get(every ^ 1 << j)
+            if minor is not None:
+                out[j][k] = -minor if (j + k) & 1 else minor
     return tuple(tuple(row) for row in out)
 
 
@@ -480,7 +487,7 @@ def det(a: ELTMatrix) -> ELTScalar:
 def adjoint(a: ELTMatrix) -> ELTMatrix:
     """Signed transposed cofactor matrix; for 1x1 it is [[0^[1]]].
     Orders above ADJOINT_MAX_ORDER raise WorkBudgetExceeded."""
-    _require_order(a, ADJOINT_MAX_ORDER, "adjoint")
+    _require_order(a, ADJOINT_MAX_ORDER, "adjoint", "2^n expansion")
     return ELTMatrix(adjugate(a.rows, NEG_INF, ONE))
 
 
@@ -535,23 +542,20 @@ class QuasiInverseResult:
 
 
 def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
-    """Inverse up to quasi-identities: det(A)^(-1) times the adjoint,
-    both from one cofactor walk of the permutations.
+    """Inverse up to quasi-identities: det(A)^(-1) times the adjoint.
 
     Raises SingularDeterminant unless the determinant is finite with a
-    unit layer.  The left and right reports certify that both products
-    with A are quasi-identities.  Orders above QUASI_INVERSE_MAX_ORDER
-    raise WorkBudgetExceeded.
+    unit layer, before any cofactor is formed.  The left and right
+    reports certify that both products with A are quasi-identities.
+    Orders above QUASI_INVERSE_MAX_ORDER raise WorkBudgetExceeded.
     """
     _require_order(a, QUASI_INVERSE_MAX_ORDER, "quasi_inverse")
-    pair = [NEG_INF, NEG_INF]
-    adj = ELTMatrix(_cofactors(a.rows, NEG_INF, ONE, pair))
-    d = pair[0] + (-pair[1])
+    d = det(a)
     if d.is_neg_inf or not ring.is_unit(d.layer):
         raise SingularDeterminant(
             f"determinant {d} has no unit layer in {ring.name}"
         )
-    qi = adj.scale(invert(d, ring))
+    qi = adjoint(a).scale(invert(d, ring))
     return QuasiInverseResult(
         qi,
         quasi_identity_check(qi * a),
@@ -595,12 +599,7 @@ def charpoly(a: ELTMatrix) -> ELTPolynomial:
     power of the layer denominator.  Orders above CHARPOLY_MAX_ORDER raise
     WorkBudgetExceeded.
     """
-    n = _require_square(a)
-    if n > CHARPOLY_MAX_ORDER:
-        raise WorkBudgetExceeded(
-            f"charpoly of a {n}x{n} matrix: the 2^n expansion is limited "
-            f"to {CHARPOLY_MAX_ORDER}x{CHARPOLY_MAX_ORDER}"
-        )
+    n = _require_order(a, CHARPOLY_MAX_ORDER, "charpoly", "2^n expansion")
     d, tangibles, d_layer, layers = a._int_form()
     # column set -> (tangible per L power, None for -inf; layer per L power)
     dp: Dict[int, Tuple[List[Optional[int]], List[int]]] = {0: ([0], [1])}

@@ -433,11 +433,6 @@ def _program(e: Union[PolyExpression, _Program]) -> _Program:
 # exact expansion
 
 
-def num_variables(e: PolyExpression) -> int:
-    """The highest variable index in e, 0 when it has none."""
-    return _walk((e,))[1]
-
-
 Exponents = tuple[int, ...]
 
 
@@ -449,11 +444,6 @@ class MonomialTable:
     nvars: int
     entries: Dict[Exponents, Tuple[int, int]]
 
-    def appears(self, exponents: Sequence[int]) -> bool:
-        key = _pad(tuple(exponents), self.nvars)
-        plus, minus = self.entries.get(key, (0, 0))
-        return plus > 0 or minus > 0
-
     @property
     def has_disjoint_support(self) -> bool:
         return all(plus == 0 or minus == 0 for plus, minus in self.entries.values())
@@ -464,16 +454,6 @@ class MonomialTable:
             if plus != minus:
                 out[key] = plus - minus
         return out
-
-
-def _pad(key: Exponents, nvars: int) -> Exponents:
-    if len(key) == nvars:
-        return key
-    if len(key) > nvars:
-        if any(key[nvars:]):
-            return key
-        return key[:nvars]
-    return key + (0,) * (nvars - len(key))
 
 
 def _run_monomials(ops: Ops, v: List[Optional[Dict[int, int]]], keep: Set[int]) -> None:
@@ -852,7 +832,7 @@ def det_expression(m: ExprMatrix) -> PolyExpression:
 
 
 def adjoint_expression(m: ExprMatrix) -> ExprMatrix:
-    """The adjugate of m, by the cofactor walk of ``matrix.adjugate``."""
+    """The adjugate of m, by the column-subset expansion of ``matrix.adjugate``."""
     return adjugate(m, PolyExpression.zero(), PolyExpression.one())
 
 
@@ -964,10 +944,6 @@ FAMILIES: Dict[str, Callable[[int], CannedIdentity]] = {
 }
 
 SUITE_FAMILIES = (*FAMILIES, "mutation-control")
-
-
-def canned_identities(sizes: Sequence[int] = (2, 3)) -> Tuple[CannedIdentity, ...]:
-    return tuple(build(n) for n in sizes for build in FAMILIES.values())
 
 
 def corrupted_det_mult(n: int = 2) -> CannedIdentity:

@@ -6,7 +6,10 @@ subtree scalar by scalar, a polynomial evaluated with and without one
 monomial, every power of a matrix, every side of an identity on a
 program of its own, every monomial product as a tuple of exponents),
 or every term of a max-plus step, so they are slow, exponential or
-recursive, and live with the tests, not in ``eltlab``.
+recursive, and live with the tests, not in ``eltlab``.  So do the few
+helpers that only the tests call: a submatrix, a row scaling, the
+canned identity catalogue, an expression's variable count and a
+monomial lookup.
 """
 
 import itertools
@@ -17,7 +20,8 @@ from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
-from eltlab.core import BOTTOM, integer_grid
+from eltlab.assign import TropicalMatrix
+from eltlab.core import BOTTOM, Bottom, integer_grid
 from eltlab.errors import DegeneratePolynomial, UnboundVariable
 from eltlab.matrix import essential_trace
 from eltlab.transfer import (
@@ -25,6 +29,8 @@ from eltlab.transfer import (
     ELT_MODEL,
     MAXPLUS_MODEL,
     Add,
+    FAMILIES,
+    CannedIdentity,
     CheckReport,
     Component,
     Const,
@@ -36,8 +42,8 @@ from eltlab.transfer import (
     _Program,
     _compile,
     _dominates,
+    _walk,
     evaluate,
-    num_variables,
 )
 
 Entry = TypeVar("Entry")  # of any carrier the permutation expansions run over
@@ -69,12 +75,37 @@ def permutation_terms_one_by_one(
             yield parity(perm), prod
 
 
+def subset_terms_one_by_one(
+    rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
+) -> Dict[int, Entry]:
+    """``matrix._subset_terms`` by one determinant per column set: for
+    every set C of as many columns as there are rows, the signed terms
+    of ``permutation_terms_one_by_one`` on the rows cut down to C,
+    where the library places the rows over all sets at once.  A set
+    whose terms are all dropped is left out."""
+    width = len(rows[0]) if rows else 0
+    out = {}
+    for cols in itertools.combinations(range(width), len(rows)):
+        total = None
+        for odd, prod in permutation_terms_one_by_one(
+            [[row[j] for j in cols] for row in rows], zero, one
+        ):
+            term = -prod if odd else prod
+            total = term if total is None else total + term
+        if total is not None:
+            out[sum(1 << j for j in cols)] = total
+    return out
+
+
 def adjugate_one_by_one(
     rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
 ) -> Tuple[Tuple[Entry, ...], ...]:
-    """``matrix.adjugate`` with every permutation's prefixes built on
-    their own: the same cofactor identity and term order, a walk of
-    ``itertools.permutations``."""
+    """The transposed cofactor matrix by a walk of
+    ``itertools.permutations``: each permutation adds, for every row k,
+    its product over the other rows, signed by its parity, to entry
+    (perm[k], k).  An independent route to ``matrix.adjugate``, which
+    expands each row-deleted minor over column subsets; its sums run
+    in another order."""
     n = len(rows)
     out = [[zero] * n for _ in range(n)]
     for perm in itertools.permutations(range(n)):
@@ -142,9 +173,10 @@ def charpoly_symbolic(a: ELTMatrix) -> ELTPolynomial:
 
 
 def adjoint_by_minors(a: ELTMatrix) -> ELTMatrix:
-    """Signed transposed cofactor matrix, one determinant per minor: a
-    second route to ``matrix.adjoint``'s single cofactor walk.  For 1x1
-    it is [[0^[1]]]."""
+    """Signed transposed cofactor matrix, one determinant of every
+    minor by ``det_one_by_one``: an independent route to
+    ``matrix.adjoint``, which expands each row-deleted minor over
+    column subsets.  For 1x1 it is [[0^[1]]]."""
     assert a.is_square
     n = a.nrows
     if n == 1:
@@ -382,6 +414,35 @@ STAGES = {
     "surpass": (("maxplus", MAXPLUS_MODEL, _dominates), ("elt", ELT_MODEL, scalar_surpasses)),
     "equal": _STAGES["equal"],
 }
+
+
+def num_variables(e: PolyExpression) -> int:
+    """The highest variable index in e, 0 when it has none."""
+    return _walk((e,))[1]
+
+
+def appears(table: MonomialTable, exponents: Sequence[int]) -> bool:
+    """Whether the monomial has a count in the table, its exponents
+    padded with zeros, or cut off trailing zeros, to the table's
+    variable count."""
+    key = tuple(exponents)
+    if not any(key[table.nvars:]):
+        key = key[: table.nvars] + (0,) * (table.nvars - len(key))
+    plus, minus = table.entries.get(key, (0, 0))
+    return plus > 0 or minus > 0
+
+
+def canned_identities(sizes: Sequence[int] = (2, 3)) -> Tuple[CannedIdentity, ...]:
+    """Every family's identity at each size, sizes outer."""
+    return tuple(build(n) for n in sizes for build in FAMILIES.values())
+
+
+def scale_rows(t: TropicalMatrix, alphas: Sequence[Fraction]) -> TropicalMatrix:
+    """Add alpha_i to every finite entry of row i."""
+    return tuple(
+        tuple(x if isinstance(x, Bottom) else x + a for x in row)
+        for row, a in zip(t, alphas)
+    )
 
 
 def ring_equal(p: PolyExpression, q: PolyExpression) -> bool:

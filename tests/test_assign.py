@@ -16,14 +16,13 @@ from eltlab.assign import (
     is_critical,
     karp_max_mean_cycle,
     parse_tropical_matrix,
-    scale_rows,
     tangible_matrix,
     tropical_matrix,
 )
 from eltlab.core import BOTTOM
 from eltlab.errors import InfeasibleAssignment
 from eltlab.matrix import simple_cycles
-from oracles import karp_full_scan
+from oracles import karp_full_scan, scale_rows
 from rand import random_matrix
 
 T = parse_tropical_matrix

@@ -513,7 +513,6 @@ def identity_matrix_text(n):
 # (command, library function, largest order) of the n! permutation sums
 PERMUTATION_SUMS = [
     ("det", "det", DET_MAX_ORDER),
-    ("adj", "adjoint", ADJOINT_MAX_ORDER),
     ("qinv", "quasi_inverse", QUASI_INVERSE_MAX_ORDER),
 ]
 
@@ -547,3 +546,29 @@ def test_permutation_sums_of_a_dense_11x11_matrix_stop_at_the_work_budget(tmp_pa
         f"eltlab: WorkBudgetExceeded: {function} of a 11x11 matrix: "
         f"the permutation sum is limited to {limit}x{limit}\n"
     )
+
+
+def test_adjoint_stops_at_the_work_budget(capsys, tmp_path):
+    limit = ADJOINT_MAX_ORDER
+    path = tmp_path / "identity.mat"
+    path.write_text(identity_matrix_text(limit))
+    code, out, err = run(capsys, "adj", str(path))
+    assert (code, err) == (0, "")
+    assert out.count("\n") == limit
+    path.write_text(identity_matrix_text(limit + 1))
+    code, out, err = run(capsys, "adj", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"eltlab: WorkBudgetExceeded: adjoint of a {limit + 1}x{limit + 1} matrix: "
+        f"the 2^n expansion is limited to {limit}x{limit}\n"
+    )
+
+
+def test_adjoint_of_a_dense_11x11_matrix_answers(tmp_path):
+    # 11 expansions of about 2^10 * 11 products each, where a walk of
+    # the permutations would take 11 * 11! = 439,084,800
+    path = tmp_path / "dense.mat"
+    path.write_text(dense_matrix_text(11))
+    proc = run_process("adj", str(path), timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [line.count(",") for line in proc.stdout.splitlines()] == [10] * 11

@@ -39,7 +39,7 @@ from eltlab.matrix import (
     trace,
 )
 from eltlab.poly import ELTPolynomial, format_polynomial, parse_polynomial
-from eltlab.transfer import PolyExpression, format_expression
+from eltlab.transfer import PolyExpression, expand, format_expression
 from oracles import (
     adjoint_by_minors,
     adjugate_one_by_one,
@@ -50,6 +50,7 @@ from oracles import (
     nilpotent_one_by_one,
     permutation_terms_one_by_one,
     power_entry_paths,
+    subset_terms_one_by_one,
 )
 from rand import (
     random_matrix,
@@ -381,14 +382,15 @@ def test_adjoint_walk_equals_the_minor_determinants(a):
 
 
 @st.composite
-def walk_grids(draw):
-    """A square grid of order 1..6 with the zero and one of its carrier,
-    and a function that shows an entry exactly: ELT scalars, whose rows
-    are each generic, tie-heavy (tangibles 0 and 1, layers +-1),
-    -inf-heavy or all -inf, so that products become -inf at every depth
-    of the walk; polynomials in L; or symbolic expressions over x1..x4,
-    0 and 1."""
+def walk_grids(draw, short=st.just(0)):
+    """A grid of width n = 1..6 and n less ``short`` rows (a square one
+    by default) with the zero and one of its carrier, and a function
+    that shows an entry exactly: ELT scalars, whose rows are each
+    generic, tie-heavy (tangibles 0 and 1, layers +-1), -inf-heavy or
+    all -inf, so that products become -inf at every depth of the walk;
+    polynomials in L; or symbolic expressions over x1..x4, 0 and 1."""
     n = draw(st.integers(1, 6))
+    height = n - draw(short)
     carrier = draw(st.sampled_from(["elt", "poly", "expr"]))
     if carrier == "elt":
         generic = st.builds(
@@ -399,7 +401,7 @@ def walk_grids(draw):
         tie = st.builds(ELTScalar, st.integers(0, 1), st.sampled_from([-1, 1]))
         holes = st.integers(0, 3).flatmap(lambda q: generic if q == 0 else st.just(NEG_INF))
         rows = []
-        for _ in range(n):
+        for _ in range(height):
             entry = draw(st.sampled_from([generic, tie, holes, st.just(NEG_INF)]))
             rows.append([draw(entry) for _ in range(n)])
         return rows, NEG_INF, ONE, repr
@@ -410,13 +412,13 @@ def walk_grids(draw):
         entry = st.lists(coeff, min_size=1, max_size=3).map(
             lambda cs: ELTPolynomial({d: c for d, c in enumerate(cs) if not c.is_neg_inf})
         )
-        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        rows = [[draw(entry) for _ in range(n)] for _ in range(height)]
         return rows, ELTPolynomial.zero(), ELTPolynomial.constant(ONE), repr
     entry = st.one_of(
         st.integers(1, 4).map(PolyExpression.var),
         st.sampled_from([PolyExpression.zero(), PolyExpression.one()]),
     )
-    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    rows = [[draw(entry) for _ in range(n)] for _ in range(height)]
     return rows, PolyExpression.zero(), PolyExpression.one(), format_expression
 
 
@@ -442,10 +444,35 @@ def test_permutation_walk_yields_the_one_by_one_terms_in_order(grid):
 @example(([[ONE]], NEG_INF, ONE, repr))
 @example(([[NEG_INF, ONE], [ONE, NEG_INF]], NEG_INF, ONE, repr))
 def test_adjugate_equals_the_one_by_one_cofactor_walk(grid):
+    """ELT scalars and polynomials are shown exactly.  An expression's
+    tree follows the order its sums were formed in, which the subset
+    expansion and the permutation walk do not share, so expressions are
+    compared by their expansions: the same monomials with the same
+    signs and counts."""
     rows, zero, one, show = grid
+    if show is format_expression:
+        show = expand
     walked = [[show(x) for x in row] for row in matrix.adjugate(rows, zero, one)]
     one_by_one = [[show(x) for x in row] for row in adjugate_one_by_one(rows, zero, one)]
     assert walked == one_by_one
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_grids(short=st.integers(0, 1)))
+@example(([], NEG_INF, ONE, repr))
+@example(([[NEG_INF, ONE, NEG_INF]] * 2, NEG_INF, ONE, repr))
+@example(([[ONE, ONE, NEG_INF], [ONE, NEG_INF, NEG_INF]], NEG_INF, ONE, repr))
+def test_subset_expansion_equals_one_determinant_per_column_set(grid):
+    """On a square grid and on one row short of square, every column
+    set the expansion reaches holds the signed permutation sum of the
+    rows cut down to it, and every other set's terms are all dropped.
+    Expressions are compared by their expansions, as above."""
+    rows, zero, one, show = grid
+    if show is format_expression:
+        show = expand
+    expanded = {cols: show(x) for cols, x in matrix._subset_terms(rows, zero, one).items()}
+    one_by_one = {cols: show(x) for cols, x in subset_terms_one_by_one(rows, zero, one).items()}
+    assert expanded == one_by_one
 
 
 @settings(max_examples=150, deadline=None)
@@ -453,9 +480,10 @@ def test_adjugate_equals_the_one_by_one_cofactor_walk(grid):
 @example(M("-inf, 1^[1]\n1^[1], -inf"), Q_RING)
 @example(M("1^[1], 1^[-1]\n1^[1], 1^[1]"), Q_RING)
 def test_quasi_inverse_takes_its_determinant_from_the_cofactor_walk(a, ring):
-    """quasi_inverse reads det(A) off the walk that builds the adjoint;
-    it is the one-by-one determinant, and the inverse is its inverse
-    times the one-by-one adjoint."""
+    """quasi_inverse takes det(A) from the permutation walk and refuses
+    a singular one; otherwise its inverse is the inverse of the
+    one-by-one determinant times the one-by-one cofactor walk's
+    adjoint."""
     d = det_one_by_one(a)
     assert repr(det(a)) == repr(d)
     if d.is_neg_inf or not ring.is_unit(d.layer):
@@ -464,6 +492,20 @@ def test_quasi_inverse_takes_its_determinant_from_the_cofactor_walk(a, ring):
         return
     inverse = ELTMatrix(adjugate_one_by_one(a.rows, NEG_INF, ONE)).scale(invert(d, ring))
     assert repr(quasi_inverse(a, ring).inverse) == repr(inverse)
+
+
+@pytest.mark.parametrize("text, ring, d", [
+    ("1^[1], 1^[1]\n1^[1], 1^[1]", Q_RING, "2^[0]"),
+    ("1^[1], -inf\n-inf, 1^[2]", Z_RING, "2^[2]"),
+    ("1^[1], 2^[1]\n-inf, -inf", Q_RING, "-inf"),
+])
+def test_quasi_inverse_refuses_a_singular_matrix_before_any_cofactor(monkeypatch, text, ring, d):
+    def no_cofactors(*args):
+        raise AssertionError("a cofactor was formed")
+
+    monkeypatch.setattr(matrix, "adjugate", no_cofactors)
+    with pytest.raises(SingularDeterminant, match=re.escape(f"determinant {d} has no unit layer")):
+        quasi_inverse(M(text), ring)
 
 
 def test_matrix_satisfies_its_characteristic_polynomial():
