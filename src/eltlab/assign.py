@@ -143,6 +143,10 @@ def hungarian_scaling(t: TropicalMatrix) -> HungarianResult:
     alpha_i to row i turns every sigma entry into a column maximum.
     The search runs on the entries scaled to ints over their common
     denominator d; the duals and the value are divided by d at the end.
+    Each tree keeps its free columns in a list, in index order, and one
+    pass over it finds the least slack and the first column holding
+    it, which the tree takes next; that breaks every tie toward the
+    lowest column index.
     """
     n = _require_square_grid(t)
     d, w = integer_grid(t)
@@ -157,8 +161,9 @@ def hungarian_scaling(t: TropicalMatrix) -> HungarianResult:
     match_row: List[Optional[int]] = [None] * n
 
     for r in range(n):
-        tree_rows = {r}
-        tree_cols: set[int] = set()
+        tree_rows = [r]
+        tree_cols: List[int] = []
+        free = list(range(n))  # the columns outside the tree, in index order
         slack: List[Optional[int]] = [None] * n
         way: List[int] = [0] * n
         for j in range(n):
@@ -166,11 +171,13 @@ def hungarian_scaling(t: TropicalMatrix) -> HungarianResult:
                 slack[j] = u[r] + v[j] - w[r][j]
                 way[j] = r
         while True:
+            # the least slack of a free column, and the first column holding it
             delta: Optional[int] = None
-            for j in range(n):
-                if j not in tree_cols and slack[j] is not None:
-                    if delta is None or slack[j] < delta:
-                        delta = slack[j]
+            pos = 0
+            for k, j in enumerate(free):
+                s = slack[j]
+                if s is not None and (delta is None or s < delta):
+                    delta, pos = s, k
             if delta is None:
                 raise InfeasibleAssignment(
                     "no finite-weight permutation exists"
@@ -180,13 +187,10 @@ def hungarian_scaling(t: TropicalMatrix) -> HungarianResult:
                     u[i] -= delta
                 for j in tree_cols:
                     v[j] += delta
-                for j in range(n):
-                    if j not in tree_cols and slack[j] is not None:
+                for j in free:
+                    if slack[j] is not None:
                         slack[j] -= delta
-            j_next = next(
-                j for j in range(n)
-                if j not in tree_cols and slack[j] == 0
-            )
+            j_next = free[pos]
             if match_col[j_next] is None:
                 j = j_next
                 while True:
@@ -196,14 +200,17 @@ def hungarian_scaling(t: TropicalMatrix) -> HungarianResult:
                     if j is None:
                         break
                 break
-            tree_cols.add(j_next)
+            del free[pos]
+            tree_cols.append(j_next)
             i_next = match_col[j_next]
-            tree_rows.add(i_next)
+            tree_rows.append(i_next)
             row = w[i_next]
-            for j in range(n):
-                if j in tree_cols or row[j] is None:
+            base = u[i_next]
+            for j in free:
+                x = row[j]
+                if x is None:
                     continue
-                cand = u[i_next] + v[j] - row[j]
+                cand = base + v[j] - x
                 if slack[j] is None or cand < slack[j]:
                     slack[j] = cand
                     way[j] = i_next

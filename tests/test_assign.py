@@ -95,6 +95,40 @@ def test_assignment_matches_brute_force():
             assert res.row_duals[i] + res.col_duals[res.sigma[i]] == t[i][res.sigma[i]]
 
 
+# tie-heavy grids, each with several optimal assignments, and the
+# sigma, row duals, column duals and value the search gives them.  It
+# grows each tree by the lowest-index column of least slack, which
+# decides among the tied assignments
+HUNGARIAN_TIES = [
+    ("2, 2, 2, 2\n2, 2, 2, 2\n2, 2, 2, 2\n2, 2, 2, 2",
+     (0, 1, 2, 3), "2 2 2 2", "0 0 0 0", "8"),
+    ("-1/3, 3/2, -1/3, -1/3\n-1/3, -1/3, -1/3, -inf\n-1/3, -1/3, -1/3, -inf\n"
+     "3/2, -1/3, -1/3, -1/3",
+     (1, 0, 2, 3), "-1/3 -13/6 -13/6 -1/3", "11/6 11/6 11/6 0", "1/2"),
+    ("3/2, 3/2, 2, 3/2, 0\n0, 2, 3/2, 0, 2\n2, 3/2, 2, 3/2, 3/2\n2, 3/2, -inf, -inf, 3/2\n"
+     "3/2, 0, 3/2, 0, 0",
+     (2, 1, 3, 4, 0), "3/2 2 3/2 3/2 1", "1/2 0 1/2 0 0", "17/2"),
+    ("-1/3, -1/3, -1/3, -inf, -inf\n-1/3, -1/3, -1/3, -inf, -inf\n"
+     "-inf, -1/3, -1/3, 1/2, -1/3\n-1/3, -1/3, 1/2, -1/3, 1/2\n-inf, -1/3, -inf, 1/2, -1/3",
+     (0, 1, 3, 2, 4), "-1/3 -1/3 -1/3 1/2 -1/3", "0 0 0 5/6 0", "0"),
+    ("-1/3, 1/2, 1/2, 1/2, -inf\n-1/3, 1/2, 1/2, -1/3, -1/3\n-inf, -1/3, -1/3, -1/3, 1/2\n"
+     "-1/3, -1/3, -1/3, -1/3, 1/2\n1/2, -inf, 1/2, -1/3, -inf",
+     (1, 2, 4, 3, 0), "1/2 1/2 -1/3 -1/3 1/2", "0 0 0 0 5/6", "5/3"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, sigma, row_duals, col_duals, value", HUNGARIAN_TIES,
+    ids=[f"grid{k}" for k in range(len(HUNGARIAN_TIES))],
+)
+def test_hungarian_ties_break_toward_the_lowest_column(text, sigma, row_duals, col_duals, value):
+    res = hungarian_scaling(T(text))
+    assert res.sigma == sigma
+    assert res.row_duals == tuple(Fraction(x) for x in row_duals.split())
+    assert res.col_duals == tuple(Fraction(x) for x in col_duals.split())
+    assert res.value == Fraction(value)
+
+
 def test_criticality_check():
     assert is_critical(T("0, -inf\n-inf, 0")) == (True, (0, 1))
     ok, sigma = is_critical(T("0, 0\n-1, -1"))
