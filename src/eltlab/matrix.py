@@ -65,12 +65,8 @@ class ELTMatrix:
     read its exact int form ``(d, tangibles, d_layer, layers)``: the
     tangibles as ints over the lcm d of their denominators, None for
     -inf, and the layers as ints over the lcm d_layer of theirs
-    (``core.integer_grid``), 0 for -inf.  A matrix is born from either
-    form and builds the other on first use, once: one built from
-    scalars converts to ints when an int routine first reads it, and a
-    product is born as ints and builds its scalars when ``rows`` is
-    first read, so a chain of products never builds the scalars of its
-    intermediate factors.
+    (``core.integer_grid``).  The form is computed on first use and
+    kept, so a matrix used many times is converted once.
     """
 
     __slots__ = ("_rows", "_ints")
@@ -86,17 +82,8 @@ class ELTMatrix:
             for x in row:
                 if not isinstance(x, ELTScalar):
                     raise TypeError(f"matrix entry must be a scalar, got {type(x).__name__}")
-        self._rows: Optional[Tuple[Tuple[ELTScalar, ...], ...]] = grid
+        self._rows = grid
         self._ints: Optional[IntForm] = None
-
-    @classmethod
-    def _from_ints(cls, ints: IntForm) -> "ELTMatrix":
-        """A matrix born from a canonical int form (as ``integer_grid``
-        gives it), its scalars not built yet."""
-        m = object.__new__(cls)
-        m._rows = None
-        m._ints = ints
-        return m
 
     @classmethod
     def identity(cls, n: int) -> "ELTMatrix":
@@ -117,33 +104,32 @@ class ELTMatrix:
 
     @property
     def nrows(self) -> int:
-        return len(self.rows if self._ints is None else self._ints[1])
+        return len(self._rows)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0] if self._ints is None else self._ints[1][0])
+        return len(self._rows[0])
 
     @property
     def rows(self) -> Tuple[Tuple[ELTScalar, ...], ...]:
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = _scalars(self._ints)
-        return rows
+        return self._rows
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def entry(self, i: int, j: int) -> ELTScalar:
-        return self.rows[i][j]
+        return self._rows[i][j]
 
     def _int_form(self) -> IntForm:
         if self._ints is None:
-            self._ints = _ints_of(self.rows)
+            d, tangibles = integer_grid([[x.tangible for x in row] for row in self._rows])
+            d_layer, layers = integer_grid([[x.layer for x in row] for row in self._rows])
+            self._ints = (d, tangibles, d_layer, layers)
         return self._ints
 
     def transpose(self) -> "ELTMatrix":
-        return ELTMatrix(zip(*self.rows))
+        return ELTMatrix(zip(*self._rows))
 
     def __add__(self, other: "ELTMatrix") -> "ELTMatrix":
         if not isinstance(other, ELTMatrix):
@@ -155,7 +141,7 @@ class ELTMatrix:
         return ELTMatrix(
             [
                 [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
+                for r1, r2 in zip(self._rows, other._rows)
             ]
         )
 
@@ -166,11 +152,11 @@ class ELTMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        return ELTMatrix._from_ints(_products(self._int_form(), other._int_form()))
+        return ELTMatrix(_products(self._int_form(), other._int_form()))
 
     def scale(self, c: ELTScalar) -> "ELTMatrix":
         """Entrywise product with the scalar c."""
-        return ELTMatrix([[c * x for x in row] for row in self.rows])
+        return ELTMatrix([[c * x for x in row] for row in self._rows])
 
     def apply(self, v: Sequence[ELTScalar]) -> Vector:
         """Matrix-vector product."""
@@ -178,31 +164,23 @@ class ELTMatrix:
             raise DimensionMismatch(
                 f"cannot apply {self.nrows}x{self.ncols} to a vector of length {len(v)}"
             )
-        for x in v:
-            if not isinstance(x, ELTScalar):
-                raise TypeError(f"matrix entry must be a scalar, got {type(x).__name__}")
-        column = _products(self._int_form(), _ints_of([(x,) for x in v]))
-        return tuple(row[0] for row in _scalars(column))
+        column = ELTMatrix([(x,) for x in v])
+        return tuple(row[0] for row in _products(self._int_form(), column._int_form()))
 
     def __eq__(self, other: object) -> bool:
-        """Entrywise; two int forms are compared as ints (both are
-        canonical), else the scalars, so neither side builds a form
-        that the other does not hold."""
         if not isinstance(other, ELTMatrix):
             return NotImplemented
-        if self._ints is not None and other._ints is not None:
-            return self._ints == other._ints
-        return self.rows == other.rows
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self._rows)
 
     def __str__(self) -> str:
         return self.to_text()
 
     def __repr__(self) -> str:
         body = "; ".join(
-            ", ".join(format_scalar(x) for x in row) for row in self.rows
+            ", ".join(format_scalar(x) for x in row) for row in self._rows
         )
         return f"ELTMatrix[{body}]"
 
@@ -211,7 +189,7 @@ class ELTMatrix:
     # and labels row i with "row<i>: ".
 
     def to_text(self, structured: bool = False) -> str:
-        rows = [", ".join(format_scalar(x) for x in row) for row in self.rows]
+        rows = [", ".join(format_scalar(x) for x in row) for row in self._rows]
         if structured:
             rows = [
                 f"rows: {self.nrows}",
@@ -245,10 +223,9 @@ class ELTMatrix:
         return cls(grid)
 
 
-def _products(left: IntForm, right: IntForm) -> IntForm:
-    """The int form (``ELTMatrix``) of the product of two matrices' int
-    forms: every row of the left times every column of the right,
-    ``sum_j row[j] * col[j]``.
+def _products(left: IntForm, right: IntForm) -> List[List[ELTScalar]]:
+    """The product of two matrices' int forms (``ELTMatrix``): every row
+    of the left times every column of the right, ``sum_j row[j] * col[j]``.
 
     Both sides' int tangibles are rescaled to the lcm d of their two
     denominators, so a term is an int tangible sum over d with an int
@@ -258,14 +235,10 @@ def _products(left: IntForm, right: IntForm) -> IntForm:
     best`` (the threshold algorithm's stop rule, Fagin, Lotem & Naor
     2003): no later term reaches the best sum.  The stop is strict
     because a term with ``b + top == best`` can still tie, and a tie
-    adds its layer product.  An entry with no finite term is -inf:
-    tangible None, layer 0.
-
-    The form is made canonical, equal to ``core.integer_grid`` of the
-    product's scalars: d is divided by its gcd with every finite
-    tangible, and the layer denominator by its gcd with every layer.
-    Without that the layer denominator would square with every product
-    in a chain.
+    adds its layer product.  An entry with no finite term is -inf.
+    The scalars are made with one Fraction per distinct int sum or
+    layer product and ``ELTScalar._raw``, which skips the constructor's
+    checks that these Fractions pass by construction.
     """
     d_left, row_t, d_left_layer, row_l = left
     d_right, right_t, d_right_layer, right_l = right
@@ -280,17 +253,15 @@ def _products(left: IntForm, right: IntForm) -> IntForm:
         )
         for ct, cl in zip(zip(*right_t), zip(*right_l))
     ]
-    width = len(terms)
-    tangibles: IntGrid = []
-    layers: IntGrid = []
+    tangibles: Dict[int, Fraction] = {}
+    layers: Dict[int, Fraction] = {}
+    out = []
     for rt, rl in zip(row_t, row_l):
         top = max((a for a in rt if a is not None), default=None)
         if top is None:
-            tangibles.append([None] * width)
-            layers.append([0] * width)
+            out.append([NEG_INF] * len(terms))
             continue
-        out_t: List[Optional[int]] = []
-        out_l: List[int] = []
+        out_row = []
         for col in terms:
             scan = iter(col)
             for b, j, l in scan:
@@ -299,8 +270,7 @@ def _products(left: IntForm, right: IntForm) -> IntForm:
                     best, layer = a + b, rl[j] * l
                     break
             else:
-                out_t.append(None)
-                out_l.append(0)
+                out_row.append(NEG_INF)
                 continue
             need = best - top
             for b, j, l in scan:
@@ -314,54 +284,15 @@ def _products(left: IntForm, right: IntForm) -> IntForm:
                     best, layer, need = a, rl[j] * l, a - top
                 elif a == best:
                     layer += rl[j] * l
-            out_t.append(best)
-            out_l.append(layer)
-        tangibles.append(out_t)
-        layers.append(out_l)
-    return (*_lowest_terms(d, tangibles), *_lowest_terms(d_layer, layers))
-
-
-def _lowest_terms(d: int, grid: IntGrid) -> Tuple[int, IntGrid]:
-    """d and the grid of ints over it, both divided by the gcd of d and
-    every int of the grid: the least denominator, as ``integer_grid``
-    gives it."""
-    if d == 1:
-        return d, grid
-    g = math.gcd(d, *(x for row in grid for x in row if x is not None))
-    if g == 1:
-        return d, grid
-    return d // g, [[None if x is None else x // g for x in row] for row in grid]
-
-
-def _ints_of(grid: Sequence[Sequence[ELTScalar]]) -> IntForm:
-    """The int form (``ELTMatrix``) of a grid of scalars."""
-    d, tangibles = integer_grid([[x.tangible for x in row] for row in grid])
-    d_layer, layers = integer_grid([[x.layer for x in row] for row in grid])
-    return d, tangibles, d_layer, layers
-
-
-def _scalars(form: IntForm) -> Tuple[Tuple[ELTScalar, ...], ...]:
-    """The grid of scalars of an int form, with one Fraction per
-    distinct int."""
-    d, tangibles, d_layer, layers = form
-    ts: Dict[int, Fraction] = {}
-    ls: Dict[int, Fraction] = {}
-    out = []
-    for rt, rl in zip(tangibles, layers):
-        row = []
-        for t, l in zip(rt, rl):
+            t = tangibles.get(best)
             if t is None:
-                row.append(NEG_INF)
-                continue
-            tf = ts.get(t)
-            if tf is None:
-                tf = ts[t] = Fraction(t, d)
-            lf = ls.get(l)
-            if lf is None:
-                lf = ls[l] = Fraction(l, d_layer)
-            row.append(ELTScalar._raw(tf, lf))
-        out.append(tuple(row))
-    return tuple(out)
+                t = tangibles[best] = Fraction(best, d)
+            s = layers.get(layer)
+            if s is None:
+                s = layers[layer] = Fraction(layer, d_layer)
+            out_row.append(ELTScalar._raw(t, s))
+        out.append(out_row)
+    return out
 
 
 def _rescaled(grid: IntGrid, k: int) -> IntGrid:
@@ -647,9 +578,9 @@ NILPOTENT_MAX_BOUND = 2**14
 # the most work is_nilpotent spends, counted over its matrix products
 # as n^3 times the bit length of the product's layers.  All-0^[1]
 # matrices at their default bound n^2 take, from the command line on a
-# 2-vCPU host, 2.7 s at 48x48 (work 3.9e9) and, at 64x64, 7.4 s
-# (1.3e10), which this stops after 1.7 s.  The time goes to the layers'
-# big-int products, not to scalars: the squares stay in int form
+# 2-vCPU host, 2.6 s at 48x48 (work 3.9e9) and, at 64x64, 6.9 s
+# (1.3e10), which this stops after 1.6 s.  The time goes to the
+# layers' big-int products, not to building scalars
 NILPOTENT_MAX_WORK = 6 * 10**9
 
 
@@ -1005,7 +936,7 @@ def is_nilpotent(a: ELTMatrix, bound: Optional[int] = None) -> Tuple[bool, Optio
         if m + 2**j > bound:
             continue
         lifted = squares[j] if power is None else product(power, squares[j])
-        if any(any(row) for row in lifted._int_form()[3]):  # a nonzero layer
+        if not all(x.layer == 0 for row in lifted.rows for x in row):
             m, power = m + 2**j, lifted
     if m >= bound:
         return False, None

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eltlab import ELTMatrix, ELTScalar, NEG_INF, ONE, Q_RING, Z_RING, invert
-from eltlab.core import BOTTOM, integer_grid, parse_scalar
+from eltlab.core import BOTTOM, parse_scalar
 from eltlab.errors import (
     DimensionMismatch,
     NotSquare,
@@ -146,8 +146,15 @@ def scan_operands(draw):
 def test_products_match_the_scalar_fold(operands):
     a, b, v = operands
     cols = b.transpose().rows
-    assert (a * b).rows == tuple(tuple(fold_dot(row, col) for col in cols) for row in a.rows)
+    product = a * b
+    assert product.rows == tuple(tuple(fold_dot(row, col) for col in cols) for row in a.rows)
     assert a.apply(v) == tuple(fold_dot(row, v) for row in a.rows)
+    # a product skips the scalar constructor: its entries still hold
+    # Fractions and hash and print as the constructor's
+    for x in (x for row in product.rows for x in row if not x.is_neg_inf):
+        y = ELTScalar(x.tangible, x.layer)
+        assert (type(x.tangible), type(x.layer)) == (Fraction, Fraction)
+        assert (hash(x), repr(x)) == (hash(y), repr(y))
 
 
 @st.composite
@@ -198,33 +205,6 @@ def test_one_matrix_object_serves_every_product_and_expansion(operands):
     assert simple_cycles(a) == simple_cycles(ELTMatrix(a.rows))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(product_operands(), scan_operands()))
-@example((M("1/2^[1/2], 1/2^[2]"), M("1/2^[2]\n1/2^[1/2]"), (NEG_INF, NEG_INF)))
-@example((M("-inf, 1^[3]"), M("1^[1/3]\n-inf"), (NEG_INF, NEG_INF)))
-def test_a_product_is_born_as_the_int_form_of_its_scalars(operands):
-    """A product, also one of a product, holds exactly the int form that
-    ``integer_grid`` gives its scalars: both denominators in lowest
-    terms, a -inf cell as tangible None over layer 0.  It builds its
-    scalars when first read, and then compares, hashes, prints and
-    reprs as a fresh matrix of them."""
-    a, b, _ = operands
-    for make in (lambda: a * b, lambda: a * b * b.transpose()):
-        fresh = ELTMatrix(make().rows)
-        d, tangibles = integer_grid([[x.tangible for x in row] for row in fresh.rows])
-        d_layer, layers = integer_grid([[x.layer for x in row] for row in fresh.rows])
-        assert make()._int_form() == (d, tangibles, d_layer, layers)
-        assert (make().nrows, make().ncols) == (fresh.nrows, fresh.ncols)
-        assert make() == fresh and fresh == make() and make() == make()
-        assert hash(make()) == hash(fresh)
-        assert str(make()) == str(fresh)
-        assert repr(make()) == repr(fresh)
-    # two int forms are compared as ints: a product with every tangible
-    # of A one higher equals A*B only when A*B is all -inf
-    raised = a.scale(S("1^[1]")) * b
-    assert (a * b == raised) == all(x.is_neg_inf for row in (a * b).rows for x in row)
-
-
 def test_product_examples():
     assert M("1/2^[3]") * M("-1/3^[-1/2]") == M("1/6^[-3/2]")
     assert M("1/2^[3]") * M("-inf") == M("-inf")
@@ -246,10 +226,6 @@ def test_construction_validation():
         ELTMatrix([])
     with pytest.raises(ValueError):
         ELTMatrix([[ONE], [ONE, ONE]])
-    with pytest.raises(TypeError):
-        ELTMatrix([[ONE, 1]])
-    with pytest.raises(TypeError):
-        A_EXAMPLE.apply((ONE, 1))
 
 
 def test_shape_errors():

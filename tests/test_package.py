@@ -97,32 +97,3 @@ def test_the_permutations_are_walked_one_by_one_only_in_the_tests():
     its inversions is the tests' oracle (``tests/oracles.py``)."""
     found = {p.stem: one_by_one_walk_names(p) for p in PACKAGE.glob("*.py")}
     assert {name: names for name, names in found.items() if names} == {}
-
-
-def functions_touching(path, attr):
-    """Qualified names of the functions (``Class.method``, or
-    ``<module>`` at the top level) in one module that read or write the
-    attribute ``attr``."""
-    found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-            else:
-                if isinstance(child, ast.Attribute) and child.attr == attr:
-                    found.add(scope or "<module>")
-                visit(child, scope)
-
-    visit(ast.parse(path.read_text(), str(path)), "")
-    return found
-
-
-def test_only_the_constructors_and_rows_touch_a_matrix_grid():
-    """A product is born as ints and builds its scalars when ``rows`` is
-    first read, so anything else that reads ``_rows`` directly could meet
-    a grid that has not been built yet."""
-    found = {p.stem: functions_touching(p, "_rows") for p in PACKAGE.glob("*.py")}
-    assert {name: sorted(f) for name, f in found.items() if f} == {
-        "matrix": ["ELTMatrix.__init__", "ELTMatrix._from_ints", "ELTMatrix.rows"],
-    }
