@@ -9,12 +9,12 @@ Highlights: a permanent-style determinant split into even and odd
 permutation sums, on one depth-first walk of the permutations that
 shares prefix products, carries the parity and drops every permutation
 through a prefix that is zero; the adjoint from one signed expansion of
-each row-deleted minor over column subsets (both for any carrier, so
-``transfer`` builds its identities on them); the quasi-inverse (inverse
-up to quasi-identities, refused on a singular determinant before any
-cofactor is formed); the characteristic polynomial by one signed
-expansion over column subsets, a Cayley-Hamilton check up to layer-zero
-slack, eigenpair verification, the essential trace with its
+each row-deleted minor over column subsets (both for any carrier;
+``transfer`` builds its identities on the second); the quasi-inverse
+(inverse up to quasi-identities, refused on a singular determinant
+before any cofactor is formed); the characteristic polynomial by one
+signed expansion over column subsets, a Cayley-Hamilton check up to
+layer-zero slack, eigenpair verification, the essential trace with its
 spectral-dominance report, nilpotency of index at most n^2, and
 simple-cycle enumeration.
 """
@@ -408,11 +408,11 @@ def permutation_terms(
                 todo.append((r, k, used | 1 << k, odd ^ (used >> k).bit_count() & 1))
 
 
-def _subset_terms(
+def subset_terms(
     rows: Iterable[Sequence[Entry]], zero: Entry, one: Entry
 ) -> Dict[int, Entry]:
     """The signed expansion of the grid rows over column subsets, over
-    the carrier of ``permutation_terms``: column set C (a bit mask) ->
+    any carrier with this zero and one: column set C (a bit mask) ->
     the sum, over the ways of placing the rows in distinct columns of C,
     of the product of their entries, signed by the inversions.
 
@@ -447,10 +447,10 @@ def adjugate(
     rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
 ) -> Tuple[Tuple[Entry, ...], ...]:
     """The transposed cofactor matrix of the square grid rows, over the
-    carrier of ``permutation_terms``.
+    carrier of ``subset_terms``.
 
     For each row k the rows without it are expanded over column subsets
-    (``_subset_terms``); entry (j, k) is ``(-1)^(j+k)`` times the value
+    (``subset_terms``); entry (j, k) is ``(-1)^(j+k)`` times the value
     at the set of all columns but j, the minor that deletes row k and
     column j.  That is n expansions of about 2^(n-1)*n products each,
     where a cofactor walk of the permutations takes about (2n+e)*n!.
@@ -460,7 +460,7 @@ def adjugate(
     every = (1 << n) - 1
     out = [[zero] * n for _ in range(n)]
     for k in range(n):
-        minors = _subset_terms((row for i, row in enumerate(rows) if i != k), zero, one)
+        minors = subset_terms((row for i, row in enumerate(rows) if i != k), zero, one)
         for j in range(n):
             minor = minors.get(every ^ 1 << j)
             if minor is not None:

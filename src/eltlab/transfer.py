@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from .core import ELTScalar, NEG_INF, format_scalar, parse_int
 from .errors import ParseError, UnboundVariable
-from .matrix import adjugate, permutation_terms
+from .matrix import adjugate, subset_terms
 
 # ---------------------------------------------------------------------------
 # positive expression trees
@@ -824,11 +824,9 @@ def matmul_expression(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
 
 
 def det_expression(m: ExprMatrix) -> PolyExpression:
-    """Permutation expansion with signs carried by the pair algebra."""
-    total = PolyExpression.zero()
-    for odd, prod in permutation_terms(m, PolyExpression.zero(), PolyExpression.one()):
-        total = total + (-prod if odd else prod)
-    return total
+    """The value at the full column set of the column-subset expansion
+    ``matrix.subset_terms``, signs carried by the pair algebra."""
+    return subset_terms(m, PolyExpression.zero(), PolyExpression.one())[(1 << len(m)) - 1]
 
 
 def adjoint_expression(m: ExprMatrix) -> ExprMatrix:
@@ -947,16 +945,16 @@ SUITE_FAMILIES = (*FAMILIES, "mutation-control")
 
 
 def corrupted_det_mult(n: int = 2) -> CannedIdentity:
-    """det-mult with one permutation sign of det(B) flipped; the
-    symbolic ring stage must report this as a failure."""
+    """det-mult with det(B) taken along B's last row, ``sum_j b[n-1][j]
+    * adj(B)[j][n-1]``, with the sign of the j = 0 term flipped; the
+    symbolic ring stage must report this as a failure at every n >= 1."""
     a = symbolic_matrix(n)
     b = symbolic_matrix(n, n * n)
     det_ab = det_expression(matmul_expression(a, b))
-    total = PolyExpression.zero()
-    flipped = False
-    for odd, prod in permutation_terms(b, PolyExpression.zero(), PolyExpression.one()):
-        total = total + (-prod if odd and flipped else prod)
-        flipped = flipped or odd
+    adj = adjoint_expression(b)
+    total = -(b[-1][0] * adj[0][-1])
+    for j in range(1, n):
+        total = total + b[-1][j] * adj[j][-1]
     return CannedIdentity(
         f"mutated-det-mult-n{n}", "surpass",
         ((det_ab, det_expression(a) * total),), strong=True,
@@ -1007,8 +1005,9 @@ def run_suite(
     """Run the families requested by name (all when names is None),
     sizes outer and families inner, plus the mutation control, which
     passes exactly when the corrupted identity is detected as failing.
-    Only the requested identities are built, each once per process.
-    An unknown name raises ValueError."""
+    The mutation control always runs at n = 2 with 10 trials, whatever
+    ``sizes`` and ``trials`` say.  Only the requested identities are
+    built, each once per process.  An unknown name raises ValueError."""
     wanted = set(SUITE_FAMILIES if names is None else names)
     unknown = sorted(wanted.difference(SUITE_FAMILIES))
     if unknown:

@@ -78,7 +78,7 @@ def permutation_terms_one_by_one(
 def subset_terms_one_by_one(
     rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
 ) -> Dict[int, Entry]:
-    """``matrix._subset_terms`` by one determinant per column set: for
+    """``matrix.subset_terms`` by one determinant per column set: for
     every set C of as many columns as there are rows, the signed terms
     of ``permutation_terms_one_by_one`` on the rows cut down to C,
     where the library places the rows over all sets at once.  A set

@@ -477,7 +477,7 @@ def test_subset_expansion_equals_one_determinant_per_column_set(grid):
     rows, zero, one, show = grid
     if show is format_expression:
         show = expand
-    expanded = {cols: show(x) for cols, x in matrix._subset_terms(rows, zero, one).items()}
+    expanded = {cols: show(x) for cols, x in matrix.subset_terms(rows, zero, one).items()}
     one_by_one = {cols: show(x) for cols, x in subset_terms_one_by_one(rows, zero, one).items()}
     assert expanded == one_by_one
 

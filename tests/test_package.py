@@ -97,3 +97,26 @@ def test_the_permutations_are_walked_one_by_one_only_in_the_tests():
     its inversions is the tests' oracle (``tests/oracles.py``)."""
     found = {p.stem: one_by_one_walk_names(p) for p in PACKAGE.glob("*.py")}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def names_in(path):
+    """Every name one module defines, imports, reads or reads as an
+    attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_matrix_walks_the_permutations():
+    """``matrix.det_pair`` is the one caller of the permutation walk;
+    the symbolic identities take their determinants and cofactors from
+    the column-subset expansion, so they do not drift back onto the n!
+    walk."""
+    naming = [p.stem for p in PACKAGE.glob("*.py") if "permutation_terms" in names_in(p)]
+    assert sorted(set(naming) - {"matrix"}) == []

@@ -46,6 +46,7 @@ from oracles import (
     expand_by_tuples,
     fold_evaluate,
     num_variables,
+    permutation_terms_one_by_one,
     ring_equal,
     scalar_surpasses,
 )
@@ -499,6 +500,40 @@ def test_mutated_identity_is_detected():
     assert not record.ok
     assert record.line.startswith("FAIL mutated-det-mult")
     assert any(not rep.ring_ok for rep in record.reports)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mutated_identity_fails_the_ring_stage_at_every_size(n):
+    """One Laplace term of det(B) has its sign flipped, so the ring
+    stage rejects the corruption at every size, 1x1 included, which has
+    no odd permutation whose sign could be flipped."""
+    record = run_identity(corrupted_det_mult(n), 10, 1)
+    assert record.line == f"FAIL mutated-det-mult-n{n} 1"
+    assert [rep.ring_ok for rep in record.reports] == [False]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_det_expression_is_the_one_by_one_permutation_sum(n):
+    """The column-subset determinant expands to the monomials of the
+    signed sum over ``itertools.permutations``, and takes the same
+    values in both models on seeded draws, -inf and layer-zero entries
+    among them.  n = 0 is the empty grid, whose determinant is one."""
+    m = symbolic_matrix(n)
+    zero, one = PolyExpression.zero(), PolyExpression.one()
+    reference = zero
+    for odd, prod in permutation_terms_one_by_one(m, zero, one):
+        reference = reference + (-prod if odd else prod)
+    det = det_expression(m)
+    assert expand(det).entries == expand(reference).entries
+    rng = random.Random(n)
+    for model in (MAXPLUS_MODEL, ELT_MODEL):
+        draws = [[model.sample(rng) for _ in range(n * n)] for _ in range(300)]
+        for values in draws:
+            assert evaluate(det, model, values) == evaluate(reference, model, values)
+        drawn = [v for values in draws for v in values]
+        if n:
+            assert None in drawn
+            assert model is MAXPLUS_MODEL or any(v and v[1] == 0 for v in drawn)
 
 
 # builders of every canned identity and the mutated one
