@@ -157,45 +157,43 @@ class ELTScalar:
     ``surpasses`` and ``nabla``.
     """
 
-    __slots__ = ("_t", "_l", "_fin")
+    __slots__ = ("_t", "_l")
 
     def __init__(self, tangible: RationalLike, layer: RationalLike):
         self._t = exact_rational(tangible)
         self._l = exact_rational(layer)
-        self._fin = True
 
     @staticmethod
     def _raw(t: Fraction, l: Fraction) -> "ELTScalar":
         s = object.__new__(ELTScalar)
         s._t = t
         s._l = l
-        s._fin = True
         return s
 
     # -- projections ------------------------------------------------
 
     @property
     def is_neg_inf(self) -> bool:
-        return not self._fin
+        return self._t is None
 
     @property
     def tangible(self) -> Union[Fraction, Bottom]:
         """The tangible value; BOTTOM (below all rationals) for -inf."""
-        return self._t if self._fin else BOTTOM
+        return BOTTOM if self._t is None else self._t
 
     @property
     def layer(self) -> Fraction:
         """The layer; -inf reads as layer 0."""
-        return self._l if self._fin else _ZERO
+        return _ZERO if self._t is None else self._l
 
     # -- arithmetic -------------------------------------------------
 
     def __add__(self, other: "ELTScalar") -> "ELTScalar":
         if not isinstance(other, ELTScalar):
             return NotImplemented
-        if not self._fin:
+        if self._t is None:
             return other
-        if not other._fin:
+        if other._t is None:
             return self
         if self._t > other._t:
             return self
@@ -206,7 +204,7 @@ class ELTScalar:
     def __mul__(self, other: "ELTScalar") -> "ELTScalar":
         if not isinstance(other, ELTScalar):
             return NotImplemented
-        if not self._fin or not other._fin:
+        if self._t is None or other._t is None:
             return NEG_INF
         return ELTScalar._raw(self._t + other._t, self._l * other._l)
 
@@ -217,12 +215,12 @@ class ELTScalar:
             raise ValueError("negative powers: use core.invert explicitly")
         if n == 0:
             return ONE  # empty product, also for -inf
-        if not self._fin:
+        if self._t is None:
             return NEG_INF
         return ELTScalar._raw(self._t * n, self._l ** n)
 
     def __neg__(self) -> "ELTScalar":
-        if not self._fin:
+        if self._t is None:
             return self
         return ELTScalar._raw(self._t, -self._l)
 
@@ -238,9 +236,9 @@ class ELTScalar:
             raise TypeError("surpasses expects a scalar")
         if self == other:
             return True
-        if not self._fin or self._l != 0:
+        if self._t is None or self._l != 0:
             return False
-        if not other._fin:
+        if other._t is None:
             return True
         return self._t > other._t
 
@@ -255,19 +253,17 @@ class ELTScalar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ELTScalar):
             return NotImplemented
-        if self._fin != other._fin:
-            return False
-        if not self._fin:
-            return True
+        if self._t is None or other._t is None:
+            return self._t is other._t
         return self._t == other._t and self._l == other._l
 
     def __hash__(self) -> int:
-        if not self._fin:
+        if self._t is None:
             return hash("eltlab.neg_inf")
         return hash((self._t, self._l))
 
     def __str__(self) -> str:
-        if not self._fin:
+        if self._t is None:
             return "-inf"
         return f"{self._t}^[{self._l}]"
 
@@ -279,7 +275,6 @@ def _make_neg_inf() -> ELTScalar:
     s = object.__new__(ELTScalar)
     s._t = None
     s._l = None
-    s._fin = False
     return s
 
 

@@ -11,8 +11,8 @@ shares prefix products, carries the parity and drops every permutation
 through a prefix that is zero; the adjoint from one signed expansion of
 each row-deleted minor over column subsets (both for any carrier;
 ``transfer`` builds its identities on the second); the quasi-inverse
-(inverse up to quasi-identities, refused on a singular determinant
-before any cofactor is formed); the characteristic polynomial by one
+(inverse up to quasi-identities, its determinant the Laplace sum of
+its own cofactors); the characteristic polynomial by one
 signed expansion over column subsets, a Cayley-Hamilton check up to
 layer-zero slack, eigenpair verification, the essential trace with its
 spectral-dominance report, nilpotency of index at most n^2, and
@@ -344,13 +344,11 @@ def _require_square(a: ELTMatrix) -> int:
 # permutations, where one order more costs about n times as much;
 # adjoint expands the n row-deleted minors over column subsets, about
 # n^2*2^(n-1) products, where one order more costs about 2.3 times as
-# much.  From the command line on a dense matrix (2-vCPU host): det of
-# a 9x9 takes 2.0 s, adjoint of a 13x13 1.8 s (an 8x8 0.07 s) and
-# quasi_inverse of an 8x8 (three n! determinants: its own and those of
-# the two checked products) 0.7 s
+# much; quasi_inverse runs on the adjoint's budget.  From the command
+# line on a dense matrix (2-vCPU host): det of a 9x9 takes 2.0 s,
+# adjoint of a 13x13 1.8 s (an 8x8 0.07 s)
 DET_MAX_ORDER = 9
 ADJOINT_MAX_ORDER = 13
-QUASI_INVERSE_MAX_ORDER = 8
 
 
 def _require_order(a: ELTMatrix, limit: int, what: str, method: str = "permutation sum") -> int:
@@ -501,8 +499,8 @@ def adjoint(a: ELTMatrix) -> ELTMatrix:
 @dataclass(frozen=True)
 class QuasiIdentityReport:
     """Checks that a matrix is a quasi-identity: ones on the diagonal,
-    layer-zero entries off it, idempotent, and nonsingular in the sense
-    that its determinant has nonzero layer."""
+    layer-zero entries off it, idempotent, and a determinant of nonzero
+    layer, which walks the permutations only when a check fails."""
 
     diagonal_ok: bool
     offdiagonal_ok: bool
@@ -524,6 +522,11 @@ class QuasiIdentityReport:
 
 
 def quasi_identity_check(m: ELTMatrix) -> QuasiIdentityReport:
+    """When the other checks hold, det(m) is 0^[1]: ``M = M*M`` gives
+    ``t_ij >= t_ik + t_kj``, so every cycle weighs at most ``t_ii = 0``;
+    the identity has weight 0 and layer 1, and every other permutation
+    of weight 0 uses an off-diagonal entry, of layer 0.  Only a matrix
+    that fails a check takes ``det``'s walk and its DET_MAX_ORDER."""
     n = _require_square(m)
     diagonal_ok = all(m.entry(i, i) == ONE for i in range(n))
     offdiagonal_ok = all(
@@ -533,7 +536,7 @@ def quasi_identity_check(m: ELTMatrix) -> QuasiIdentityReport:
         if i != j
     )
     idempotent = m * m == m
-    d = det(m)
+    d = ONE if diagonal_ok and offdiagonal_ok and idempotent else det(m)
     return QuasiIdentityReport(diagonal_ok, offdiagonal_ok, idempotent, d, d.layer != 0)
 
 
@@ -547,18 +550,20 @@ class QuasiInverseResult:
 def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
     """Inverse up to quasi-identities: det(A)^(-1) times the adjoint.
 
-    Raises SingularDeterminant unless the determinant is finite with a
-    unit layer, before any cofactor is formed.  The left and right
-    reports certify that both products with A are quasi-identities.
-    Orders above QUASI_INVERSE_MAX_ORDER raise WorkBudgetExceeded.
+    det(A) is row 0's Laplace sum against the adjoint: ELT sums are
+    associative and commutative and products distribute over them, so
+    it is the permutation sum.  Raises SingularDeterminant unless it is
+    finite with a unit layer.  The left and right reports certify that
+    both products with A are quasi-identities; by the paper's theorem
+    they pass every check, so no permutation is walked.  Orders above
+    ADJOINT_MAX_ORDER raise WorkBudgetExceeded.
     """
-    _require_order(a, QUASI_INVERSE_MAX_ORDER, "quasi_inverse")
-    d = det(a)
+    n = _require_order(a, ADJOINT_MAX_ORDER, "quasi_inverse", "2^n expansion")
+    adj = adjugate(a.rows, NEG_INF, ONE)
+    d = sum((a.rows[0][j] * adj[j][0] for j in range(n)), NEG_INF)
     if d.is_neg_inf or not ring.is_unit(d.layer):
-        raise SingularDeterminant(
-            f"determinant {d} has no unit layer in {ring.name}"
-        )
-    qi = adjoint(a).scale(invert(d, ring))
+        raise SingularDeterminant(f"determinant {d} has no unit layer in {ring.name}")
+    qi = ELTMatrix(adj).scale(invert(d, ring))
     return QuasiInverseResult(
         qi,
         quasi_identity_check(qi * a),

@@ -1,5 +1,6 @@
 """Matrix arithmetic, determinants, characteristic polynomials, and traces."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -486,33 +487,69 @@ def test_subset_expansion_equals_one_determinant_per_column_set(grid):
 @given(square_operands(), st.sampled_from([Q_RING, Z_RING]))
 @example(M("-inf, 1^[1]\n1^[1], -inf"), Q_RING)
 @example(M("1^[1], 1^[-1]\n1^[1], 1^[1]"), Q_RING)
-def test_quasi_inverse_takes_its_determinant_from_the_cofactor_walk(a, ring):
-    """quasi_inverse takes det(A) from the permutation walk and refuses
-    a singular one; otherwise its inverse is the inverse of the
-    one-by-one determinant times the one-by-one cofactor walk's
-    adjoint."""
+@example(M("1^[1], 1^[1]\n1^[1], 1^[1]"), Q_RING)
+@example(M("1^[1], -inf\n-inf, 1^[2]"), Z_RING)
+@example(M("1^[1], 2^[1]\n-inf, -inf"), Q_RING)
+def test_quasi_inverse_takes_its_determinant_from_its_cofactors(a, ring):
+    """quasi_inverse takes det(A) from its own cofactors and walks no
+    permutation, neither for det(A) nor to certify its products: with
+    ``permutation_terms`` made to fail, it refuses a singular
+    determinant, naming the one-by-one value, and otherwise its inverse
+    is the inverse of the one-by-one determinant times the one-by-one
+    cofactor walk's adjoint."""
+    def no_walk(*args):
+        raise AssertionError("a permutation was walked")
+
     d = det_one_by_one(a)
     assert repr(det(a)) == repr(d)
-    if d.is_neg_inf or not ring.is_unit(d.layer):
-        with pytest.raises(SingularDeterminant, match=re.escape(f"determinant {d} ")):
-            quasi_inverse(a, ring)
-        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix, "permutation_terms", no_walk)
+        if d.is_neg_inf or not ring.is_unit(d.layer):
+            with pytest.raises(SingularDeterminant, match=re.escape(f"determinant {d} has no unit layer")):
+                quasi_inverse(a, ring)
+            return
+        result = quasi_inverse(a, ring)
     inverse = ELTMatrix(adjugate_one_by_one(a.rows, NEG_INF, ONE)).scale(invert(d, ring))
-    assert repr(quasi_inverse(a, ring).inverse) == repr(inverse)
+    assert repr(result.inverse) == repr(inverse)
 
 
-@pytest.mark.parametrize("text, ring, d", [
-    ("1^[1], 1^[1]\n1^[1], 1^[1]", Q_RING, "2^[0]"),
-    ("1^[1], -inf\n-inf, 1^[2]", Z_RING, "2^[2]"),
-    ("1^[1], 2^[1]\n-inf, -inf", Q_RING, "-inf"),
-])
-def test_quasi_inverse_refuses_a_singular_matrix_before_any_cofactor(monkeypatch, text, ring, d):
-    def no_cofactors(*args):
-        raise AssertionError("a cofactor was formed")
+@st.composite
+def quasi_identity_shaped(draw):
+    """Matrices of order 1..6 with a 0^[1] diagonal and layer-zero
+    entries off it, tie-heavy (0 and -1) or rational, some -inf.  Most
+    are idempotent: the max-plus closure of non-positive entries.  The
+    others are not closed and may hold positive entries, so they pass
+    every check but idempotence."""
+    n = draw(st.integers(1, 6))
+    closed = draw(st.booleans())
+    top = 0 if closed else 2
+    entry = st.one_of(
+        st.none(),
+        st.sampled_from([Fraction(0), Fraction(-1)]),
+        st.builds(Fraction, st.integers(-6, top), st.integers(1, 3)),
+    )
+    t = [[Fraction(0) if i == j else draw(entry) for j in range(n)] for i in range(n)]
+    if closed:  # Floyd-Warshall: the heaviest path between each pair
+        for k, i, j in itertools.product(range(n), repeat=3):
+            if t[i][k] is not None and t[k][j] is not None:
+                path = t[i][k] + t[k][j]
+                if t[i][j] is None or path > t[i][j]:
+                    t[i][j] = path
+    return ELTMatrix([
+        [ONE if i == j else NEG_INF if x is None else ELTScalar(x, 0) for j, x in enumerate(row)]
+        for i, row in enumerate(t)
+    ])
 
-    monkeypatch.setattr(matrix, "adjugate", no_cofactors)
-    with pytest.raises(SingularDeterminant, match=re.escape(f"determinant {d} has no unit layer")):
-        quasi_inverse(M(text), ring)
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(quasi_identity_shaped(), square_operands()))
+@example(ELTMatrix.identity(3))
+@example(M("0^[1], 1^[0]\n1^[0], 0^[1]"))
+def test_quasi_identity_determinant_equals_the_one_by_one_walk(m):
+    """A matrix that passes the diagonal, off-diagonal and idempotence
+    checks has determinant 0^[1] without a walk; every other matrix
+    takes det's walk."""
+    assert repr(quasi_identity_check(m).determinant) == repr(det_one_by_one(m))
 
 
 def test_matrix_satisfies_its_characteristic_polynomial():
