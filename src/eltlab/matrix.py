@@ -11,8 +11,9 @@ shares prefix products, carries the parity and drops every permutation
 through a prefix that is zero; the adjoint from one signed expansion of
 each row-deleted minor over column subsets (both for any carrier;
 ``transfer`` builds its identities on the second); the quasi-inverse
-(inverse up to quasi-identities, its determinant the Laplace sum of
-its own cofactors); the characteristic polynomial by one
+(inverse up to quasi-identities, its determinant one expansion over
+column subsets, refused when singular before any cofactor is formed);
+the characteristic polynomial by one
 signed expansion over column subsets, a Cayley-Hamilton check up to
 layer-zero slack, eigenpair verification, the essential trace with its
 spectral-dominance report, nilpotency of index at most n^2, and
@@ -550,20 +551,19 @@ class QuasiInverseResult:
 def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
     """Inverse up to quasi-identities: det(A)^(-1) times the adjoint.
 
-    det(A) is row 0's Laplace sum against the adjoint: ELT sums are
-    associative and commutative and products distribute over them, so
-    it is the permutation sum.  Raises SingularDeterminant unless it is
-    finite with a unit layer.  The left and right reports certify that
+    det(A) is the full column set of one ``subset_terms`` expansion,
+    about a 1/n share of the adjugate's products.  Raises
+    SingularDeterminant unless it is finite with a unit layer, before
+    any cofactor is formed.  The left and right reports certify that
     both products with A are quasi-identities; by the paper's theorem
     they pass every check, so no permutation is walked.  Orders above
     ADJOINT_MAX_ORDER raise WorkBudgetExceeded.
     """
     n = _require_order(a, ADJOINT_MAX_ORDER, "quasi_inverse", "2^n expansion")
-    adj = adjugate(a.rows, NEG_INF, ONE)
-    d = sum((a.rows[0][j] * adj[j][0] for j in range(n)), NEG_INF)
+    d = subset_terms(a.rows, NEG_INF, ONE).get((1 << n) - 1, NEG_INF)
     if d.is_neg_inf or not ring.is_unit(d.layer):
         raise SingularDeterminant(f"determinant {d} has no unit layer in {ring.name}")
-    qi = ELTMatrix(adj).scale(invert(d, ring))
+    qi = ELTMatrix(adjugate(a.rows, NEG_INF, ONE)).scale(invert(d, ring))
     return QuasiInverseResult(
         qi,
         quasi_identity_check(qi * a),

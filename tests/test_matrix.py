@@ -490,9 +490,10 @@ def test_subset_expansion_equals_one_determinant_per_column_set(grid):
 @example(M("1^[1], 1^[1]\n1^[1], 1^[1]"), Q_RING)
 @example(M("1^[1], -inf\n-inf, 1^[2]"), Z_RING)
 @example(M("1^[1], 2^[1]\n-inf, -inf"), Q_RING)
-def test_quasi_inverse_takes_its_determinant_from_its_cofactors(a, ring):
-    """quasi_inverse takes det(A) from its own cofactors and walks no
-    permutation, neither for det(A) nor to certify its products: with
+def test_quasi_inverse_takes_its_determinant_from_the_cofactor_walk(a, ring):
+    """quasi_inverse takes det(A) from the column-subset expansion its
+    cofactors come from and walks no permutation, neither for det(A)
+    nor to certify its products: with
     ``permutation_terms`` made to fail, it refuses a singular
     determinant, naming the one-by-one value, and otherwise its inverse
     is the inverse of the one-by-one determinant times the one-by-one
@@ -511,6 +512,20 @@ def test_quasi_inverse_takes_its_determinant_from_its_cofactors(a, ring):
         result = quasi_inverse(a, ring)
     inverse = ELTMatrix(adjugate_one_by_one(a.rows, NEG_INF, ONE)).scale(invert(d, ring))
     assert repr(result.inverse) == repr(inverse)
+
+
+@pytest.mark.parametrize("text, ring, d", [
+    ("1^[1], 1^[1]\n1^[1], 1^[1]", Q_RING, "2^[0]"),
+    ("1^[1], -inf\n-inf, 1^[2]", Z_RING, "2^[2]"),
+    ("1^[1], 2^[1]\n-inf, -inf", Q_RING, "-inf"),
+])
+def test_quasi_inverse_refuses_a_singular_matrix_before_any_cofactor(monkeypatch, text, ring, d):
+    def no_cofactors(*args):
+        raise AssertionError("a cofactor was formed")
+
+    monkeypatch.setattr(matrix, "adjugate", no_cofactors)
+    with pytest.raises(SingularDeterminant, match=re.escape(f"determinant {d} has no unit layer")):
+        quasi_inverse(M(text), ring)
 
 
 @st.composite
