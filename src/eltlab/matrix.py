@@ -8,16 +8,17 @@ this module report those layers exactly.
 Highlights: a permanent-style determinant split into even and odd
 permutation sums, on one depth-first walk of the permutations that
 shares prefix products, carries the parity and drops every permutation
-through a prefix that is zero; the adjoint from one signed expansion of
-each row-deleted minor over column subsets (both for any carrier;
-``transfer`` builds its identities on the second); the quasi-inverse
-(inverse up to quasi-identities, its determinant one expansion over
-column subsets, refused when singular before any cofactor is formed);
-the characteristic polynomial by one
-signed expansion over column subsets, a Cayley-Hamilton check up to
-layer-zero slack, eigenpair verification, the essential trace with its
-spectral-dominance report, nilpotency of index at most n^2, and
-simple-cycle enumeration.
+through a prefix that is zero; the adjugate from one signed expansion
+of each row-deleted minor over column subsets (both for any carrier;
+``transfer`` builds its identities on the second); the ELT adjoint and
+quasi-inverse on one int kernel of that expansion, run on the matrix's
+int form (the quasi-inverse's determinant read at its full column set,
+refused when singular before any cofactor is formed); the
+characteristic polynomial by one signed expansion over column subsets,
+also on the int form, under the same 16x16 budget; a Cayley-Hamilton
+check up to layer-zero slack, eigenpair verification, the essential
+trace with its spectral-dominance report, nilpotency of index at most
+n^2, and simple-cycle enumeration.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .core import (
     Q_RING,
     format_scalar,
     integer_grid,
-    invert,
     parse_int,
     parse_scalar,
 )
@@ -62,12 +62,13 @@ Entry = TypeVar("Entry")  # of any carrier the permutation expansions run over
 class ELTMatrix:
     """Immutable rectangular matrix of scalars.
 
-    The int-based routines (products, ``charpoly``, ``simple_cycles``)
-    read its exact int form ``(d, tangibles, d_layer, layers)``: the
-    tangibles as ints over the lcm d of their denominators, None for
-    -inf, and the layers as ints over the lcm d_layer of theirs
-    (``core.integer_grid``).  The form is computed on first use and
-    kept, so a matrix used many times is converted once.
+    The int-based routines (products, ``adjoint``, ``quasi_inverse``,
+    ``charpoly``, ``simple_cycles``) read its exact int form ``(d,
+    tangibles, d_layer, layers)``: the tangibles as ints over the lcm d
+    of their denominators, None for -inf, and the layers as ints over
+    the lcm d_layer of theirs (``core.integer_grid``).  The form is
+    computed on first use and kept, so a matrix used many times is
+    converted once.
     """
 
     __slots__ = ("_rows", "_ints")
@@ -342,14 +343,17 @@ def _require_square(a: ELTMatrix) -> int:
 
 
 # the largest orders the expansions accept.  det sums the n!
-# permutations, where one order more costs about n times as much;
-# adjoint expands the n row-deleted minors over column subsets, about
-# n^2*2^(n-1) products, where one order more costs about 2.3 times as
-# much; quasi_inverse runs on the adjoint's budget.  From the command
-# line on a dense matrix (2-vCPU host): det of a 9x9 takes 2.0 s,
-# adjoint of a 13x13 1.8 s (an 8x8 0.07 s)
+# permutations, where one order more costs about n times as much.
+# adjoint, quasi_inverse and charpoly share one budget: they expand over
+# column subsets on the matrix's int form, about n^2*2^(n-1) int
+# products for the cofactors and 2^n*n^2 for charpoly, where one order
+# more costs about 2.2 times as much; quasi_identity_check takes a
+# failing matrix's determinant from the same expansion.  From the command line
+# on a dense matrix (2-vCPU host): det of a 9x9 takes 2.0 s, adjoint
+# and quasi_inverse of a 16x16 about 1.9 s (a 13x13 0.2 s), charpoly of
+# a 16x16 0.6 s
 DET_MAX_ORDER = 9
-ADJOINT_MAX_ORDER = 13
+EXPANSION_MAX_ORDER = 16
 
 
 def _require_order(a: ELTMatrix, limit: int, what: str, method: str = "permutation sum") -> int:
@@ -486,11 +490,103 @@ def det(a: ELTMatrix) -> ELTScalar:
     return plus + (-minus)
 
 
+def _expansion(tangibles: IntGrid, layers: IntGrid) -> Dict[int, Tuple[int, int]]:
+    """``subset_terms`` of ELT rows on their int form (``ELTMatrix``):
+    column set -> (int tangible, int layer) of its sum, the layer over
+    the layer denominator to the power of the number of rows.
+
+    Placing a row in column j adds the entry's tangible, multiplies by
+    its layer and negates the layer once per used column above j; a
+    larger tangible replaces the term kept for the set and a tie adds
+    the layers, as in ``charpoly``.  A -inf entry (None) places nothing.
+    """
+    dp = {0: (0, 1)}
+    for t_row, l_row in zip(tangibles, layers):
+        cells = [(j, 1 << j, t, l) for j, (t, l) in enumerate(zip(t_row, l_row)) if t is not None]
+        placed: Dict[int, Tuple[int, int]] = {}
+        for used, (t_prefix, l_prefix) in dp.items():
+            for j, bit, t, l in cells:
+                if used & bit:
+                    continue
+                t += t_prefix
+                l *= -l_prefix if (used >> j).bit_count() & 1 else l_prefix
+                cols = used | bit
+                have = placed.get(cols)
+                if have is None or t > have[0]:
+                    placed[cols] = (t, l)
+                elif t == have[0]:
+                    placed[cols] = (t, have[1] + l)
+        dp = placed
+    return dp
+
+
+def _cofactors(tangibles: IntGrid, layers: IntGrid) -> List[List[Optional[Tuple[int, int]]]]:
+    """``adjugate`` of ELT rows on their int form: entry (j, k) is the
+    (tangible, layer) of ``(-1)^(j+k)`` times the minor that deletes row
+    k and column j, from one ``_expansion`` of the rows without k, or
+    None for -inf.  The layers are over the layer denominator to the
+    power n-1."""
+    n = len(tangibles)
+    every = (1 << n) - 1
+    out: List[List[Optional[Tuple[int, int]]]] = [[None] * n for _ in range(n)]
+    for k in range(n):
+        minors = _expansion(tangibles[:k] + tangibles[k + 1:], layers[:k] + layers[k + 1:])
+        for j in range(n):
+            minor = minors.get(every ^ 1 << j)
+            if minor is not None:
+                t, l = minor
+                out[j][k] = (t, -l if (j + k) & 1 else l)
+    return out
+
+
+def _scalars(
+    grid: List[List[Optional[Tuple[int, int]]]], d: int, shift: int, num: int, den: int
+) -> List[List[ELTScalar]]:
+    """The scalars ``((t - shift)/d)^[l*num/den]`` of an int grid, -inf
+    for None, with one Fraction per distinct int and ``ELTScalar._raw``,
+    as in ``_products``."""
+    tangibles: Dict[int, Fraction] = {}
+    layers: Dict[int, Fraction] = {}
+    out = []
+    for row in grid:
+        out_row = []
+        for cell in row:
+            if cell is None:
+                out_row.append(NEG_INF)
+                continue
+            t, l = cell
+            x = tangibles.get(t)
+            if x is None:
+                x = tangibles[t] = Fraction(t - shift, d)
+            y = layers.get(l)
+            if y is None:
+                y = layers[l] = Fraction(l * num, den)
+            out_row.append(ELTScalar._raw(x, y))
+        out.append(out_row)
+    return out
+
+
+def _expanded_det(a: ELTMatrix, what: str) -> Tuple[Optional[Tuple[int, int]], ELTScalar]:
+    """det(a) at the full column set of ``_expansion``, for the function
+    ``what``: its (tangible, layer) on a's int form, None for -inf, and
+    its scalar.  Orders above EXPANSION_MAX_ORDER raise
+    WorkBudgetExceeded."""
+    n = _require_order(a, EXPANSION_MAX_ORDER, what, "2^n expansion")
+    d, tangibles, d_layer, layers = a._int_form()
+    full = _expansion(tangibles, layers).get((1 << n) - 1)
+    return full, _scalars([[full]], d, 0, 1, d_layer**n)[0][0]
+
+
 def adjoint(a: ELTMatrix) -> ELTMatrix:
     """Signed transposed cofactor matrix; for 1x1 it is [[0^[1]]].
-    Orders above ADJOINT_MAX_ORDER raise WorkBudgetExceeded."""
-    _require_order(a, ADJOINT_MAX_ORDER, "adjoint", "2^n expansion")
-    return ELTMatrix(adjugate(a.rows, NEG_INF, ONE))
+
+    ``adjugate`` on the matrix's int form (``_cofactors``): one int
+    expansion over column subsets per deleted row, about n^2*2^(n-1)
+    int products, and each entry's scalar built once.  Orders above
+    EXPANSION_MAX_ORDER raise WorkBudgetExceeded."""
+    n = _require_order(a, EXPANSION_MAX_ORDER, "adjoint", "2^n expansion")
+    d, tangibles, d_layer, layers = a._int_form()
+    return ELTMatrix(_scalars(_cofactors(tangibles, layers), d, 0, 1, d_layer ** (n - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +597,7 @@ def adjoint(a: ELTMatrix) -> ELTMatrix:
 class QuasiIdentityReport:
     """Checks that a matrix is a quasi-identity: ones on the diagonal,
     layer-zero entries off it, idempotent, and a determinant of nonzero
-    layer, which walks the permutations only when a check fails."""
+    layer, which is expanded only when a check fails."""
 
     diagonal_ok: bool
     offdiagonal_ok: bool
@@ -527,7 +623,8 @@ def quasi_identity_check(m: ELTMatrix) -> QuasiIdentityReport:
     ``t_ij >= t_ik + t_kj``, so every cycle weighs at most ``t_ii = 0``;
     the identity has weight 0 and layer 1, and every other permutation
     of weight 0 uses an off-diagonal entry, of layer 0.  Only a matrix
-    that fails a check takes ``det``'s walk and its DET_MAX_ORDER."""
+    that fails a check expands its determinant over column subsets
+    (``_expansion``), and only it is refused above EXPANSION_MAX_ORDER."""
     n = _require_square(m)
     diagonal_ok = all(m.entry(i, i) == ONE for i in range(n))
     offdiagonal_ok = all(
@@ -537,7 +634,10 @@ def quasi_identity_check(m: ELTMatrix) -> QuasiIdentityReport:
         if i != j
     )
     idempotent = m * m == m
-    d = ONE if diagonal_ok and offdiagonal_ok and idempotent else det(m)
+    if diagonal_ok and offdiagonal_ok and idempotent:
+        d = ONE
+    else:
+        d = _expanded_det(m, "quasi_identity_check")[1]
     return QuasiIdentityReport(diagonal_ok, offdiagonal_ok, idempotent, d, d.layer != 0)
 
 
@@ -551,19 +651,25 @@ class QuasiInverseResult:
 def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
     """Inverse up to quasi-identities: det(A)^(-1) times the adjoint.
 
-    det(A) is the full column set of one ``subset_terms`` expansion,
-    about a 1/n share of the adjugate's products.  Raises
-    SingularDeterminant unless it is finite with a unit layer, before
-    any cofactor is formed.  The left and right reports certify that
-    both products with A are quasi-identities; by the paper's theorem
-    they pass every check, so no permutation is walked.  Orders above
-    ADJOINT_MAX_ORDER raise WorkBudgetExceeded.
+    det(A) is the full column set of one int expansion over column
+    subsets (``_expansion``), about a 1/n share of the cofactors' work.
+    Raises SingularDeterminant unless it is finite with a unit layer,
+    before any cofactor is formed.  The cofactors come from the same
+    kernel (``_cofactors``), and each entry of the inverse is built once,
+    its tangible less det's and its layer over det's.  The left and
+    right reports certify that both products with A are
+    quasi-identities; by the paper's theorem they pass every check, so
+    no determinant is expanded for them.  Orders above
+    EXPANSION_MAX_ORDER raise WorkBudgetExceeded.
     """
-    n = _require_order(a, ADJOINT_MAX_ORDER, "quasi_inverse", "2^n expansion")
-    d = subset_terms(a.rows, NEG_INF, ONE).get((1 << n) - 1, NEG_INF)
-    if d.is_neg_inf or not ring.is_unit(d.layer):
-        raise SingularDeterminant(f"determinant {d} has no unit layer in {ring.name}")
-    qi = ELTMatrix(adjugate(a.rows, NEG_INF, ONE)).scale(invert(d, ring))
+    full, det_a = _expanded_det(a, "quasi_inverse")
+    if det_a.is_neg_inf or not ring.is_unit(det_a.layer):
+        raise SingularDeterminant(f"determinant {det_a} has no unit layer in {ring.name}")
+    d, tangibles, d_layer, layers = a._int_form()
+    # det(A) is (t/d)^[l/d_layer^n], so a cofactor (c/d)^[m/d_layer^(n-1)]
+    # times its inverse is ((c - t)/d)^[m*d_layer/l]
+    t, l = full
+    qi = ELTMatrix(_scalars(_cofactors(tangibles, layers), d, t, d_layer, l))
     return QuasiInverseResult(
         qi,
         quasi_identity_check(qi * a),
@@ -575,7 +681,6 @@ def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
 # characteristic polynomial
 
 
-CHARPOLY_MAX_ORDER = 16
 # the largest power bound is_nilpotent accepts: the layers of A^m can
 # grow by log2(n) bits per power, so this caps the layer bits of small
 # matrices, and NILPOTENT_MAX_WORK caps the work of large ones
@@ -605,10 +710,10 @@ def charpoly(a: ELTMatrix) -> ELTPolynomial:
 
     It runs on the matrix's int form (``ELTMatrix``); every term of the
     L^m slot is a product of ``r+1-m`` entries, so its layers share one
-    power of the layer denominator.  Orders above CHARPOLY_MAX_ORDER raise
-    WorkBudgetExceeded.
+    power of the layer denominator.  Orders above EXPANSION_MAX_ORDER
+    raise WorkBudgetExceeded.
     """
-    n = _require_order(a, CHARPOLY_MAX_ORDER, "charpoly", "2^n expansion")
+    n = _require_order(a, EXPANSION_MAX_ORDER, "charpoly", "2^n expansion")
     d, tangibles, d_layer, layers = a._int_form()
     # column set -> (tangible per L power, None for -inf; layer per L power)
     dp: Dict[int, Tuple[List[Optional[int]], List[int]]] = {0: ([0], [1])}

@@ -11,10 +11,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from eltlab import transfer
 from eltlab.cli import main
 from eltlab.matrix import (
-    ADJOINT_MAX_ORDER,
-    CHARPOLY_MAX_ORDER,
     CYCLES_MAX,
     DET_MAX_ORDER,
+    EXPANSION_MAX_ORDER,
     NILPOTENT_MAX_BOUND,
     NILPOTENT_MAX_WORK,
     ELTMatrix,
@@ -449,10 +448,15 @@ def test_roots_with_huge_layers_stop_at_the_work_budget(tmp_path, text):
     )
 
 
-def dense_matrix_text(n):
-    """An n x n matrix of finite entries, tangibles 0..4 and layers 1..3."""
+def dense_matrix_text(n, diagonal=0):
+    """An n x n matrix of finite entries, tangibles 0..4 and layers 1..3,
+    with diagonal added to the tangibles on the diagonal."""
     return "\n".join(
-        ", ".join(f"{(i * j + i) % 5}^[{1 + (i + 2 * j) % 3}]" for j in range(n)) for i in range(n)
+        ", ".join(
+            f"{(i * j + i) % 5 + (diagonal if i == j else 0)}^[{1 + (i + 2 * j) % 3}]"
+            for j in range(n)
+        )
+        for i in range(n)
     ) + "\n"
 
 
@@ -487,7 +491,7 @@ def test_cycles_of_a_dense_12x12_matrix_stop_at_the_work_budget(tmp_path):
 
 
 def test_charpoly_work_budget_is_a_domain_error(capsys, tmp_path):
-    n = CHARPOLY_MAX_ORDER
+    n = EXPANSION_MAX_ORDER
     path = tmp_path / "dense.mat"
     path.write_text(dense_matrix_text(n))
     code, out, err = run(capsys, "charpoly", str(path))
@@ -547,7 +551,7 @@ def test_permutation_sums_of_a_dense_11x11_matrix_stop_at_the_work_budget(tmp_pa
 
 
 def check_subset_expansion_budget(capsys, tmp_path, command, function):
-    limit = ADJOINT_MAX_ORDER
+    limit = EXPANSION_MAX_ORDER
     path = tmp_path / "identity.mat"
     path.write_text(identity_matrix_text(limit))
     code, out, err = run(capsys, command, str(path))
@@ -570,21 +574,23 @@ def test_quasi_inverse_stops_at_the_work_budget(capsys, tmp_path):
     check_subset_expansion_budget(capsys, tmp_path, "qinv", "quasi_inverse")
 
 
-def check_dense_11x11_answers(tmp_path, command):
+def check_dense_16x16_answers(tmp_path, command, diagonal=0):
     path = tmp_path / "dense.mat"
-    path.write_text(dense_matrix_text(11))
+    path.write_text(dense_matrix_text(16, diagonal))
     proc = run_process(command, str(path), timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert [line.count(",") for line in proc.stdout.splitlines()] == [10] * 11
+    assert [line.count(",") for line in proc.stdout.splitlines()] == [15] * 16
 
 
-def test_adjoint_of_a_dense_11x11_matrix_answers(tmp_path):
-    # 11 expansions of about 2^10 * 11 products each, where a walk of
-    # the permutations would take 11 * 11! = 439,084,800
-    check_dense_11x11_answers(tmp_path, "adj")
+def test_adjoint_of_a_dense_16x16_matrix_answers(tmp_path):
+    # 16 int expansions of about 2^15 * 15 products each, where a walk
+    # of the permutations would take 16 * 16!, about 3.3e14
+    check_dense_16x16_answers(tmp_path, "adj")
 
 
-def test_quasi_inverse_of_a_dense_11x11_matrix_answers(tmp_path):
-    # the adjoint's expansions, then two checked 11x11 products whose
-    # determinants the quasi-identity checks read off without a walk
-    check_dense_11x11_answers(tmp_path, "qinv")
+def test_quasi_inverse_of_a_dense_16x16_matrix_answers(tmp_path):
+    # the adjoint's expansions and one for det(A), then two checked
+    # 16x16 products whose determinants the quasi-identity checks read
+    # off without an expansion.  A heavier diagonal makes the identity
+    # the one heaviest permutation, so det(A) has a unit layer
+    check_dense_16x16_answers(tmp_path, "qinv", diagonal=5)

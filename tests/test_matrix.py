@@ -523,9 +523,111 @@ def test_quasi_inverse_refuses_a_singular_matrix_before_any_cofactor(monkeypatch
     def no_cofactors(*args):
         raise AssertionError("a cofactor was formed")
 
-    monkeypatch.setattr(matrix, "adjugate", no_cofactors)
+    monkeypatch.setattr(matrix, "_cofactors", no_cofactors)
     with pytest.raises(SingularDeterminant, match=re.escape(f"determinant {d} has no unit layer")):
         quasi_inverse(M(text), ring)
+
+
+@st.composite
+def expansion_operands(draw):
+    """Square matrices of order 1..6 for the int expansion.  Tangibles
+    are tie-heavy (0 and 1) or have denominators 2 and 3; layers are
+    +-1, so that tied terms cancel to layer zero, or have denominators 2
+    and 3, so that neither denominator of the int form is 1; a fifth of
+    the entries are -inf."""
+    n = draw(st.integers(1, 6))
+    tangibles = draw(st.sampled_from([
+        st.sampled_from([Fraction(0), Fraction(1)]),
+        st.builds(Fraction, st.integers(-6, 6), st.sampled_from([2, 3])),
+    ]))
+    layers = draw(st.sampled_from([
+        st.sampled_from([Fraction(-1), Fraction(1)]),
+        st.builds(Fraction, st.integers(-3, 3), st.sampled_from([2, 3])),
+    ]))
+    entry = st.integers(0, 4).flatmap(
+        lambda q: st.just(NEG_INF) if q == 0 else st.builds(ELTScalar, tangibles, layers)
+    )
+    return ELTMatrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_operands(), st.sampled_from([Q_RING, Z_RING]))
+@example(M("5^[2]"), Q_RING)
+@example(M("-inf"), Q_RING)
+@example(M("1^[1], 1^[-1]\n1^[1], 1^[1]"), Q_RING)
+@example(M("1/2^[1/3], 0^[-1/2]\n1^[2/3], 1/3^[1]"), Q_RING)
+@example(M("1^[1], -inf\n-inf, 1^[-1]"), Z_RING)
+def test_int_expansion_equals_the_scalar_adjugate(a, ring):
+    """adjoint and quasi_inverse run on the matrix's int form; the
+    carrier-generic adjugate over ELT scalars, and the determinant at
+    the full column set of subset_terms, are their reference."""
+    reference = ELTMatrix(matrix.adjugate(a.rows, NEG_INF, ONE))
+    assert repr(adjoint(a)) == repr(reference)
+    d = matrix.subset_terms(a.rows, NEG_INF, ONE).get((1 << a.nrows) - 1, NEG_INF)
+    if d.is_neg_inf or not ring.is_unit(d.layer):
+        with pytest.raises(SingularDeterminant, match=re.escape(f"determinant {d} has no unit layer in {ring.name}")):
+            quasi_inverse(a, ring)
+        return
+    assert repr(quasi_inverse(a, ring).inverse) == repr(reference.scale(invert(d, ring)))
+
+
+def metamorphic_matrix(kind, n):
+    """A seeded n x n matrix: dense (tangibles -10..10, layers +-1 and
+    +-2), tie-heavy (tangibles 0 and 1, layers +-1), -inf-heavy (three
+    fifths -inf, the rest dense) or rational (tangibles and layers with
+    denominators up to 5 and 3)."""
+    rng = random.Random(f"{kind}-{n}")
+
+    def entry():
+        if kind == "tie-heavy":
+            return ELTScalar(rng.randint(0, 1), rng.choice([-1, 1]))
+        if kind == "rational":
+            return ELTScalar(
+                Fraction(rng.randint(-12, 12), rng.randint(1, 5)),
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+            )
+        if kind == "-inf-heavy" and rng.randrange(5) < 3:
+            return NEG_INF
+        return ELTScalar(rng.randint(-10, 10), rng.choice([-2, -1, 1, 2]))
+
+    return ELTMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("dense", 12), ("tie-heavy", 11), ("-inf-heavy", 12), ("rational", 10), ("dense", 9),
+])
+def test_adjoint_relations_above_the_oracles(kind, n):
+    """Above the brute-force oracles' reach: each diagonal entry of
+    A*adj(A) is det(A) (Laplace along its row), which is (-)^n times
+    the constant coefficient of charpoly(A), an independent expansion;
+    and adj(A^T) = adj(A)^T."""
+    a = metamorphic_matrix(kind, n)
+    adj = adjoint(a)
+    c0 = charpoly(a).coeff(0)
+    d = -c0 if n % 2 else c0
+    assert not d.is_neg_inf
+    laplace = a * adj
+    assert [repr(laplace.entry(i, i)) for i in range(n)] == [repr(d)] * n
+    assert repr(adjoint(a.transpose())) == repr(adj.transpose())
+
+
+def test_quasi_identity_check_of_a_failing_matrix_expands_its_determinant():
+    """A matrix that fails a check takes its determinant from the
+    expansion over column subsets, also above det's order limit, and is
+    refused only above the expansion's."""
+    n = 10
+    m = ELTMatrix([[ONE if i == j else S("1^[0]") for j in range(n)] for i in range(n)])
+    report = quasi_identity_check(m)
+    assert (report.diagonal_ok, report.offdiagonal_ok, report.idempotent) == (True, True, False)
+    full = matrix.subset_terms(m.rows, NEG_INF, ONE)[(1 << n) - 1]
+    assert repr(report.determinant) == repr(full) == repr(S("10^[0]"))
+    assert not report.nonsingular
+    n = matrix.EXPANSION_MAX_ORDER + 1
+    m = ELTMatrix([[ONE if i == j else S("1^[0]") for j in range(n)] for i in range(n)])
+    with pytest.raises(WorkBudgetExceeded, match=re.escape(
+        f"quasi_identity_check of a {n}x{n} matrix: the 2^n expansion is limited to {n - 1}x{n - 1}"
+    )):
+        quasi_identity_check(m)
 
 
 @st.composite
@@ -562,8 +664,8 @@ def quasi_identity_shaped(draw):
 @example(M("0^[1], 1^[0]\n1^[0], 0^[1]"))
 def test_quasi_identity_determinant_equals_the_one_by_one_walk(m):
     """A matrix that passes the diagonal, off-diagonal and idempotence
-    checks has determinant 0^[1] without a walk; every other matrix
-    takes det's walk."""
+    checks has determinant 0^[1] without an expansion; every other
+    matrix takes the expansion over column subsets."""
     assert repr(quasi_identity_check(m).determinant) == repr(det_one_by_one(m))
 
 
