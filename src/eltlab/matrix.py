@@ -10,15 +10,15 @@ permutation sums, on one depth-first walk of the permutations that
 shares prefix products, carries the parity and drops every permutation
 through a prefix that is zero; the adjugate from one signed expansion
 of each row-deleted minor over column subsets (both for any carrier;
-``transfer`` builds its identities on the second); the ELT adjoint and
-quasi-inverse on one int kernel of that expansion, run on the matrix's
-int form (the quasi-inverse's determinant read at its full column set,
-refused when singular before any cofactor is formed); the
-characteristic polynomial by one signed expansion over column subsets,
-also on the int form, under the same 16x16 budget; a Cayley-Hamilton
-check up to layer-zero slack, eigenpair verification, the essential
-trace with its spectral-dominance report, nilpotency of index at most
-n^2, and simple-cycle enumeration.
+``transfer`` builds its identities on the second); one int kernel of
+that expansion on the matrix's int form, under one 16x16 budget, for
+the ELT adjoint, the quasi-inverse (its determinant read at the full
+column set, refused when singular before any cofactor is formed) and
+the characteristic polynomial (a cell for L on each diagonal entry,
+the powers of L counted in the low bits of the kernel's key); a
+Cayley-Hamilton check up to layer-zero slack, eigenpair verification,
+the essential trace with its spectral-dominance report, nilpotency of
+index at most n^2, and simple-cycle enumeration.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .poly import ELTPolynomial, MonomialStatus, RootDescription, elt_roots
 Vector = tuple[ELTScalar, ...]
 IntForm = tuple[int, IntGrid, int, IntGrid]
 Entry = TypeVar("Entry")  # of any carrier the permutation expansions run over
+Cell = Tuple[int, int, int, int]  # (column bit, key step, int tangible, int layer)
 
 
 class ELTMatrix:
@@ -344,14 +345,15 @@ def _require_square(a: ELTMatrix) -> int:
 
 # the largest orders the expansions accept.  det sums the n!
 # permutations, where one order more costs about n times as much.
-# adjoint, quasi_inverse and charpoly share one budget: they expand over
-# column subsets on the matrix's int form, about n^2*2^(n-1) int
-# products for the cofactors and 2^n*n^2 for charpoly, where one order
-# more costs about 2.2 times as much; quasi_identity_check takes a
-# failing matrix's determinant from the same expansion.  From the command line
-# on a dense matrix (2-vCPU host): det of a 9x9 takes 2.0 s, adjoint
-# and quasi_inverse of a 16x16 about 1.9 s (a 13x13 0.2 s), charpoly of
-# a 16x16 0.6 s
+# adjoint, quasi_inverse and charpoly share one budget: they run one int
+# kernel over column subsets on the matrix's int form, about
+# n^2*2^(n-1) int products for the cofactors and 2^n*n^2/6 placements
+# for charpoly, where one order more costs about 2.2 times as much;
+# quasi_identity_check takes a failing matrix's determinant from the
+# same kernel.  From the command line on a dense matrix (a shared 2-vCPU
+# host under load, medians of 3 to 7): det of a 9x9 takes 4 to 6 s,
+# adjoint and quasi_inverse of a 16x16 4 to 5.5 s, charpoly and the
+# essential trace of a 16x16 1.9 to 2.8 s
 DET_MAX_ORDER = 9
 EXPANSION_MAX_ORDER = 16
 
@@ -490,32 +492,41 @@ def det(a: ELTMatrix) -> ELTScalar:
     return plus + (-minus)
 
 
-def _expansion(tangibles: IntGrid, layers: IntGrid) -> Dict[int, Tuple[int, int]]:
-    """``subset_terms`` of ELT rows on their int form (``ELTMatrix``):
-    column set -> (int tangible, int layer) of its sum, the layer over
-    the layer denominator to the power of the number of rows.
+def _cells(t_row: Sequence[Optional[int]], l_row: Sequence[int]) -> List[Cell]:
+    """The ``_expansion`` cells of one row of an int form, one per
+    finite entry, column j at key bit j."""
+    return [(1 << j, 1 << j, t, l) for j, (t, l) in enumerate(zip(t_row, l_row)) if t is not None]
 
-    Placing a row in column j adds the entry's tangible, multiplies by
-    its layer and negates the layer once per used column above j; a
-    larger tangible replaces the term kept for the set and a tie adds
-    the layers, as in ``charpoly``.  A -inf entry (None) places nothing.
+
+def _expansion(rows: Iterable[Sequence[Cell]]) -> Dict[int, Tuple[int, int]]:
+    """``subset_terms`` of ELT rows on their int form (``ELTMatrix``),
+    each row a list of cells ``(bit, step, t, l)``: an entry of int
+    tangible t and int layer l whose column is the key bit ``bit``.
+    Key -> (int tangible, int layer) of its sum.
+
+    Placing a cell on a key without its bit adds step to the key and t
+    to the tangible, multiplies by l, and negates the layer once per key
+    bit above it, the used columns above its column; a larger tangible
+    replaces the term kept for the key and a tie adds the layers.  With
+    the bit as the step (``_cells``) the key is the column set, and the
+    layers are over the layer denominator to the power of the number of
+    rows; ``charpoly`` adds low key bits that count the powers of L.
     """
     dp = {0: (0, 1)}
-    for t_row, l_row in zip(tangibles, layers):
-        cells = [(j, 1 << j, t, l) for j, (t, l) in enumerate(zip(t_row, l_row)) if t is not None]
+    for cells in rows:
         placed: Dict[int, Tuple[int, int]] = {}
-        for used, (t_prefix, l_prefix) in dp.items():
-            for j, bit, t, l in cells:
-                if used & bit:
+        for key, (t_prefix, l_prefix) in dp.items():
+            for bit, step, t, l in cells:
+                if key & bit:
                     continue
                 t += t_prefix
-                l *= -l_prefix if (used >> j).bit_count() & 1 else l_prefix
-                cols = used | bit
-                have = placed.get(cols)
+                l *= -l_prefix if (key & -bit).bit_count() & 1 else l_prefix
+                to = key + step
+                have = placed.get(to)
                 if have is None or t > have[0]:
-                    placed[cols] = (t, l)
+                    placed[to] = (t, l)
                 elif t == have[0]:
-                    placed[cols] = (t, have[1] + l)
+                    placed[to] = (t, have[1] + l)
         dp = placed
     return dp
 
@@ -524,13 +535,14 @@ def _cofactors(tangibles: IntGrid, layers: IntGrid) -> List[List[Optional[Tuple[
     """``adjugate`` of ELT rows on their int form: entry (j, k) is the
     (tangible, layer) of ``(-1)^(j+k)`` times the minor that deletes row
     k and column j, from one ``_expansion`` of the rows without k, or
-    None for -inf.  The layers are over the layer denominator to the
-    power n-1."""
+    None for -inf.  Each row's cells are built once.  The layers are
+    over the layer denominator to the power n-1."""
     n = len(tangibles)
     every = (1 << n) - 1
+    rows = list(map(_cells, tangibles, layers))
     out: List[List[Optional[Tuple[int, int]]]] = [[None] * n for _ in range(n)]
     for k in range(n):
-        minors = _expansion(tangibles[:k] + tangibles[k + 1:], layers[:k] + layers[k + 1:])
+        minors = _expansion(rows[:k] + rows[k + 1:])
         for j in range(n):
             minor = minors.get(every ^ 1 << j)
             if minor is not None:
@@ -573,7 +585,7 @@ def _expanded_det(a: ELTMatrix, what: str) -> Tuple[Optional[Tuple[int, int]], E
     WorkBudgetExceeded."""
     n = _require_order(a, EXPANSION_MAX_ORDER, what, "2^n expansion")
     d, tangibles, d_layer, layers = a._int_form()
-    full = _expansion(tangibles, layers).get((1 << n) - 1)
+    full = _expansion(map(_cells, tangibles, layers)).get((1 << n) - 1)
     return full, _scalars([[full]], d, 0, 1, d_layer**n)[0][0]
 
 
@@ -697,66 +709,33 @@ NILPOTENT_MAX_WORK = 6 * 10**9
 def charpoly(a: ELTMatrix) -> ELTPolynomial:
     """det(L*I + (-)A), expanded over column subsets.
 
-    Rows are placed in order; after row r, ``dp[C]`` is the signed sum
-    of the products that put rows ``0..r`` in the column set C, kept as
-    a list indexed by the power of L.  Placing row r in column j not in
-    C multiplies by ``(-)a_rj``, and by L as well when ``j == r``; the
-    sign flips once per column of C above j, the inversions the new
-    pair makes.  ELT sums are associative and commutative and products
-    distribute over them, so ``dp[all columns]`` is the sum over
-    principal minors, the coefficient of L^(n-k) the k-th signed one,
-    in about 2^n*n^2 int operations instead of a determinant per minor.
-    The leading coefficient is 0^[1].
-
-    It runs on the matrix's int form (``ELTMatrix``); every term of the
-    L^m slot is a product of ``r+1-m`` entries, so its layers share one
-    power of the layer denominator.  Orders above EXPANSION_MAX_ORDER
+    One ``_expansion`` places the rows of (-)A on the matrix's int form
+    (``ELTMatrix``), each with one more cell on its diagonal for L:
+    tangible 0, layer 1.  The key's low ``w = n.bit_length()`` bits
+    count the powers of L and the column bits sit above them, so an L
+    cell's step is its column bit plus 1.  ELT sums are associative and
+    commutative and products distribute over them, so the full column
+    set plus m holds the coefficient of L^m, the (n-m)-th signed
+    principal minor sum, in about 2^n*n^2 int operations instead of a
+    determinant per minor.  The leading coefficient is 0^[1].  Every
+    term of L^m is a product of n-m entries, so its layer is over the
+    layer denominator to that power.  Orders above EXPANSION_MAX_ORDER
     raise WorkBudgetExceeded.
     """
     n = _require_order(a, EXPANSION_MAX_ORDER, "charpoly", "2^n expansion")
     d, tangibles, d_layer, layers = a._int_form()
-    # column set -> (tangible per L power, None for -inf; layer per L power)
-    dp: Dict[int, Tuple[List[Optional[int]], List[int]]] = {0: ([0], [1])}
-    for r in range(n):
-        cells = [
-            (j, 1 << j, t, layers[r][j])
-            for j, t in enumerate(tangibles[r])
-            if t is not None or j == r
-        ]
-        placed = {}
-        for cols, (ts, ls) in dp.items():
-            for j, bit, t_entry, l_entry in cells:
-                if cols & bit:
-                    continue
-                odd = (cols >> (j + 1)).bit_count() & 1
-                # (L-power shift, tangible, signed layer) of each factor
-                factors = []
-                if t_entry is not None:
-                    factors.append((0, t_entry, l_entry if odd else -l_entry))
-                if j == r:
-                    factors.append((1, 0, -1 if odd else 1))
-                target = placed.get(cols | bit)
-                if target is None:
-                    target = placed[cols | bit] = ([None] * (r + 2), [0] * (r + 2))
-                out_t, out_l = target
-                for shift, ft, fl in factors:
-                    for m, t in enumerate(ts, shift):
-                        if t is None:
-                            continue
-                        t += ft
-                        have = out_t[m]
-                        if have is None or t > have:
-                            out_t[m] = t
-                            out_l[m] = ls[m - shift] * fl
-                        elif t == have:
-                            out_l[m] += ls[m - shift] * fl
-        dp = placed
-    ts, ls = dp[(1 << n) - 1]
-    return ELTPolynomial({
-        m: ELTScalar(Fraction(t, d), Fraction(l, d_layer ** (n - m)))
-        for m, (t, l) in enumerate(zip(ts, ls))
-        if t is not None
-    })
+    w = n.bit_length()  # bits enough to count up to n powers of L
+    rows = []
+    for r, (t_row, l_row) in enumerate(zip(tangibles, layers)):
+        cells = [(bit << w, bit << w, t, -l) for bit, _, t, l in _cells(t_row, l_row)]
+        cells.append((1 << r + w, (1 << r + w) + 1, 0, 1))
+        rows.append(cells)
+    full = ((1 << n) - 1) << w  # every key ends at the full column set
+    coefficients = {}
+    for key, (t, l) in _expansion(rows).items():
+        m = key - full
+        coefficients[m] = ELTScalar(Fraction(t, d), Fraction(l, d_layer ** (n - m)))
+    return ELTPolynomial(coefficients)
 
 
 def poly_at_matrix(p: ELTPolynomial, a: ELTMatrix) -> ELTMatrix:

@@ -6,10 +6,11 @@ subtree scalar by scalar, a polynomial evaluated with and without one
 monomial, every power of a matrix, every side of an identity on a
 program of its own, every monomial product as a tuple of exponents),
 or every term of a max-plus step, so they are slow, exponential or
-recursive, and live with the tests, not in ``eltlab``.  So do the few
-helpers that only the tests call: a submatrix, a row scaling, the
-canned identity catalogue, an expression's variable count and a
-monomial lookup.
+recursive, and live with the tests, not in ``eltlab``.  So do one
+polynomial route, the determinant from one assignment and exact
+elimination, and the few helpers that only the tests call: a
+submatrix, a row scaling, the canned identity catalogue, an
+expression's variable count and a monomial lookup.
 """
 
 import itertools
@@ -20,9 +21,9 @@ from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
-from eltlab.assign import TropicalMatrix
+from eltlab.assign import TropicalMatrix, hungarian_scaling, tangible_matrix
 from eltlab.core import BOTTOM, Bottom, integer_grid
-from eltlab.errors import DegeneratePolynomial, UnboundVariable
+from eltlab.errors import DegeneratePolynomial, InfeasibleAssignment, UnboundVariable
 from eltlab.matrix import essential_trace
 from eltlab.transfer import (
     _STAGES,
@@ -134,6 +135,61 @@ def det_one_by_one(a: ELTMatrix) -> ELTScalar:
         else:
             plus = plus + prod
     return plus + (-minus)
+
+
+def det_by_tight_layers(a: ELTMatrix) -> ELTScalar:
+    """The determinant from one assignment: ``value^[det_Q(L)]``.
+
+    value is the Hungarian optimum over the tangibles (Kuhn 1955;
+    Butkovič, *Max-linear Systems*, 2010), and L holds the layers of the
+    tight entries, ``u_i + v_j = t_ij``, and 0 elsewhere.  A permutation
+    is optimal exactly when all its entries are tight, so det_Q(L) is
+    the signed layer sum of the optimal permutations, by exact Fraction
+    elimination.  No finite permutation gives -inf.  The duals are
+    checked as a certificate first: ``u_i + v_j >= t_ij`` on every
+    finite entry, and ``sum u + sum v`` equals sigma's weight.  A route
+    to ``matrix.det`` that shares no code with its walk or with the
+    column-subset expansion."""
+    t = tangible_matrix(a)
+    n = len(t)
+    try:
+        h = hungarian_scaling(t)
+    except InfeasibleAssignment:
+        return NEG_INF
+    u, v, sigma = h.row_duals, h.col_duals, h.sigma
+    assert sorted(sigma) == list(range(n))
+    value = sum(t[i][sigma[i]] for i in range(n))
+    assert value == h.value == sum(u) + sum(v)
+    assert all(
+        u[i] + v[j] >= x for i, row in enumerate(t) for j, x in enumerate(row) if x is not BOTTOM
+    )
+    tight = [
+        [a.entry(i, j).layer if x is not BOTTOM and u[i] + v[j] == x else Fraction(0)
+         for j, x in enumerate(row)]
+        for i, row in enumerate(t)
+    ]
+    return ELTScalar(value, det_by_elimination(tight))
+
+
+def det_by_elimination(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """The determinant of a square rational matrix by Gaussian
+    elimination on Fractions, exact."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
 
 
 def submatrix(a: ELTMatrix, rows: Sequence[int], cols: Sequence[int]) -> ELTMatrix:

@@ -46,6 +46,7 @@ from oracles import (
     adjugate_one_by_one,
     charpoly_by_minors,
     charpoly_symbolic,
+    det_by_tight_layers,
     det_one_by_one,
     essential_trace_value,
     nilpotent_one_by_one,
@@ -389,6 +390,19 @@ def test_adjoint_walk_equals_the_minor_determinants(a):
     assert repr(adjoint(a)) == repr(adjoint_by_minors(a))
 
 
+@settings(max_examples=200, deadline=None)
+@given(square_operands())
+@example(M("-inf"))
+@example(M("1^[1], -inf\n-inf, -inf"))
+@example(M("1^[1], 1^[-1]\n1^[1], 1^[1]"))
+@example(M("1^[0], 2^[1]\n2^[1], 3^[0]"))
+def test_tight_layer_determinant_equals_det(a):
+    """det(A) is the Hungarian value with the layer of the tight entries'
+    determinant over Q, a route through neither the permutation walk nor
+    the column-subset expansion."""
+    assert repr(det_by_tight_layers(a)) == repr(det(a))
+
+
 @st.composite
 def walk_grids(draw, short=st.just(0)):
     """A grid of width n = 1..6 and n less ``short`` rows (a square one
@@ -598,17 +612,36 @@ def metamorphic_matrix(kind, n):
 ])
 def test_adjoint_relations_above_the_oracles(kind, n):
     """Above the brute-force oracles' reach: each diagonal entry of
-    A*adj(A) is det(A) (Laplace along its row), which is (-)^n times
-    the constant coefficient of charpoly(A), an independent expansion;
-    and adj(A^T) = adj(A)^T."""
+    A*adj(A) is det(A) (Laplace along its row), and so is (-)^n times
+    the constant coefficient of charpoly(A); both share one expansion,
+    so both are checked against the determinant from one assignment and
+    exact elimination.  And adj(A^T) = adj(A)^T."""
     a = metamorphic_matrix(kind, n)
     adj = adjoint(a)
-    c0 = charpoly(a).coeff(0)
-    d = -c0 if n % 2 else c0
+    d = det_by_tight_layers(a)
     assert not d.is_neg_inf
     laplace = a * adj
     assert [repr(laplace.entry(i, i)) for i in range(n)] == [repr(d)] * n
+    c0 = charpoly(a).coeff(0)
+    assert repr(-c0 if n % 2 else c0) == repr(d)
     assert repr(adjoint(a.transpose())) == repr(adj.transpose())
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("dense", 13), ("tie-heavy", 12), ("-inf-heavy", 13), ("rational", 11), ("dense", 9),
+])
+def test_charpoly_relations_above_the_oracles(kind, n):
+    """Above the brute-force oracles' reach: a principal minor of A^T is
+    the transpose of one of A, and P*A*P^T permutes the principal
+    minors, so charpoly(A^T) = charpoly(A) = charpoly(P*A*P^T) for a
+    permutation matrix P."""
+    a = metamorphic_matrix(kind, n)
+    order = list(range(n))
+    random.Random(f"perm-{kind}-{n}").shuffle(order)
+    p = ELTMatrix([[ONE if j == order[i] else NEG_INF for j in range(n)] for i in range(n)])
+    expected = repr(charpoly(a))
+    assert repr(charpoly(a.transpose())) == expected
+    assert repr(charpoly(p * a * p.transpose())) == expected
 
 
 def test_quasi_identity_check_of_a_failing_matrix_expands_its_determinant():
