@@ -460,11 +460,7 @@ def dense_matrix_text(n, diagonal=0):
     ) + "\n"
 
 
-@pytest.mark.parametrize("n", [12, 16])
-@pytest.mark.parametrize("command", ["charpoly", "etr"])
-def test_spectral_commands_of_a_dense_matrix_answer(tmp_path, command, n):
-    # at 16x16, one int expansion at the top of the 2^n budget: about
-    # 3.4e5 keys (a column set and a power of L) and 2.7e6 placements
+def check_spectral_command_on_a_dense_matrix(tmp_path, command, n):
     path = tmp_path / "dense.mat"
     path.write_text(dense_matrix_text(n))
     proc = run_process(command, str(path), timeout=10)
@@ -472,6 +468,18 @@ def test_spectral_commands_of_a_dense_matrix_answer(tmp_path, command, n):
     assert proc.stdout.count("\n") == 1
     if command == "charpoly":
         assert proc.stdout.startswith(f"0^[1]*L^{n} + ")
+
+
+@pytest.mark.parametrize("command", ["charpoly", "etr"])
+def test_spectral_commands_on_a_12x12_matrix_are_fast(tmp_path, command):
+    check_spectral_command_on_a_dense_matrix(tmp_path, command, 12)
+
+
+@pytest.mark.parametrize("command", ["charpoly", "etr"])
+def test_spectral_commands_on_a_16x16_matrix_answer(tmp_path, command):
+    # one int expansion at the top of the 2^n budget: about 3.4e5 keys
+    # (a column set and a power of L) and 2.7e6 placements
+    check_spectral_command_on_a_dense_matrix(tmp_path, command, 16)
 
 
 def test_cycles_of_a_dense_9x9_matrix_are_fast(tmp_path):
