@@ -44,84 +44,69 @@ BACKEND = "py"
 # BOTTOM sits strictly below every rational and TOP strictly above.
 # Both absorb under + so they can ride along in max-plus style sums.
 # They are plain singletons, not floats, so no floating point sneaks
-# into exact computations.
+# into exact computations.  ``_End`` holds all of their behaviour; a
+# subclass names only its end of the line, its hash key and its text.
 
 
-class Bottom:
+class _End:
+    """A singleton end of the tangible line: ``_end`` is -1 below all
+    rationals, +1 above them."""
+
+    __slots__ = ()
+    _instance = None
+    _end = 0
+    _hash_key = ""
+    _text = ""
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def _above(self, other: object) -> int:
+        """Positive, zero or negative as self sits above, at or below other."""
+        return self._end - (other._end if isinstance(other, _End) else 0)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, type(self))
+
+    def __hash__(self) -> int:
+        return hash(self._hash_key)
+
+    def __lt__(self, other: object) -> bool:
+        return self._above(other) < 0
+
+    def __le__(self, other: object) -> bool:
+        return self._above(other) <= 0
+
+    def __gt__(self, other: object) -> bool:
+        return self._above(other) > 0
+
+    def __ge__(self, other: object) -> bool:
+        return self._above(other) >= 0
+
+    # max-plus product: an end absorbs
+    def __add__(self, other: object) -> "_End":
+        return self
+
+    __radd__ = __add__
+
+    def __repr__(self) -> str:
+        return self._text
+
+
+class Bottom(_End):
     """Singleton ordered below all rationals; -inf of the tangible line."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls) -> "Bottom":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Bottom)
-
-    def __hash__(self) -> int:
-        return hash("eltlab.bottom")
-
-    def __lt__(self, other: object) -> bool:
-        return not isinstance(other, Bottom)
-
-    def __le__(self, other: object) -> bool:
-        return True
-
-    def __gt__(self, other: object) -> bool:
-        return False
-
-    def __ge__(self, other: object) -> bool:
-        return isinstance(other, Bottom)
-
-    # max-plus product: -inf absorbs
-    def __add__(self, other: object) -> "Bottom":
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self) -> str:
-        return "-inf"
+    _end, _hash_key, _text = -1, "eltlab.bottom", "-inf"
 
 
-class Top:
+class Top(_End):
     """Singleton ordered above all rationals; +inf used by valuations."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls) -> "Top":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Top)
-
-    def __hash__(self) -> int:
-        return hash("eltlab.top")
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return isinstance(other, Top)
-
-    def __gt__(self, other: object) -> bool:
-        return not isinstance(other, Top)
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-    def __add__(self, other: object) -> "Top":
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self) -> str:
-        return "+inf"
+    _end, _hash_key, _text = 1, "eltlab.top", "+inf"
 
 
 BOTTOM = Bottom()
@@ -164,7 +149,7 @@ class ELTScalar:
         self._l = exact_rational(layer)
 
     @staticmethod
-    def _raw(t: Fraction, l: Fraction) -> "ELTScalar":
+    def _raw(t: Fraction | None, l: Fraction | None) -> "ELTScalar":
         s = object.__new__(ELTScalar)
         s._t = t
         s._l = l
@@ -271,15 +256,8 @@ class ELTScalar:
         return f"ELTScalar({self})"
 
 
-def _make_neg_inf() -> ELTScalar:
-    s = object.__new__(ELTScalar)
-    s._t = None
-    s._l = None
-    return s
-
-
 #: The adjoined additive identity / multiplicative absorber.
-NEG_INF: ELTScalar = _make_neg_inf()
+NEG_INF: ELTScalar = ELTScalar._raw(None, None)
 
 #: The multiplicative identity 0^[1].
 ONE: ELTScalar = ELTScalar(0, 1)

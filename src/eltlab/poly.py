@@ -82,10 +82,6 @@ class ELTPolynomial:
     def constant(cls, c: ELTScalar) -> "ELTPolynomial":
         return cls({0: c})
 
-    @classmethod
-    def monomial(cls, deg: int, c: ELTScalar) -> "ELTPolynomial":
-        return cls({deg: c})
-
     @property
     def coefficients(self) -> Dict[int, ELTScalar]:
         return dict(self._coeffs)

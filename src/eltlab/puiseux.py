@@ -46,10 +46,6 @@ class PuiseuxSeries:
     def zero(cls) -> "PuiseuxSeries":
         return cls()
 
-    @classmethod
-    def monomial(cls, coeff: object, exp: object) -> "PuiseuxSeries":
-        return cls([(exp, coeff)])
-
     @property
     def terms(self) -> Tuple[Term, ...]:
         return self._terms

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -357,6 +358,18 @@ def run_process(*argv, timeout):
     )
 
 
+def run_within_cpu_seconds(limit, *argv):
+    """``run_process`` held to ``limit`` seconds of the child's CPU time,
+    which a busy host does not inflate as it does wall-clock time; the
+    60 s wall-clock timeout only stops a hang."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = run_process(*argv, timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    used = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert used < limit, f"{argv[0]} took {used:.2f} s of CPU time, over {limit} s"
+    return proc
+
+
 def test_roots_of_a_long_concave_polynomial_are_fast(tmp_path):
     # every point (d, -d^2) is a hull vertex: 4,001 terms, 4,000 corners
     n = 4000
@@ -463,7 +476,7 @@ def dense_matrix_text(n, diagonal=0):
 def check_spectral_command_on_a_dense_matrix(tmp_path, command, n):
     path = tmp_path / "dense.mat"
     path.write_text(dense_matrix_text(n))
-    proc = run_process(command, str(path), timeout=10)
+    proc = run_within_cpu_seconds(10, command, str(path))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.count("\n") == 1
     if command == "charpoly":
@@ -590,7 +603,7 @@ def test_quasi_inverse_stops_at_the_work_budget(capsys, tmp_path):
 def check_dense_16x16_answers(tmp_path, command, diagonal=0):
     path = tmp_path / "dense.mat"
     path.write_text(dense_matrix_text(16, diagonal))
-    proc = run_process(command, str(path), timeout=10)
+    proc = run_within_cpu_seconds(10, command, str(path))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert [line.count(",") for line in proc.stdout.splitlines()] == [15] * 16
 

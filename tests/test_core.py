@@ -1,5 +1,7 @@
 """Scalar arithmetic laws, the surpassing relation, and the scalar text format."""
 
+import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,13 @@ from eltlab import (
     NEG_INF,
     ONE,
     Q_RING,
+    TOP,
     Z_RING,
     invert,
     parse_scalar,
 )
 from eltlab.assign import tropical_matrix
-from eltlab.core import format_scalar
+from eltlab.core import Bottom, Top, format_scalar
 from eltlab.errors import NonInvertible, ParseError
 from eltlab.poly import LayerSolutions, elt_roots, parse_polynomial
 from eltlab.puiseux import PuiseuxSeries
@@ -266,3 +269,35 @@ def test_neg_inf_projections():
     assert NEG_INF.tangible is BOTTOM
     assert NEG_INF.layer == 0
     assert -NEG_INF is NEG_INF
+
+
+# the markers and some rationals, in increasing order: BOTTOM sits below
+# every rational and TOP above
+LINE = [BOTTOM, Fraction(-10**9), Fraction(0), Fraction(7, 3), TOP]
+COMPARISONS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+}
+
+
+@pytest.mark.parametrize("compare", COMPARISONS.values(), ids=COMPARISONS)
+def test_order_markers_compare_as_the_ends_of_the_line(compare):
+    # every pair with a marker in it, in both operand orders, compares
+    # as its positions on LINE do
+    for (i, x), (j, y) in itertools.product(enumerate(LINE), repeat=2):
+        if not (isinstance(x, Fraction) and isinstance(y, Fraction)):
+            assert compare(x, y) is compare(i, j), (x, y)
+
+
+def test_order_markers_are_absorbing_singletons():
+    assert Bottom() is BOTTOM
+    assert Top() is TOP
+    assert isinstance(BOTTOM, Bottom) and not isinstance(TOP, Bottom)
+    assert hash(BOTTOM) == hash("eltlab.bottom")
+    assert hash(TOP) == hash("eltlab.top")
+    assert (repr(BOTTOM), repr(TOP)) == ("-inf", "+inf")
+    for marker in (BOTTOM, TOP):
+        assert not hasattr(marker, "__dict__")
+        for x in (Fraction(-10**9), Fraction(0), Fraction(7, 3), 5):
+            assert marker + x is marker
+            assert x + marker is marker

@@ -19,6 +19,7 @@ from eltlab.errors import (
     ZeroVector,
 )
 from eltlab import matrix
+from eltlab.assign import hungarian_scaling, tangible_matrix, tropical_matrix
 from eltlab.matrix import (
     EigenStatus,
     MonomialStatus,
@@ -642,6 +643,51 @@ def test_charpoly_relations_above_the_oracles(kind, n):
     expected = repr(charpoly(a))
     assert repr(charpoly(a.transpose())) == expected
     assert repr(charpoly(p * a * p.transpose())) == expected
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("dense", 7), ("tie-heavy", 7), ("-inf-heavy", 7), ("rational", 7), ("dense", 8),
+])
+def test_det_relations_of_the_permutation_sum(kind, n):
+    """Relations of the permutation sum that hold at every order: a
+    permutation and its inverse have one parity, so det(A^T) = det(A);
+    permuting the rows by P negates the layer of det(A) when P is odd
+    and keeps it when P is even; and adding c to every finite tangible
+    of one row multiplies each product by c^[1], so det(A) * c^[1]."""
+    a = metamorphic_matrix(kind, n)
+    d = det(a)
+    assert not d.is_neg_inf
+    assert repr(det(a.transpose())) == repr(d)
+    rng = random.Random(f"rows-{kind}-{n}")
+    order = list(range(n))
+    rng.shuffle(order)
+    # one transposition flips the parity
+    for perm in (order, [order[1], order[0], *order[2:]]):
+        odd = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2)) & 1
+        permuted = det(ELTMatrix([a.rows[i] for i in perm]))
+        assert repr(permuted) == repr(-d if odd else d)
+    r = rng.randrange(n)
+    c = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+    shifted = ELTMatrix([
+        [x if i != r or x.is_neg_inf else ELTScalar(x.tangible + c, x.layer) for x in row]
+        for i, row in enumerate(a.rows)
+    ])
+    assert repr(det(shifted)) == repr(d * ELTScalar(c, 1))
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("dense", 40), ("tie-heavy", 35), ("-inf-heavy", 30), ("rational", 32),
+])
+def test_hungarian_value_is_invariant_under_row_and_column_permutations(kind, n):
+    """A permutation of the rows and columns maps each assignment to one
+    of the permuted matrix with the same sum, so the best value stays."""
+    t = tangible_matrix(metamorphic_matrix(kind, n))
+    rng = random.Random(f"assignment-{kind}-{n}")
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    permuted = tropical_matrix([[t[i][j] for j in cols] for i in rows])
+    assert hungarian_scaling(permuted).value == hungarian_scaling(t).value
 
 
 def test_quasi_identity_check_of_a_failing_matrix_expands_its_determinant():
