@@ -58,6 +58,7 @@ Vector = tuple[ELTScalar, ...]
 IntForm = tuple[int, IntGrid, int, IntGrid]
 Entry = TypeVar("Entry")  # of any carrier the permutation expansions run over
 Cell = Tuple[int, int, int, int]  # (column bit, key step, int tangible, int layer)
+IntCells = List[List[Optional[Tuple[int, int]]]]  # (int tangible, int layer), None for -inf
 
 
 class ELTMatrix:
@@ -155,7 +156,8 @@ class ELTMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        return ELTMatrix(_products(self._int_form(), other._int_form()))
+        cells, d, d_layer = _products(self._int_form(), other._int_form())
+        return ELTMatrix(_scalars(cells, d, 0, 1, d_layer))
 
     def scale(self, c: ELTScalar) -> "ELTMatrix":
         """Entrywise product with the scalar c."""
@@ -168,7 +170,8 @@ class ELTMatrix:
                 f"cannot apply {self.nrows}x{self.ncols} to a vector of length {len(v)}"
             )
         column = ELTMatrix([(x,) for x in v])
-        return tuple(row[0] for row in _products(self._int_form(), column._int_form()))
+        cells, d, d_layer = _products(self._int_form(), column._int_form())
+        return tuple(row[0] for row in _scalars(cells, d, 0, 1, d_layer))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ELTMatrix):
@@ -226,22 +229,21 @@ class ELTMatrix:
         return cls(grid)
 
 
-def _products(left: IntForm, right: IntForm) -> List[List[ELTScalar]]:
+def _products(left: IntForm, right: IntForm) -> Tuple[IntCells, int, int]:
     """The product of two matrices' int forms (``ELTMatrix``): every row
     of the left times every column of the right, ``sum_j row[j] * col[j]``.
+    Returns its cells with their tangible and layer denominators.
 
     Both sides' int tangibles are rescaled to the lcm d of their two
     denominators, so a term is an int tangible sum over d with an int
-    layer product over the product of the two layer denominators.
+    layer product over d_layer, the product of the two layer
+    denominators.
     Each column's finite terms are sorted once, largest first; a row
     with largest finite tangible ``top`` scans them until ``b + top <
     best`` (the threshold algorithm's stop rule, Fagin, Lotem & Naor
     2003): no later term reaches the best sum.  The stop is strict
     because a term with ``b + top == best`` can still tie, and a tie
-    adds its layer product.  An entry with no finite term is -inf.
-    The scalars are made with one Fraction per distinct int sum or
-    layer product and ``ELTScalar._raw``, which skips the constructor's
-    checks that these Fractions pass by construction.
+    adds its layer product.  An entry with no finite term is None.
     """
     d_left, row_t, d_left_layer, row_l = left
     d_right, right_t, d_right_layer, right_l = right
@@ -256,13 +258,11 @@ def _products(left: IntForm, right: IntForm) -> List[List[ELTScalar]]:
         )
         for ct, cl in zip(zip(*right_t), zip(*right_l))
     ]
-    tangibles: Dict[int, Fraction] = {}
-    layers: Dict[int, Fraction] = {}
-    out = []
+    out: IntCells = []
     for rt, rl in zip(row_t, row_l):
         top = max((a for a in rt if a is not None), default=None)
         if top is None:
-            out.append([NEG_INF] * len(terms))
+            out.append([None] * len(terms))
             continue
         out_row = []
         for col in terms:
@@ -273,7 +273,7 @@ def _products(left: IntForm, right: IntForm) -> List[List[ELTScalar]]:
                     best, layer = a + b, rl[j] * l
                     break
             else:
-                out_row.append(NEG_INF)
+                out_row.append(None)
                 continue
             need = best - top
             for b, j, l in scan:
@@ -287,15 +287,9 @@ def _products(left: IntForm, right: IntForm) -> List[List[ELTScalar]]:
                     best, layer, need = a, rl[j] * l, a - top
                 elif a == best:
                     layer += rl[j] * l
-            t = tangibles.get(best)
-            if t is None:
-                t = tangibles[best] = Fraction(best, d)
-            s = layers.get(layer)
-            if s is None:
-                s = layers[layer] = Fraction(layer, d_layer)
-            out_row.append(ELTScalar._raw(t, s))
+            out_row.append((best, layer))
         out.append(out_row)
-    return out
+    return out, d, d_layer
 
 
 def _rescaled(grid: IntGrid, k: int) -> IntGrid:
@@ -531,7 +525,7 @@ def _expansion(rows: Iterable[Sequence[Cell]]) -> Dict[int, Tuple[int, int]]:
     return dp
 
 
-def _cofactors(tangibles: IntGrid, layers: IntGrid) -> List[List[Optional[Tuple[int, int]]]]:
+def _cofactors(tangibles: IntGrid, layers: IntGrid) -> IntCells:
     """``adjugate`` of ELT rows on their int form: entry (j, k) is the
     (tangible, layer) of ``(-1)^(j+k)`` times the minor that deletes row
     k and column j, from one ``_expansion`` of the rows without k, or
@@ -540,7 +534,7 @@ def _cofactors(tangibles: IntGrid, layers: IntGrid) -> List[List[Optional[Tuple[
     n = len(tangibles)
     every = (1 << n) - 1
     rows = list(map(_cells, tangibles, layers))
-    out: List[List[Optional[Tuple[int, int]]]] = [[None] * n for _ in range(n)]
+    out: IntCells = [[None] * n for _ in range(n)]
     for k in range(n):
         minors = _expansion(rows[:k] + rows[k + 1:])
         for j in range(n):
@@ -551,12 +545,11 @@ def _cofactors(tangibles: IntGrid, layers: IntGrid) -> List[List[Optional[Tuple[
     return out
 
 
-def _scalars(
-    grid: List[List[Optional[Tuple[int, int]]]], d: int, shift: int, num: int, den: int
-) -> List[List[ELTScalar]]:
+def _scalars(grid: IntCells, d: int, shift: int, num: int, den: int) -> List[List[ELTScalar]]:
     """The scalars ``((t - shift)/d)^[l*num/den]`` of an int grid, -inf
     for None, with one Fraction per distinct int and ``ELTScalar._raw``,
-    as in ``_products``."""
+    which skips the constructor's checks that these Fractions pass by
+    construction."""
     tangibles: Dict[int, Fraction] = {}
     layers: Dict[int, Fraction] = {}
     out = []
@@ -637,20 +630,45 @@ def quasi_identity_check(m: ELTMatrix) -> QuasiIdentityReport:
     of weight 0 uses an off-diagonal entry, of layer 0.  Only a matrix
     that fails a check expands its determinant over column subsets
     (``_expansion``), and only it is refused above EXPANSION_MAX_ORDER."""
-    n = _require_square(m)
-    diagonal_ok = all(m.entry(i, i) == ONE for i in range(n))
+    _require_square(m)
+    d, tangibles, d_layer, layers = m._int_form()
+    cells = [
+        [None if t is None else (t, l) for t, l in zip(t_row, l_row)]
+        for t_row, l_row in zip(tangibles, layers)
+    ]
+    return _quasi_identity_report(cells, d, d_layer)
+
+
+def _quasi_identity_report(cells: IntCells, d: int, d_layer: int) -> QuasiIdentityReport:
+    """``quasi_identity_check`` on the int cells of a square matrix,
+    tangibles over d and layers over d_layer.  A diagonal cell must be
+    0^[1], (0, d_layer); a cell off it -inf or of layer 0.  The square's
+    cells are over (d, d_layer^2), so the matrix is idempotent when each
+    of them has its cell's tangible and d_layer times its layer.  Only a
+    matrix that fails a check builds its scalars, for ``_expanded_det``."""
+    n = len(cells)
+    diagonal_ok = all(cells[i][i] == (0, d_layer) for i in range(n))
     offdiagonal_ok = all(
-        m.entry(i, j).layer == 0
-        for i in range(n)
-        for j in range(n)
-        if i != j
+        c is None or c[1] == 0 for i, row in enumerate(cells) for j, c in enumerate(row) if i != j
     )
-    idempotent = m * m == m
+    form = (
+        d,
+        [[None if c is None else c[0] for c in row] for row in cells],
+        d_layer,
+        [[0 if c is None else c[1] for c in row] for row in cells],
+    )
+    square = _products(form, form)[0]
+    idempotent = all(
+        c2 == (None if c is None else (c[0], c[1] * d_layer))
+        for row, row2 in zip(cells, square)
+        for c, c2 in zip(row, row2)
+    )
     if diagonal_ok and offdiagonal_ok and idempotent:
-        d = ONE
+        det_m = ONE
     else:
-        d = _expanded_det(m, "quasi_identity_check")[1]
-    return QuasiIdentityReport(diagonal_ok, offdiagonal_ok, idempotent, d, d.layer != 0)
+        m = ELTMatrix(_scalars(cells, d, 0, 1, d_layer))
+        det_m = _expanded_det(m, "quasi_identity_check")[1]
+    return QuasiIdentityReport(diagonal_ok, offdiagonal_ok, idempotent, det_m, det_m.layer != 0)
 
 
 @dataclass(frozen=True)
@@ -670,8 +688,9 @@ def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
     kernel (``_cofactors``), and each entry of the inverse is built once,
     its tangible less det's and its layer over det's.  The left and
     right reports certify that both products with A are
-    quasi-identities; by the paper's theorem they pass every check, so
-    no determinant is expanded for them.  Orders above
+    quasi-identities, read off the products' int cells; by the paper's
+    theorem they pass every check, so no product's scalars are built
+    and no determinant is expanded for them.  Orders above
     EXPANSION_MAX_ORDER raise WorkBudgetExceeded.
     """
     full, det_a = _expanded_det(a, "quasi_inverse")
@@ -682,10 +701,11 @@ def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
     # times its inverse is ((c - t)/d)^[m*d_layer/l]
     t, l = full
     qi = ELTMatrix(_scalars(_cofactors(tangibles, layers), d, t, d_layer, l))
+    qi_form, a_form = qi._int_form(), a._int_form()
     return QuasiInverseResult(
         qi,
-        quasi_identity_check(qi * a),
-        quasi_identity_check(a * qi),
+        _quasi_identity_report(*_products(qi_form, a_form)),
+        _quasi_identity_report(*_products(a_form, qi_form)),
     )
 
 

@@ -328,53 +328,49 @@ def _rational_roots(int_coeffs: Dict[int, int], ring: LayerRing) -> Tuple[Fracti
     """All ring roots of a nonzero integer polynomial, by the rational
     root bound plus exact verification.
 
-    A candidate p/q is evaluated as an exact ``(p/q)**top``; when that
-    power would take more than ROOT_POWER_MAX_BITS bits the search
-    raises WorkBudgetExceeded.  The candidates 1 and -1 stay exempt.
-    It raises the same when the steps of the trial division that lists
-    the divisors of the constant and leading coefficients, plus
-    ROOT_CANDIDATE_WORK for each candidate evaluated, would pass
-    ROOTS_MAX_WORK.  Only coprime divisor pairs are tried: each rational once.
+    Only coprime divisor pairs p, q are tried, so each rational once,
+    and only the q with 1/q in the ring: p/q in lowest terms lies in a
+    subring of Q exactly when 1/q does.  A candidate p/q is tested on
+    ints, as ``sum(a * p**d * q**(top - d))`` over the nonzero terms,
+    its value times q**top; when p**top or q**top would take more than
+    ROOT_POWER_MAX_BITS bits the search raises WorkBudgetExceeded.  The
+    candidates 1 and -1 stay exempt.  It raises the same when the steps
+    of the trial division that lists the divisors of the constant and
+    leading coefficients, plus ROOT_CANDIDATE_WORK for each candidate
+    evaluated, would pass ROOTS_MAX_WORK.
     """
     roots = []
     degs = sorted(d for d, a in int_coeffs.items() if a != 0)
     low = degs[0]
     if low > 0 and Fraction(0) in ring:
         roots.append(Fraction(0))
-    shifted = {d - low: int_coeffs[d] for d in degs}
-    top = max(shifted)
+    shifted = [(d - low, int_coeffs[d]) for d in degs]
+    top, lead = shifted[-1]
     if top == 0:
         return tuple(roots)
-    lead = shifted[top]
-    const = shifted[0]
-    seen = set(roots)
+    const = shifted[0][1]
     # _divisors(n) takes isqrt(|n|) steps
     work = math.isqrt(abs(const)) + math.isqrt(abs(lead))
     if work > ROOTS_MAX_WORK:
         raise _roots_budget_exceeded(top)
-    dens = _divisors(lead)
+    dens = [den for den in _divisors(lead) if Fraction(1, den) in ring]
     for num in _divisors(const):
         for den in dens:
             if math.gcd(num, den) != 1:
                 continue  # num/den in lowest terms is another pair's candidate
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if cand in seen or cand not in ring:
-                    continue
+            # (m - 1).bit_length() is ceil(log2 m), 0 for 1 and -1
+            bits = top * (max(num, den) - 1).bit_length()
+            for p in (num, -num):
                 work += ROOT_CANDIDATE_WORK
                 if work > ROOTS_MAX_WORK:
                     raise _roots_budget_exceeded(top)
-                # (m - 1).bit_length() is ceil(log2 m), 0 for 1 and -1
-                bits = top * (max(abs(cand.numerator), cand.denominator) - 1).bit_length()
                 if bits > ROOT_POWER_MAX_BITS:
                     raise WorkBudgetExceeded(
-                        f"root candidate {cand} at degree {top}: the search is "
+                        f"root candidate {Fraction(p, den)} at degree {top}: the search is "
                         f"limited to powers of {ROOT_POWER_MAX_BITS} bits"
                     )
-                value = sum(a * cand**d for d, a in shifted.items())
-                if value == 0:
-                    seen.add(cand)
-                    roots.append(cand)
+                if sum(a * p**d * den ** (top - d) for d, a in shifted) == 0:
+                    roots.append(Fraction(p, den))
     return tuple(sorted(roots))
 
 

@@ -533,6 +533,16 @@ def expand(
 #
 # Each model runs a program on plain values, with None for -inf, and
 # returns, for each output, the sum of pos and the negation of neg.
+#
+# A model's ``sample`` draws a trial's values straight from
+# ``getrandbits``, with the rejection loops that ``random`` runs on it.
+# A value is -inf when a 4-bit draw, redrawn while >= 10, is 0: that is
+# ``randrange(10) == 0``.  Otherwise its tangible is a 5-bit draw,
+# redrawn while >= 21, minus 10: ``randint(-10, 10)``.  An ELT value
+# takes its layer from ``_LAYERS`` at a 3-bit draw, redrawn while >= 5:
+# ``choice(_LAYERS)``.  The stdlib methods make those same
+# ``getrandbits`` calls, so the stream, and every verdict drawn from it,
+# is theirs.
 
 
 Pair = tuple[int, int] | None
@@ -556,10 +566,22 @@ class MaxPlusModel:
     zero = None
     one = 0
 
-    def sample(self, rng: random.Random) -> Optional[int]:
-        if rng.randrange(10) == 0:
-            return None
-        return rng.randint(-10, 10)
+    def sample(self, rng: random.Random, count: int) -> Tuple[Optional[int], ...]:
+        """``count`` values, each -inf or a tangible in -10..10."""
+        getrandbits = rng.getrandbits
+        values = []
+        for _ in range(count):
+            r = getrandbits(4)
+            while r >= 10:
+                r = getrandbits(4)
+            if r:
+                t = getrandbits(5)
+                while t >= 21:
+                    t = getrandbits(5)
+                values.append(t - 10)
+            else:
+                values.append(None)
+        return tuple(values)
 
     def show(self, a: Optional[int]) -> str:
         return "-inf" if a is None else str(a)
@@ -611,10 +633,26 @@ class ELTModel:
     zero = None
     one = (0, 1)
 
-    def sample(self, rng: random.Random) -> Pair:
-        if rng.randrange(10) == 0:
-            return None
-        return rng.randint(-10, 10), rng.choice(_LAYERS)
+    def sample(self, rng: random.Random, count: int) -> Tuple[Pair, ...]:
+        """``count`` values, each -inf or a tangible in -10..10 with a
+        layer from ``_LAYERS``."""
+        getrandbits = rng.getrandbits
+        values = []
+        for _ in range(count):
+            r = getrandbits(4)
+            while r >= 10:
+                r = getrandbits(4)
+            if r:
+                t = getrandbits(5)
+                while t >= 21:
+                    t = getrandbits(5)
+                l = getrandbits(3)
+                while l >= 5:
+                    l = getrandbits(3)
+                values.append((t - 10, _LAYERS[l]))
+            else:
+                values.append(None)
+        return tuple(values)
 
     def show(self, a: Pair) -> str:
         return format_scalar(_scalar(a))
@@ -752,7 +790,7 @@ def _sample(plan: _Plan, relation: str, trials: int, seed: int) -> Tuple[CheckRe
             for i in members:
                 verdicts[i].append(True)
             for trial in range(trials):
-                values = tuple(model.sample(rng) for _ in range(nvars))
+                values = model.sample(rng, nvars)
                 out = evaluate(program, model, values)
                 for i, lhs, rhs in zip(members, out[::2], out[1::2]):
                     if not holds(lhs, rhs):

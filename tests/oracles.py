@@ -4,7 +4,9 @@ They compute what the library computes by other means (every
 permutation one by one, every principal minor, every walk, every
 subtree scalar by scalar, a polynomial evaluated with and without one
 monomial, every power of a matrix, every side of an identity on a
-program of its own, every monomial product as a tuple of exponents),
+program of its own, every monomial product as a tuple of exponents,
+every sampled value through the stdlib's own draw methods, every root
+candidate as a Fraction),
 or every term of a max-plus step, so they are slow, exponential or
 recursive, and live with the tests, not in ``eltlab``.  So do one
 polynomial route, the determinant from one assignment and exact
@@ -14,6 +16,7 @@ expression's variable count and a monomial lookup.
 """
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -22,9 +25,21 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
 from eltlab.assign import TropicalMatrix, hungarian_scaling, tangible_matrix
-from eltlab.core import BOTTOM, Bottom, integer_grid
-from eltlab.errors import DegeneratePolynomial, InfeasibleAssignment, UnboundVariable
+from eltlab.core import BOTTOM, Bottom, LayerRing, integer_grid
+from eltlab.errors import (
+    DegeneratePolynomial,
+    InfeasibleAssignment,
+    UnboundVariable,
+    WorkBudgetExceeded,
+)
 from eltlab.matrix import essential_trace
+from eltlab.poly import (
+    ROOT_CANDIDATE_WORK,
+    ROOT_POWER_MAX_BITS,
+    ROOTS_MAX_WORK,
+    _divisors,
+    _roots_budget_exceeded,
+)
 from eltlab.transfer import (
     _STAGES,
     ELT_MODEL,
@@ -40,6 +55,7 @@ from eltlab.transfer import (
     Ops,
     PolyExpression,
     Var,
+    _LAYERS,
     _Program,
     _compile,
     _dominates,
@@ -308,6 +324,51 @@ def dominant_degrees(p: ELTPolynomial, x: Fraction) -> Tuple[int, ...]:
     return tuple(d for d in sorted(values) if values[d] == top)
 
 
+def rational_roots_by_fractions(int_coeffs: Dict[int, int], ring: LayerRing) -> Tuple[Fraction, ...]:
+    """``poly._rational_roots`` with every candidate a normalised
+    Fraction, checked against the ring and a set of the roots found,
+    and evaluated as a sum of Fraction powers, where the library tests
+    the ring once per denominator and evaluates on ints.  The same
+    candidates count against the same budgets, in the same order."""
+    roots = []
+    degs = sorted(d for d, a in int_coeffs.items() if a != 0)
+    low = degs[0]
+    if low > 0 and Fraction(0) in ring:
+        roots.append(Fraction(0))
+    shifted = {d - low: int_coeffs[d] for d in degs}
+    top = max(shifted)
+    if top == 0:
+        return tuple(roots)
+    lead = shifted[top]
+    const = shifted[0]
+    seen = set(roots)
+    work = math.isqrt(abs(const)) + math.isqrt(abs(lead))
+    if work > ROOTS_MAX_WORK:
+        raise _roots_budget_exceeded(top)
+    dens = _divisors(lead)
+    for num in _divisors(const):
+        for den in dens:
+            if math.gcd(num, den) != 1:
+                continue
+            for sign in (1, -1):
+                cand = Fraction(sign * num, den)
+                if cand in seen or cand not in ring:
+                    continue
+                work += ROOT_CANDIDATE_WORK
+                if work > ROOTS_MAX_WORK:
+                    raise _roots_budget_exceeded(top)
+                bits = top * (max(abs(cand.numerator), cand.denominator) - 1).bit_length()
+                if bits > ROOT_POWER_MAX_BITS:
+                    raise WorkBudgetExceeded(
+                        f"root candidate {cand} at degree {top}: the search is "
+                        f"limited to powers of {ROOT_POWER_MAX_BITS} bits"
+                    )
+                if sum(a * cand**d for d, a in shifted.items()) == 0:
+                    seen.add(cand)
+                    roots.append(cand)
+    return tuple(sorted(roots))
+
+
 def nilpotent_one_by_one(a: ELTMatrix, bound: Optional[int] = None) -> Tuple[bool, Optional[int]]:
     """``matrix.is_nilpotent`` by multiplying the powers A, A^2, ... one
     at a time up to the bound (default n^2)."""
@@ -507,6 +568,19 @@ def ring_equal(p: PolyExpression, q: PolyExpression) -> bool:
     return p_table.net() == q_table.net()
 
 
+def reference_draw(model, rng: random.Random, count: int) -> tuple:
+    """``model.sample(rng, count)`` drawn value by value through the
+    stdlib methods, where the library calls ``getrandbits`` and runs
+    their rejection loops itself."""
+    def one():
+        if rng.randrange(10) == 0:
+            return None
+        tangible = rng.randint(-10, 10)
+        return tangible if model is MAXPLUS_MODEL else (tangible, rng.choice(_LAYERS))
+
+    return tuple(one() for _ in range(count))
+
+
 def check_components_one_by_one(
     components: Sequence[Component], relation: str, trials: int, seed: int, strong: bool
 ) -> Tuple[CheckReport, ...]:
@@ -529,7 +603,7 @@ def check_components_one_by_one(
             for i in members:
                 verdicts[i].append(True)
             for trial in range(trials):
-                values = tuple(model.sample(rng) for _ in range(nvars))
+                values = reference_draw(model, rng, nvars)
                 for i in members:
                     p, q = components[i]
                     lhs = evaluate(p, model, values)

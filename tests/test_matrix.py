@@ -748,6 +748,22 @@ def test_quasi_identity_determinant_equals_the_one_by_one_walk(m):
     assert repr(quasi_identity_check(m).determinant) == repr(det_one_by_one(m))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(quasi_identity_shaped(), square_operands()))
+@example(M("0^[1/2], -1^[0]\n-1^[0], 0^[1/2]"))  # M*M has 0^[1/4] on its diagonal
+def test_quasi_identity_checks_on_cells_are_the_scalar_checks(m):
+    """The diagonal, off-diagonal and idempotence verdicts read off the
+    int cells are those of the scalars: 0^[1] on the diagonal, layer 0
+    off it, and ``m * m == m``."""
+    n = m.nrows
+    report = quasi_identity_check(m)
+    assert report.diagonal_ok == all(m.entry(i, i) == ONE for i in range(n))
+    assert report.offdiagonal_ok == all(
+        m.entry(i, j).layer == 0 for i in range(n) for j in range(n) if i != j
+    )
+    assert report.idempotent == (m * m == m)
+
+
 def test_matrix_satisfies_its_characteristic_polynomial():
     value = poly_at_matrix(charpoly(SYM), SYM)
     assert value == M("4^[0], 5^[0]\n5^[0], 6^[0]")

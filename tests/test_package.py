@@ -120,3 +120,31 @@ def test_only_matrix_walks_the_permutations():
     walk."""
     naming = [p.stem for p in PACKAGE.glob("*.py") if "permutation_terms" in names_in(p)]
     assert sorted(set(naming) - {"matrix"}) == []
+
+
+PER_VALUE_DRAWS = {"randrange", "randint", "choice"}
+
+
+def per_value_draws(path):
+    """Calls of ``randrange``, ``randint`` or ``choice`` in one module,
+    as a method or a bare name, and imports of them from ``random``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in PER_VALUE_DRAWS:
+                found.append(f"line {node.lineno}: {name}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name in PER_VALUE_DRAWS]
+    return found
+
+
+def test_the_library_draws_only_through_getrandbits():
+    """``transfer``'s models draw a trial's values from ``getrandbits``
+    with the rejection loops of ``random``.  The value-by-value draw
+    through the stdlib methods is the tests' reference
+    (``oracles.reference_draw``), so it does not come back beside the
+    library's."""
+    found = {p.stem: per_value_draws(p) for p in PACKAGE.glob("*.py")}
+    assert {name: calls for name, calls in found.items() if calls} == {}

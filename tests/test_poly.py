@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eltlab import ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, Q_RING, Z_RING
 from eltlab.core import BOTTOM, TOP, parse_scalar
@@ -13,12 +13,13 @@ from eltlab.poly import (
     ROOT_CANDIDATE_WORK,
     ROOTS_MAX_WORK,
     LayerSolutions,
+    _rational_roots,
     elt_roots,
     envelope,
     format_polynomial,
     parse_polynomial,
 )
-from oracles import classify_at, dominant_degrees, is_root
+from oracles import classify_at, dominant_degrees, is_root, rational_roots_by_fractions
 from rand import random_scalar
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=4)
@@ -303,6 +304,41 @@ def test_root_search_counts_candidates_against_its_budget():
     # 5040 has 60 divisors: 7,200 candidates fit.  (70x - 72)(72x - 70)
     roots = elt_roots(P("0^[5040]*L^2 + 0^[-10084]*L + 0^[5040]"))
     assert roots.corners[0].layers == LayerSolutions(False, (Fraction(35, 36), Fraction(36, 35)))
+
+
+# nonzero layer-equation coefficients: small ones, and a few with many
+# divisors or too large to list them within the budget
+root_coeffs = st.integers(-40, 40).filter(bool) | st.sampled_from(
+    (5040, -720720, 247110827, 2**50)
+)
+layer_equations = st.dictionaries(st.integers(0, 9), root_coeffs, min_size=1) | st.dictionaries(
+    # so high a degree that every candidate but 1 and -1 is refused
+    st.sampled_from((0, 1, 2**22 + 1)), st.integers(-6, 6).filter(bool), min_size=1
+)
+
+
+def _roots_or_refusal(search, int_coeffs, ring):
+    try:
+        return search(int_coeffs, ring)
+    except WorkBudgetExceeded as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layer_equations, st.sampled_from((Q_RING, Z_RING)))
+@example({0: -1, 2**22 + 1: 2}, Q_RING)  # 1/2 at a power of 2^22 + 1 bits
+@example({0: 720720, 2: 247110827}, Q_RING)  # 30,720 candidates
+@example({0: 2**50, 1: 3}, Z_RING)  # 2^25 steps to list the divisors
+@example({0: 720720, 1: 1, 2: 720720}, Z_RING)
+@example({1: -2, 2: -3, 3: 2}, Z_RING)  # x(x - 2)(2x + 1)
+@example({1: -2, 2: -3, 3: 2}, Q_RING)
+def test_rational_roots_are_the_fraction_candidate_loops(int_coeffs, ring):
+    """The int candidate test finds the roots, and refuses the
+    equations, that the Fraction candidate loop does, with the same
+    message."""
+    assert _roots_or_refusal(_rational_roots, int_coeffs, ring) == _roots_or_refusal(
+        rational_roots_by_fractions, int_coeffs, ring
+    )
 
 
 def test_degenerate_polynomial_is_rejected():

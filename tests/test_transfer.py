@@ -47,6 +47,7 @@ from oracles import (
     fold_evaluate,
     num_variables,
     permutation_terms_one_by_one,
+    reference_draw,
     ring_equal,
     scalar_surpasses,
 )
@@ -158,10 +159,23 @@ def test_tangible_projection_commutes_with_evaluation():
         e = det_expression(symbolic_matrix(n))
         k = num_variables(e)
         for _ in range(60):
-            xs = [ELT_MODEL.sample(rng) for _ in range(k)]
+            xs = ELT_MODEL.sample(rng, k)
             lhs = _tangible(evaluate(e, ELT_MODEL, xs))
             rhs = evaluate(e, MAXPLUS_MODEL, [_tangible(x) for x in xs])
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("model", [MAXPLUS_MODEL, ELT_MODEL], ids=["maxplus", "elt"])
+def test_sample_is_the_stdlib_draw(model):
+    """A model's ``getrandbits`` draw gives the values that
+    ``randrange``, ``randint`` and ``choice`` give, and leaves the
+    generator in the same state after each call, over calls of every
+    count 0-40 in a row on one generator."""
+    for seed in range(60):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for count in range(41):
+            assert model.sample(ours, count) == reference_draw(model, theirs, count)
+            assert ours.getstate() == theirs.getstate()
 
 
 @st.composite
@@ -527,7 +541,7 @@ def test_det_expression_is_the_one_by_one_permutation_sum(n):
     assert expand(det).entries == expand(reference).entries
     rng = random.Random(n)
     for model in (MAXPLUS_MODEL, ELT_MODEL):
-        draws = [[model.sample(rng) for _ in range(n * n)] for _ in range(300)]
+        draws = [model.sample(rng, n * n) for _ in range(300)]
         for values in draws:
             assert evaluate(det, model, values) == evaluate(reference, model, values)
         drawn = [v for values in draws for v in values]
