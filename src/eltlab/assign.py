@@ -1,27 +1,24 @@
-"""Max-plus assignment layer: criticality, Hungarian row scaling, the
-scalar lift, and Karp's maximum cycle mean (which the essential trace
-also uses for its long-cycle bound).
+"""Max-plus assignment layer: criticality, Hungarian row scaling and
+Karp's maximum cycle mean (which the essential trace also uses for its
+long-cycle bound).
 
 A tropical matrix is a rectangular grid of rationals and -inf, usually
-obtained from a scalar matrix by the tangible projection.  An entry is
-column-critical when it is finite and maximal within its column; a
-square matrix is critical when some permutation picks a column-critical
-entry from every row.  The Hungarian scaling produces exact rational
-row offsets (from dual potentials of the max-weight assignment) that
-make any feasible matrix critical.
+an ELT matrix's tangible projection (``matrix.tangible_matrix``).  An
+entry is column-critical when it is finite and maximal within its
+column; a square matrix is critical when some permutation picks a
+column-critical entry from every row.  The Hungarian scaling produces
+exact rational row offsets (from dual potentials of the max-weight
+assignment) that make any feasible matrix critical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .core import BOTTOM, Bottom, ELTScalar, exact_rational, integer_grid, parse_rational
+from .core import BOTTOM, Bottom, exact_rational, integer_grid, parse_rational
 from .errors import InfeasibleAssignment, NotSquare, ParseError
-
-if TYPE_CHECKING:
-    from .matrix import ELTMatrix
 
 Entry = Fraction | Bottom
 TropicalMatrix = tuple[tuple[Entry, ...], ...]
@@ -40,11 +37,6 @@ def tropical_matrix(rows: Sequence[Sequence[object]]) -> TropicalMatrix:
     if any(len(row) != width for row in grid):
         raise ValueError("matrix rows must all have the same length")
     return grid
-
-
-def tangible_matrix(a: ELTMatrix) -> TropicalMatrix:
-    """Entrywise tangible projection of a scalar matrix."""
-    return tuple(tuple(x.tangible for x in row) for row in a.rows)
 
 
 def _require_square_grid(t: TropicalMatrix) -> int:
@@ -222,15 +214,6 @@ def hungarian_scaling(t: TropicalMatrix) -> HungarianResult:
         tuple(Fraction(x, d) for x in u),
         tuple(Fraction(x, d) for x in v),
         Fraction(sum(w[i][sigma[i]] for i in range(n)), d),
-    )
-
-
-def critical_scaling_elt(a: ELTMatrix) -> ELTMatrix:
-    """Invertible diagonal D with unit layers such that t(DA) is
-    critical; the diagonal lifts the Hungarian row offsets."""
-    result = hungarian_scaling(tangible_matrix(a))
-    return type(a).diagonal(
-        tuple(ELTScalar(alpha, 1) for alpha in result.alphas)
     )
 
 

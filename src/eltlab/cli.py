@@ -206,7 +206,7 @@ def _cmd_cycles(args) -> int:
 def _cmd_hungarian(args) -> int:
     text = _read(args.path)
     if "^[" in text:
-        grid = assign.tangible_matrix(matrix.ELTMatrix.from_text(text))
+        grid = matrix.tangible_matrix(matrix.ELTMatrix.from_text(text))
     else:
         grid = assign.parse_tropical_matrix(text)
     result = assign.hungarian_scaling(grid)

@@ -8,17 +8,18 @@ this module report those layers exactly.
 Highlights: a permanent-style determinant split into even and odd
 permutation sums, on one depth-first walk of the permutations that
 shares prefix products, carries the parity and drops every permutation
-through a prefix that is zero; the adjugate from one signed expansion
-of each row-deleted minor over column subsets (both for any carrier;
-``transfer`` builds its identities on the second); one int kernel of
-that expansion on the matrix's int form, under one 16x16 budget, for
-the ELT adjoint, the quasi-inverse (its determinant read at the full
-column set, refused when singular before any cofactor is formed) and
-the characteristic polynomial (a cell for L on each diagonal entry,
-the powers of L counted in the low bits of the kernel's key); a
-Cayley-Hamilton check up to layer-zero slack, eigenpair verification,
-the essential trace with its spectral-dominance report, nilpotency of
-index at most n^2, and simple-cycle enumeration.
+through a prefix that is zero; one int kernel of the signed expansion
+over column subsets (``transfer.subset_terms``) on the matrix's int
+form, under one 16x16 budget, for the ELT adjoint, the quasi-inverse
+(its determinant read at the full column set, refused when singular
+before any cofactor is formed) and the characteristic polynomial (a
+cell for L on each diagonal entry, the powers of L counted in the low
+bits of the kernel's key); a Cayley-Hamilton check up to layer-zero
+slack, eigenpair verification, the essential trace with its
+spectral-dominance report, nilpotency of index at most n^2, and
+simple-cycle enumeration.  The max-plus side (``assign``) sees a
+matrix through its tangible projection, and its Hungarian row offsets
+come back as an invertible diagonal.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
-from .assign import karp_max_mean_cycle
+from .assign import TropicalMatrix, hungarian_scaling, karp_max_mean_cycle
 from .core import (
     BOTTOM,
     Bottom,
@@ -333,6 +334,20 @@ def _require_square(a: ELTMatrix) -> int:
     return a.nrows
 
 
+def tangible_matrix(a: ELTMatrix) -> TropicalMatrix:
+    """Entrywise tangible projection of a scalar matrix."""
+    return tuple(tuple(x.tangible for x in row) for row in a.rows)
+
+
+def critical_scaling_elt(a: ELTMatrix) -> ELTMatrix:
+    """Invertible diagonal D with unit layers such that t(DA) is
+    critical; the diagonal lifts the Hungarian row offsets."""
+    result = hungarian_scaling(tangible_matrix(a))
+    return ELTMatrix.diagonal(
+        tuple(ELTScalar(alpha, 1) for alpha in result.alphas)
+    )
+
+
 # ---------------------------------------------------------------------------
 # determinant and adjoint
 
@@ -407,66 +422,6 @@ def permutation_terms(
                 todo.append((r, k, used | 1 << k, odd ^ (used >> k).bit_count() & 1))
 
 
-def subset_terms(
-    rows: Iterable[Sequence[Entry]], zero: Entry, one: Entry
-) -> Dict[int, Entry]:
-    """The signed expansion of the grid rows over column subsets, over
-    any carrier with this zero and one: column set C (a bit mask) ->
-    the sum, over the ways of placing the rows in distinct columns of C,
-    of the product of their entries, signed by the inversions.
-
-    The rows are placed in order, each in a column no earlier row took;
-    placing a row in column j multiplies by its entry there and flips
-    the sign once per used column above j.  A product that *is* zero is
-    dropped, and a set no product reaches is left out.  For a square
-    grid the one full set holds the determinant; for n-1 rows of width
-    n the set without column j holds the minor that deletes column j.
-    About 2^n*n products per row.
-    """
-    dp = {0: one}
-    for row in rows:
-        placed: Dict[int, Entry] = {}
-        for used, prefix in dp.items():
-            for j, x in enumerate(row):
-                if used >> j & 1:
-                    continue
-                prod = prefix * x
-                if prod is zero:
-                    continue
-                if (used >> j).bit_count() & 1:
-                    prod = -prod
-                cols = used | 1 << j
-                have = placed.get(cols)
-                placed[cols] = prod if have is None else have + prod
-        dp = placed
-    return dp
-
-
-def adjugate(
-    rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
-) -> Tuple[Tuple[Entry, ...], ...]:
-    """The transposed cofactor matrix of the square grid rows, over the
-    carrier of ``subset_terms``.
-
-    For each row k the rows without it are expanded over column subsets
-    (``subset_terms``); entry (j, k) is ``(-1)^(j+k)`` times the value
-    at the set of all columns but j, the minor that deletes row k and
-    column j.  That is n expansions of about 2^(n-1)*n products each,
-    where a cofactor walk of the permutations takes about (2n+e)*n!.
-    A 1x1 grid gets [[one]].
-    """
-    n = len(rows)
-    every = (1 << n) - 1
-    out = [[zero] * n for _ in range(n)]
-    for k in range(n):
-        minors = subset_terms((row for i, row in enumerate(rows) if i != k), zero, one)
-        for j in range(n):
-            minor = minors.get(every ^ 1 << j)
-            if minor is not None:
-                out[j][k] = -minor if (j + k) & 1 else minor
-    return tuple(tuple(row) for row in out)
-
-
 def det_pair(a: ELTMatrix) -> Tuple[ELTScalar, ELTScalar]:
     """Sums of the even and of the odd permutation products; the
     determinant is ``plus + (-)minus``.  Orders above DET_MAX_ORDER
@@ -493,7 +448,7 @@ def _cells(t_row: Sequence[Optional[int]], l_row: Sequence[int]) -> List[Cell]:
 
 
 def _expansion(rows: Iterable[Sequence[Cell]]) -> Dict[int, Tuple[int, int]]:
-    """``subset_terms`` of ELT rows on their int form (``ELTMatrix``),
+    """``transfer.subset_terms`` of ELT rows on their int form (``ELTMatrix``),
     each row a list of cells ``(bit, step, t, l)``: an entry of int
     tangible t and int layer l whose column is the key bit ``bit``.
     Key -> (int tangible, int layer) of its sum.
@@ -526,7 +481,7 @@ def _expansion(rows: Iterable[Sequence[Cell]]) -> Dict[int, Tuple[int, int]]:
 
 
 def _cofactors(tangibles: IntGrid, layers: IntGrid) -> IntCells:
-    """``adjugate`` of ELT rows on their int form: entry (j, k) is the
+    """``transfer.adjugate`` of ELT rows on their int form: entry (j, k) is the
     (tangible, layer) of ``(-1)^(j+k)`` times the minor that deletes row
     k and column j, from one ``_expansion`` of the rows without k, or
     None for -inf.  Each row's cells are built once.  The layers are
@@ -585,7 +540,7 @@ def _expanded_det(a: ELTMatrix, what: str) -> Tuple[Optional[Tuple[int, int]], E
 def adjoint(a: ELTMatrix) -> ELTMatrix:
     """Signed transposed cofactor matrix; for 1x1 it is [[0^[1]]].
 
-    ``adjugate`` on the matrix's int form (``_cofactors``): one int
+    ``transfer.adjugate`` on the matrix's int form (``_cofactors``): one int
     expansion over column subsets per deleted row, about n^2*2^(n-1)
     int products, and each entry's scalar built once.  Orders above
     EXPANSION_MAX_ORDER raise WorkBudgetExceeded."""

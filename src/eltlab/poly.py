@@ -332,7 +332,9 @@ def _rational_roots(int_coeffs: Dict[int, int], ring: LayerRing) -> Tuple[Fracti
     and only the q with 1/q in the ring: p/q in lowest terms lies in a
     subring of Q exactly when 1/q does.  A candidate p/q is tested on
     ints, as ``sum(a * p**d * q**(top - d))`` over the nonzero terms,
-    its value times q**top; when p**top or q**top would take more than
+    its value times q**top; past 2,048 bits, where it is the cheaper,
+    first mod the prime 2^61 - 1, where a root's value is 0 too (Loos
+    1983).  When p**top or q**top would take more than
     ROOT_POWER_MAX_BITS bits the search raises WorkBudgetExceeded.  The
     candidates 1 and -1 stay exempt.  It raises the same when the steps
     of the trial division that lists the divisors of the constant and
@@ -369,6 +371,10 @@ def _rational_roots(int_coeffs: Dict[int, int], ring: LayerRing) -> Tuple[Fracti
                         f"root candidate {Fraction(p, den)} at degree {top}: the search is "
                         f"limited to powers of {ROOT_POWER_MAX_BITS} bits"
                     )
+                if bits > 2048 and sum(
+                    a * pow(p, d, 2**61 - 1) * pow(den, top - d, 2**61 - 1) for d, a in shifted
+                ) % (2**61 - 1):
+                    continue
                 if sum(a * p**d * den ** (top - d) for d, a in shifted) == 0:
                     roots.append(Fraction(p, den))
     return tuple(sorted(roots))

@@ -35,7 +35,10 @@ recurses.
 The canned families encode the determinant, adjoint, and
 characteristic polynomial identities componentwise, plus a mutation
 control with one deliberately corrupted sign that the symbolic stage
-must reject.
+must reject.  Their determinants and adjugates come from one signed
+expansion over column subsets (``subset_terms``, ``adjugate``) that
+runs over any carrier; on ELT scalars it is the tests' reference for
+``matrix``'s int kernel.
 """
 
 from __future__ import annotations
@@ -45,11 +48,10 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from .core import ELTScalar, NEG_INF, format_scalar, parse_int
 from .errors import ParseError, UnboundVariable
-from .matrix import adjugate, subset_terms
 
 # ---------------------------------------------------------------------------
 # positive expression trees
@@ -836,6 +838,7 @@ def check_identity(
 
 
 ExprMatrix = tuple[tuple[PolyExpression, ...], ...]
+Entry = TypeVar("Entry")  # of any carrier the column-subset expansions run over
 
 
 def symbolic_matrix(n: int, offset: int = 0) -> ExprMatrix:
@@ -861,14 +864,74 @@ def matmul_expression(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
     return tuple(out)
 
 
+def subset_terms(
+    rows: Iterable[Sequence[Entry]], zero: Entry, one: Entry
+) -> Dict[int, Entry]:
+    """The signed expansion of the grid rows over column subsets, over
+    any carrier with this zero and one: column set C (a bit mask) ->
+    the sum, over the ways of placing the rows in distinct columns of C,
+    of the product of their entries, signed by the inversions.
+
+    The rows are placed in order, each in a column no earlier row took;
+    placing a row in column j multiplies by its entry there and flips
+    the sign once per used column above j.  A product that *is* zero is
+    dropped, and a set no product reaches is left out.  For a square
+    grid the one full set holds the determinant; for n-1 rows of width
+    n the set without column j holds the minor that deletes column j.
+    About 2^n*n products per row.
+    """
+    dp = {0: one}
+    for row in rows:
+        placed: Dict[int, Entry] = {}
+        for used, prefix in dp.items():
+            for j, x in enumerate(row):
+                if used >> j & 1:
+                    continue
+                prod = prefix * x
+                if prod is zero:
+                    continue
+                if (used >> j).bit_count() & 1:
+                    prod = -prod
+                cols = used | 1 << j
+                have = placed.get(cols)
+                placed[cols] = prod if have is None else have + prod
+        dp = placed
+    return dp
+
+
+def adjugate(
+    rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
+) -> Tuple[Tuple[Entry, ...], ...]:
+    """The transposed cofactor matrix of the square grid rows, over the
+    carrier of ``subset_terms``.
+
+    For each row k the rows without it are expanded over column subsets
+    (``subset_terms``); entry (j, k) is ``(-1)^(j+k)`` times the value
+    at the set of all columns but j, the minor that deletes row k and
+    column j.  That is n expansions of about 2^(n-1)*n products each,
+    where a cofactor walk of the permutations takes about (2n+e)*n!.
+    A 1x1 grid gets [[one]].
+    """
+    n = len(rows)
+    every = (1 << n) - 1
+    out = [[zero] * n for _ in range(n)]
+    for k in range(n):
+        minors = subset_terms((row for i, row in enumerate(rows) if i != k), zero, one)
+        for j in range(n):
+            minor = minors.get(every ^ 1 << j)
+            if minor is not None:
+                out[j][k] = -minor if (j + k) & 1 else minor
+    return tuple(tuple(row) for row in out)
+
+
 def det_expression(m: ExprMatrix) -> PolyExpression:
     """The value at the full column set of the column-subset expansion
-    ``matrix.subset_terms``, signs carried by the pair algebra."""
+    ``subset_terms``, signs carried by the pair algebra."""
     return subset_terms(m, PolyExpression.zero(), PolyExpression.one())[(1 << len(m)) - 1]
 
 
 def adjoint_expression(m: ExprMatrix) -> ExprMatrix:
-    """The adjugate of m, by the column-subset expansion of ``matrix.adjugate``."""
+    """The adjugate of m, by the column-subset expansion of ``adjugate``."""
     return adjugate(m, PolyExpression.zero(), PolyExpression.one())
 
 

@@ -6,7 +6,8 @@ subtree scalar by scalar, a polynomial evaluated with and without one
 monomial, every power of a matrix, every side of an identity on a
 program of its own, every monomial product as a tuple of exponents,
 every sampled value through the stdlib's own draw methods, every root
-candidate as a Fraction),
+candidate as a Fraction, every characteristic polynomial coefficient
+and cofactor as the leading term of its classical lift),
 or every term of a max-plus step, so they are slow, exponential or
 recursive, and live with the tests, not in ``eltlab``.  So do one
 polynomial route, the determinant from one assignment and exact
@@ -21,10 +22,10 @@ import operator
 import random
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from eltlab import ELTMatrix, ELTPolynomial, ELTScalar, MonomialStatus, NEG_INF, ONE
-from eltlab.assign import TropicalMatrix, hungarian_scaling, tangible_matrix
+from eltlab.assign import TropicalMatrix, hungarian_scaling
 from eltlab.core import BOTTOM, Bottom, LayerRing, integer_grid
 from eltlab.errors import (
     DegeneratePolynomial,
@@ -32,7 +33,7 @@ from eltlab.errors import (
     UnboundVariable,
     WorkBudgetExceeded,
 )
-from eltlab.matrix import essential_trace
+from eltlab.matrix import essential_trace, tangible_matrix
 from eltlab.poly import (
     ROOT_CANDIDATE_WORK,
     ROOT_POWER_MAX_BITS,
@@ -95,7 +96,7 @@ def permutation_terms_one_by_one(
 def subset_terms_one_by_one(
     rows: Sequence[Sequence[Entry]], zero: Entry, one: Entry
 ) -> Dict[int, Entry]:
-    """``matrix.subset_terms`` by one determinant per column set: for
+    """``transfer.subset_terms`` by one determinant per column set: for
     every set C of as many columns as there are rows, the signed terms
     of ``permutation_terms_one_by_one`` on the rows cut down to C,
     where the library places the rows over all sets at once.  A set
@@ -120,7 +121,7 @@ def adjugate_one_by_one(
     """The transposed cofactor matrix by a walk of
     ``itertools.permutations``: each permutation adds, for every row k,
     its product over the other rows, signed by its parity, to entry
-    (perm[k], k).  An independent route to ``matrix.adjugate``, which
+    (perm[k], k).  An independent route to ``transfer.adjugate``, which
     expands each row-deleted minor over column subsets; its sums run
     in another order."""
     n = len(rows)
@@ -285,6 +286,113 @@ def charpoly_by_minors(a: ELTMatrix) -> ELTPolynomial:
         if not acc.is_neg_inf:
             coeffs[n - k] = acc
     return ELTPolynomial(coeffs)
+
+
+# tangible -> nonzero coefficient of t^tangible in a classical lift
+Lifted = Dict[Fraction, Fraction]
+
+
+def _lift(a: ELTMatrix) -> Tuple[List[List[int]], Callable[[int, int], Lifted]]:
+    """The classical lift of square a on ints, and its decoder.
+
+    ``a^[l]`` goes to ``l*t^a`` and -inf to 0 (after Akian, Gaubert &
+    Guterman 2008), with the tangibles over their common denominator D,
+    shifted by their least value S so that no power is negative, the
+    layers over theirs, E, and t = 2^B (Kronecker substitution).  A sum
+    of products of k entries then holds, in balanced base-2^B digits,
+    E^k times its layer sum at each tangible.  Its digit is at most
+    ``prod_i (1 + sum_j |l_ij|)`` in size, which B has two bits over,
+    so ``decode(value, k)`` reads every digit back.  None of this
+    shares code with the library's int form.
+    """
+    finite = [x for row in a.rows for x in row if not x.is_neg_inf]
+    d = math.lcm(*(x.tangible.denominator for x in finite))
+    e = math.lcm(*(x.layer.denominator for x in finite))
+    shift = min((int(x.tangible * d) for x in finite), default=0)
+    bound = math.prod(
+        1 + sum(abs(int(x.layer * e)) for x in row if not x.is_neg_inf) for row in a.rows
+    )
+    b = bound.bit_length() + 2
+    ints = [
+        [0 if x.is_neg_inf else int(x.layer * e) << b * (int(x.tangible * d) - shift) for x in row]
+        for row in a.rows
+    ]
+
+    def decode(value: int, k: int) -> Lifted:
+        out = {}
+        position = 0
+        while value:
+            digit = value & ((1 << b) - 1)
+            if digit >> b - 1:
+                digit -= 1 << b
+            if digit:
+                out[Fraction(position + k * shift, d)] = Fraction(digit, e**k)
+            value = (value - digit) >> b
+            position += 1
+        return out
+
+    return ints, decode
+
+
+def berkowitz(m: Sequence[Sequence[int]]) -> List[int]:
+    """``[1, c_1, ..., c_n]`` with ``det(x*I - m) = sum_k c_k x^(n-k)``,
+    division-free (Berkowitz 1984): the vector of each trailing
+    principal submatrix is a Toeplitz matrix, with diagonals 1, -a,
+    -R*C, -R*A*C, -R*A^2*C, ..., times the vector of the one below it.
+    About n^4/4 products."""
+    n = len(m)
+    vec = [1]
+    for k in range(n - 1, -1, -1):
+        below = range(k + 1, n)
+        r = m[k][k + 1:]
+        col = [m[i][k] for i in below]
+        diags = [1, -m[k][k]]
+        for _ in below:
+            diags.append(-sum(x * y for x, y in zip(r, col)))
+            col = [sum(x * y for x, y in zip(m[i][k + 1:], col)) for i in below]
+        vec = [sum(diags[i - j] * vec[j] for j in range(min(i + 1, len(vec)))) for i in range(len(vec) + 1)]
+    return vec
+
+
+def charpoly_by_lift(a: ELTMatrix) -> Dict[int, Lifted]:
+    """Power m of L -> the lift of ``matrix.charpoly``'s coefficient of
+    L^m.  (-)A lifts to -M, so det(L*I + (-)A) lifts to det(x*I - M),
+    whose coefficients come from ``berkowitz``."""
+    ints, decode = _lift(a)
+    n = a.nrows
+    return {n - k: decode(c, k) for k, c in enumerate(berkowitz(ints))}
+
+
+def adjugate_by_lift(a: ELTMatrix) -> List[List[Lifted]]:
+    """The lift of each entry of ``matrix.adjoint``, by Cayley-Hamilton:
+    ``adj(M) = (-1)^(n-1) (M^(n-1) + c_1 M^(n-2) + ... + c_(n-1) I)``,
+    evaluated by Horner's rule on ``berkowitz``'s coefficients."""
+    ints, decode = _lift(a)
+    n = a.nrows
+    c = berkowitz(ints)
+    q = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n):
+        q = [
+            [sum(x * q[h][j] for h, x in enumerate(row)) + (c[k] if i == j else 0) for j in range(n)]
+            for i, row in enumerate(ints)
+        ]
+    sign = -1 if n % 2 == 0 else 1
+    return [[decode(sign * x, n - 1) for x in row] for row in q]
+
+
+def agrees_with_lift(x: ELTScalar, lifted: Lifted) -> bool:
+    """Whether x is the leading term of its lift, as the transfer
+    principle says an ELT sum of products is: its layer is the lifted
+    coefficient at its tangible, and none sits above it.  Where the
+    layers at the top cancel, x is T^[0] and the lift shows only lower
+    terms, so the layer (0) is checked and T only bounded from below by
+    the top term."""
+    if x.is_neg_inf:
+        return not lifted
+    top = max(lifted, default=None)
+    if x.layer == 0:
+        return top is None or top < x.tangible
+    return top == x.tangible and lifted[top] == x.layer
 
 
 def classify_at(p: ELTPolynomial, deg: int, a: Fraction) -> MonomialStatus:

@@ -10,13 +10,7 @@ from collections import Counter
 from fractions import Fraction
 
 from eltlab import ELTMatrix, ELTScalar, NEG_INF
-from eltlab.assign import (
-    hungarian_scaling,
-    critical_scaling_elt,
-    is_critical,
-    karp_max_mean_cycle,
-    tangible_matrix,
-)
+from eltlab.assign import hungarian_scaling, is_critical, karp_max_mean_cycle
 from eltlab.core import BOTTOM, parse_scalar
 from eltlab.errors import InfeasibleAssignment
 from eltlab.matrix import (
@@ -25,6 +19,7 @@ from eltlab.matrix import (
     adjoint,
     cayley_hamilton_check,
     charpoly,
+    critical_scaling_elt,
     det,
     eigen_candidates,
     eigen_verify,
@@ -34,6 +29,7 @@ from eltlab.matrix import (
     quasi_identity_check,
     quasi_inverse,
     simple_cycles,
+    tangible_matrix,
     trace,
 )
 from eltlab.poly import envelope, parse_polynomial

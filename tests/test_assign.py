@@ -10,18 +10,16 @@ from hypothesis import given, settings, strategies as st
 from eltlab import ELTMatrix, ELTScalar, NEG_INF
 from eltlab.assign import (
     column_critical_positions,
-    critical_scaling_elt,
     format_tropical_matrix,
     hungarian_scaling,
     is_critical,
     karp_max_mean_cycle,
     parse_tropical_matrix,
-    tangible_matrix,
     tropical_matrix,
 )
 from eltlab.core import BOTTOM
 from eltlab.errors import InfeasibleAssignment
-from eltlab.matrix import simple_cycles
+from eltlab.matrix import critical_scaling_elt, simple_cycles, tangible_matrix
 from oracles import karp_full_scan, scale_rows
 from rand import random_matrix
 

@@ -441,6 +441,22 @@ def test_roots_with_a_huge_degree_gap_stop_at_the_work_budget(capsys, tmp_path):
     )
 
 
+def test_roots_with_wide_candidate_powers_are_fast(tmp_path):
+    # the corner solves 48*x^12 + 19381941*x^135923 = 0: 320 candidates,
+    # each of powers up to 3.4e6 bits, took 23 s when each was evaluated
+    # exactly; mod 2^61 - 1 none of the wide ones is 0
+    path = tmp_path / "wide.poly"
+    path.write_text("9^[48/53]*L^12 + 3^[365697]*L^135923\n")
+    proc = run_within_cpu_seconds(2, "roots", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "corner 6/135911: layers {0}\n"
+        "interval (-inf, 6/135911): layers {0}\n"
+        "interval (6/135911, +inf): layers {0}\n"
+        "neg-inf: root\n"
+    )
+
+
 @pytest.mark.parametrize("text", [
     # a corner solving 10^14*x^2 + x + 10^14: 225 x 225 x 2 candidates, and
     # the leading coefficient's 10^7 trial divisions were redone for each of

@@ -18,8 +18,8 @@ from eltlab.errors import (
     WorkBudgetExceeded,
     ZeroVector,
 )
-from eltlab import matrix
-from eltlab.assign import hungarian_scaling, tangible_matrix, tropical_matrix
+from eltlab import matrix, transfer
+from eltlab.assign import hungarian_scaling, tropical_matrix
 from eltlab.matrix import (
     EigenStatus,
     MonomialStatus,
@@ -38,13 +38,17 @@ from eltlab.matrix import (
     quasi_identity_check,
     quasi_inverse,
     simple_cycles,
+    tangible_matrix,
     trace,
 )
 from eltlab.poly import ELTPolynomial, format_polynomial, parse_polynomial
 from eltlab.transfer import PolyExpression, expand, format_expression
 from oracles import (
     adjoint_by_minors,
+    adjugate_by_lift,
     adjugate_one_by_one,
+    agrees_with_lift,
+    charpoly_by_lift,
     charpoly_by_minors,
     charpoly_symbolic,
     det_by_tight_layers,
@@ -348,12 +352,12 @@ def test_characteristic_polynomial_routes_agree():
 
 
 @st.composite
-def square_operands(draw):
-    """Square matrices of order 1..6.  Tangibles are tie-heavy (0, 1 or
-    2) or rationals; layers are +-1, so that tied terms cancel to layer
-    zero, or rationals including 0; none, a quarter or three quarters
-    of the entries are -inf."""
-    n = draw(st.integers(1, 6))
+def square_operands(draw, orders=st.integers(1, 6)):
+    """Square matrices of order 1..6, or of ``orders``.  Tangibles are
+    tie-heavy (0, 1 or 2) or rationals; layers are +-1, so that tied
+    terms cancel to layer zero, or rationals including 0; none, a
+    quarter or three quarters of the entries are -inf."""
+    n = draw(orders)
     tangibles = draw(st.sampled_from([
         st.integers(0, 2).map(Fraction),
         st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
@@ -475,7 +479,7 @@ def test_adjugate_equals_the_one_by_one_cofactor_walk(grid):
     rows, zero, one, show = grid
     if show is format_expression:
         show = expand
-    walked = [[show(x) for x in row] for row in matrix.adjugate(rows, zero, one)]
+    walked = [[show(x) for x in row] for row in transfer.adjugate(rows, zero, one)]
     one_by_one = [[show(x) for x in row] for row in adjugate_one_by_one(rows, zero, one)]
     assert walked == one_by_one
 
@@ -493,7 +497,7 @@ def test_subset_expansion_equals_one_determinant_per_column_set(grid):
     rows, zero, one, show = grid
     if show is format_expression:
         show = expand
-    expanded = {cols: show(x) for cols, x in matrix.subset_terms(rows, zero, one).items()}
+    expanded = {cols: show(x) for cols, x in transfer.subset_terms(rows, zero, one).items()}
     one_by_one = {cols: show(x) for cols, x in subset_terms_one_by_one(rows, zero, one).items()}
     assert expanded == one_by_one
 
@@ -576,9 +580,9 @@ def test_int_expansion_equals_the_scalar_adjugate(a, ring):
     """adjoint and quasi_inverse run on the matrix's int form; the
     carrier-generic adjugate over ELT scalars, and the determinant at
     the full column set of subset_terms, are their reference."""
-    reference = ELTMatrix(matrix.adjugate(a.rows, NEG_INF, ONE))
+    reference = ELTMatrix(transfer.adjugate(a.rows, NEG_INF, ONE))
     assert repr(adjoint(a)) == repr(reference)
-    d = matrix.subset_terms(a.rows, NEG_INF, ONE).get((1 << a.nrows) - 1, NEG_INF)
+    d = transfer.subset_terms(a.rows, NEG_INF, ONE).get((1 << a.nrows) - 1, NEG_INF)
     if d.is_neg_inf or not ring.is_unit(d.layer):
         with pytest.raises(SingularDeterminant, match=re.escape(f"determinant {d} has no unit layer in {ring.name}")):
             quasi_inverse(a, ring)
@@ -645,6 +649,48 @@ def test_charpoly_relations_above_the_oracles(kind, n):
     assert repr(charpoly(p * a * p.transpose())) == expected
 
 
+def charpoly_off_the_lift(a):
+    """The powers of L whose ``charpoly`` coefficient is not the leading
+    term of its classical lift (``charpoly_by_lift``)."""
+    p, lifted = charpoly(a), charpoly_by_lift(a)
+    return [m for m in range(a.nrows + 1) if not agrees_with_lift(p.coeff(m), lifted[m])]
+
+
+def adjoint_off_the_lift(a):
+    """The entries of ``adjoint`` that are not the leading term of their
+    classical lift (``adjugate_by_lift``)."""
+    adj, lifted = adjoint(a), adjugate_by_lift(a)
+    n = a.nrows
+    return [(i, j) for i in range(n) for j in range(n) if not agrees_with_lift(adj.entry(i, j), lifted[i][j])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_operands(st.integers(1, 7)))
+@example(M("-inf"))
+@example(M("1^[1], 1^[-1]\n1^[1], 1^[1]"))
+@example(M("1^[0], 2^[1]\n2^[1], 3^[0]"))
+def test_charpoly_adjoint_and_det_are_the_leading_terms_of_the_lift(a):
+    """The transfer principle as an oracle: lifting ``a^[l]`` to
+    ``l*t^a`` turns every ELT sum of products into the leading term of a
+    classical one, which Berkowitz's division-free determinant and
+    Cayley-Hamilton compute on ints, sharing no code with the int
+    kernel.  det(A) is (-)^n times the constant coefficient."""
+    assert charpoly_off_the_lift(a) == []
+    assert adjoint_off_the_lift(a) == []
+    sign = -1 if a.nrows % 2 else 1
+    assert agrees_with_lift(det(a), {t: sign * l for t, l in charpoly_by_lift(a)[0].items()})
+
+
+@pytest.mark.parametrize("kind, n", [("dense", 16), ("tie-heavy", 14), ("-inf-heavy", 14), ("dense", 9)])
+def test_charpoly_is_the_leading_term_of_the_lift_above_the_oracles(kind, n):
+    assert charpoly_off_the_lift(metamorphic_matrix(kind, n)) == []
+
+
+@pytest.mark.parametrize("kind, n", [("dense", 12), ("tie-heavy", 13), ("-inf-heavy", 13), ("dense", 9)])
+def test_adjoint_is_the_leading_term_of_the_lift_above_the_oracles(kind, n):
+    assert adjoint_off_the_lift(metamorphic_matrix(kind, n)) == []
+
+
 @pytest.mark.parametrize("kind, n", [
     ("dense", 7), ("tie-heavy", 7), ("-inf-heavy", 7), ("rational", 7), ("dense", 8),
 ])
@@ -698,7 +744,7 @@ def test_quasi_identity_check_of_a_failing_matrix_expands_its_determinant():
     m = ELTMatrix([[ONE if i == j else S("1^[0]") for j in range(n)] for i in range(n)])
     report = quasi_identity_check(m)
     assert (report.diagonal_ok, report.offdiagonal_ok, report.idempotent) == (True, True, False)
-    full = matrix.subset_terms(m.rows, NEG_INF, ONE)[(1 << n) - 1]
+    full = transfer.subset_terms(m.rows, NEG_INF, ONE)[(1 << n) - 1]
     assert repr(report.determinant) == repr(full) == repr(S("10^[0]"))
     assert not report.nonsingular
     n = matrix.EXPANSION_MAX_ORDER + 1

@@ -1,12 +1,13 @@
 """The package is plain Python modules, each one in use, each keeping
-its private names to itself.
+its private names to itself and importing only the layers below it.
 
 A source file of another kind (an extension's ``.pyx``, a build's
 ``.c`` or ``.so``) or a module that no other module imports is code
 that no import path runs, so it would drift from the rest unseen.  A
 module that reaches for another's ``_``-prefixed name depends on what
 that module is free to change, so what two modules share has a public
-name."""
+name.  A module that imports one above it carries code that belongs
+there."""
 
 import ast
 import pathlib
@@ -68,6 +69,30 @@ def test_every_module_is_imported_by_another():
     for name, path in modules.items():
         unused -= imported_modules(path) - {name}
     assert sorted(unused) == []
+
+
+# the package modules each module imports, ``TYPE_CHECKING`` imports
+# included: errors < core < assign, poly, puiseux, transfer < matrix <
+# cli, __init__.  The max-plus (assign), polynomial (poly, puiseux) and
+# symbolic (transfer) layers see only the scalars; matrix adapts ELT
+# matrices to the max-plus layer and reads their polynomials.
+LAYERS = {
+    "errors": set(),
+    "core": {"errors"},
+    "assign": {"core", "errors"},
+    "poly": {"core", "errors"},
+    "puiseux": {"core", "errors"},
+    "transfer": {"core", "errors"},
+    "matrix": {"core", "errors", "assign", "poly"},
+    "cli": {"core", "errors", "assign", "poly", "puiseux", "transfer", "matrix"},
+    "__init__": {"core", "errors", "poly", "puiseux", "transfer", "matrix"},
+    "__main__": {"cli"},
+}
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    imports = {p.stem: imported_modules(p) for p in PACKAGE.glob("*.py")}
+    assert imports == LAYERS
 
 
 def test_no_module_takes_another_modules_private_names():

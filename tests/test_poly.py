@@ -327,6 +327,8 @@ def _roots_or_refusal(search, int_coeffs, ring):
 @settings(max_examples=200, deadline=None)
 @given(layer_equations, st.sampled_from((Q_RING, Z_RING)))
 @example({0: -1, 2**22 + 1: 2}, Q_RING)  # 1/2 at a power of 2^22 + 1 bits
+@example({41: 3, 40: -2, 1: 3, 0: -2}, Q_RING)  # (3x - 2)(x^40 + 1): 2/3 at 82 bits
+@example({1101: 3, 1100: -2, 1: 3, 0: -2}, Q_RING)  # 2/3 at 2,202 bits, filtered mod a prime
 @example({0: 720720, 2: 247110827}, Q_RING)  # 30,720 candidates
 @example({0: 2**50, 1: 3}, Z_RING)  # 2^25 steps to list the divisors
 @example({0: 720720, 1: 1, 2: 720720}, Z_RING)
