@@ -14,12 +14,13 @@ form, under one 16x16 budget, for the ELT adjoint, the quasi-inverse
 (its determinant read at the full column set, refused when singular
 before any cofactor is formed) and the characteristic polynomial (a
 cell for L on each diagonal entry, the powers of L counted in the low
-bits of the kernel's key); a Cayley-Hamilton check up to layer-zero
-slack, eigenpair verification, the essential trace with its
-spectral-dominance report, nilpotency of index at most n^2, and
-simple-cycle enumeration.  The max-plus side (``assign``) sees a
-matrix through its tangible projection, and its Hungarian row offsets
-come back as an invertible diagonal.
+bits of the kernel's key), each private kernel passing its int form
+to the next as it is; a Cayley-Hamilton check up to layer-zero slack,
+eigenpair verification, the essential trace with its spectral-dominance
+report, nilpotency of index at most n^2, and simple-cycle enumeration.
+The max-plus side (``assign``) sees a matrix through its tangible
+projection, and its Hungarian row offsets come back as an invertible
+diagonal.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ Vector = tuple[ELTScalar, ...]
 IntForm = tuple[int, IntGrid, int, IntGrid]
 Entry = TypeVar("Entry")  # of any carrier the permutation expansions run over
 Cell = Tuple[int, int, int, int]  # (column bit, key step, int tangible, int layer)
-IntCells = List[List[Optional[Tuple[int, int]]]]  # (int tangible, int layer), None for -inf
 
 
 class ELTMatrix:
@@ -157,8 +157,7 @@ class ELTMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        cells, d, d_layer = _products(self._int_form(), other._int_form())
-        return ELTMatrix(_scalars(cells, d, 0, 1, d_layer))
+        return ELTMatrix(_scalars(_products(self._int_form(), other._int_form())))
 
     def scale(self, c: ELTScalar) -> "ELTMatrix":
         """Entrywise product with the scalar c."""
@@ -171,8 +170,7 @@ class ELTMatrix:
                 f"cannot apply {self.nrows}x{self.ncols} to a vector of length {len(v)}"
             )
         column = ELTMatrix([(x,) for x in v])
-        cells, d, d_layer = _products(self._int_form(), column._int_form())
-        return tuple(row[0] for row in _scalars(cells, d, 0, 1, d_layer))
+        return tuple(row[0] for row in _scalars(_products(self._int_form(), column._int_form())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ELTMatrix):
@@ -230,10 +228,10 @@ class ELTMatrix:
         return cls(grid)
 
 
-def _products(left: IntForm, right: IntForm) -> Tuple[IntCells, int, int]:
-    """The product of two matrices' int forms (``ELTMatrix``): every row
-    of the left times every column of the right, ``sum_j row[j] * col[j]``.
-    Returns its cells with their tangible and layer denominators.
+def _products(left: IntForm, right: IntForm) -> IntForm:
+    """The int form of the product of two matrices' int forms
+    (``ELTMatrix``): every row of the left times every column of the
+    right, ``sum_j row[j] * col[j]``.
 
     Both sides' int tangibles are rescaled to the lcm d of their two
     denominators, so a term is an int tangible sum over d with an int
@@ -244,7 +242,8 @@ def _products(left: IntForm, right: IntForm) -> Tuple[IntCells, int, int]:
     best`` (the threshold algorithm's stop rule, Fagin, Lotem & Naor
     2003): no later term reaches the best sum.  The stop is strict
     because a term with ``b + top == best`` can still tie, and a tie
-    adds its layer product.  An entry with no finite term is None.
+    adds its layer product.  An entry with no finite term is -inf:
+    tangible None and layer 0, as ``core.integer_grid`` gives it.
     """
     d_left, row_t, d_left_layer, row_l = left
     d_right, right_t, d_right_layer, right_l = right
@@ -259,13 +258,13 @@ def _products(left: IntForm, right: IntForm) -> Tuple[IntCells, int, int]:
         )
         for ct, cl in zip(zip(*right_t), zip(*right_l))
     ]
-    out: IntCells = []
+    out_t: IntGrid = []
+    out_l: IntGrid = []
     for rt, rl in zip(row_t, row_l):
         top = max((a for a in rt if a is not None), default=None)
-        if top is None:
-            out.append([None] * len(terms))
-            continue
-        out_row = []
+        t_row, l_row = [], []
+        out_t.append(t_row)
+        out_l.append(l_row)
         for col in terms:
             scan = iter(col)
             for b, j, l in scan:
@@ -274,7 +273,8 @@ def _products(left: IntForm, right: IntForm) -> Tuple[IntCells, int, int]:
                     best, layer = a + b, rl[j] * l
                     break
             else:
-                out_row.append(None)
+                t_row.append(None)
+                l_row.append(0)
                 continue
             need = best - top
             for b, j, l in scan:
@@ -288,9 +288,9 @@ def _products(left: IntForm, right: IntForm) -> Tuple[IntCells, int, int]:
                     best, layer, need = a, rl[j] * l, a - top
                 elif a == best:
                     layer += rl[j] * l
-            out_row.append((best, layer))
-        out.append(out_row)
-    return out, d, d_layer
+            t_row.append(best)
+            l_row.append(layer)
+    return d, out_t, d_layer, out_l
 
 
 def _rescaled(grid: IntGrid, k: int) -> IntGrid:
@@ -367,9 +367,8 @@ DET_MAX_ORDER = 9
 EXPANSION_MAX_ORDER = 16
 
 
-def _require_order(a: ELTMatrix, limit: int, what: str, method: str = "permutation sum") -> int:
-    """The order of square a, or WorkBudgetExceeded above limit."""
-    n = _require_square(a)
+def _require_order(n: int, limit: int, what: str, method: str = "permutation sum") -> int:
+    """The order n, or WorkBudgetExceeded above limit."""
     if n > limit:
         raise WorkBudgetExceeded(
             f"{what} of a {n}x{n} matrix: the {method} is limited "
@@ -383,8 +382,9 @@ def permutation_terms(
 ) -> Iterator[Tuple[int, Entry]]:
     """(odd, product) for each permutation of the square grid rows, in
     ``itertools.permutations`` order, the product of ``rows[i][perm[i]]``
-    built in row order, over any carrier with this zero and one: ELT
-    scalars, expressions, polynomials.
+    built in row order.  ``det_pair`` runs it on ELT scalars; the walk
+    needs of a carrier only ``*``, this one, and this zero to test with
+    ``is``.
 
     The rows are walked depth-first on an explicit stack.  A prefix
     product is built once, from ``one``, and shared by all its
@@ -426,7 +426,7 @@ def det_pair(a: ELTMatrix) -> Tuple[ELTScalar, ELTScalar]:
     """Sums of the even and of the odd permutation products; the
     determinant is ``plus + (-)minus``.  Orders above DET_MAX_ORDER
     raise WorkBudgetExceeded."""
-    _require_order(a, DET_MAX_ORDER, "det")
+    _require_order(_require_square(a), DET_MAX_ORDER, "det")
     plus = minus = NEG_INF
     for odd, prod in permutation_terms(a.rows, NEG_INF, ONE):
         if odd:
@@ -480,61 +480,62 @@ def _expansion(rows: Iterable[Sequence[Cell]]) -> Dict[int, Tuple[int, int]]:
     return dp
 
 
-def _cofactors(tangibles: IntGrid, layers: IntGrid) -> IntCells:
-    """``transfer.adjugate`` of ELT rows on their int form: entry (j, k) is the
-    (tangible, layer) of ``(-1)^(j+k)`` times the minor that deletes row
-    k and column j, from one ``_expansion`` of the rows without k, or
-    None for -inf.  Each row's cells are built once.  The layers are
-    over the layer denominator to the power n-1."""
+def _cofactors(form: IntForm) -> IntForm:
+    """``transfer.adjugate`` of a square int form: entry (j, k) is
+    ``(-1)^(j+k)`` times the minor that deletes row k and column j, from
+    one ``_expansion`` of the rows without k.  Each row's cells are
+    built once.  The layers are over the layer denominator to the power
+    n-1."""
+    d, tangibles, d_layer, layers = form
     n = len(tangibles)
     every = (1 << n) - 1
     rows = list(map(_cells, tangibles, layers))
-    out: IntCells = [[None] * n for _ in range(n)]
+    out_t: IntGrid = [[None] * n for _ in range(n)]
+    out_l: IntGrid = [[0] * n for _ in range(n)]
     for k in range(n):
         minors = _expansion(rows[:k] + rows[k + 1:])
         for j in range(n):
             minor = minors.get(every ^ 1 << j)
             if minor is not None:
-                t, l = minor
-                out[j][k] = (t, -l if (j + k) & 1 else l)
-    return out
+                out_t[j][k], l = minor
+                out_l[j][k] = -l if (j + k) & 1 else l
+    return d, out_t, d_layer ** (n - 1), out_l
 
 
-def _scalars(grid: IntCells, d: int, shift: int, num: int, den: int) -> List[List[ELTScalar]]:
-    """The scalars ``((t - shift)/d)^[l*num/den]`` of an int grid, -inf
-    for None, with one Fraction per distinct int and ``ELTScalar._raw``,
-    which skips the constructor's checks that these Fractions pass by
+def _scalars(form: IntForm) -> List[List[ELTScalar]]:
+    """The scalars ``(t/d)^[l/d_layer]`` of an int form, -inf for None,
+    with one Fraction per distinct int and ``ELTScalar._raw``, which
+    skips the constructor's checks that these Fractions pass by
     construction."""
-    tangibles: Dict[int, Fraction] = {}
-    layers: Dict[int, Fraction] = {}
+    d, tangibles, d_layer, layers = form
+    t_fractions: Dict[int, Fraction] = {}
+    l_fractions: Dict[int, Fraction] = {}
     out = []
-    for row in grid:
+    for t_row, l_row in zip(tangibles, layers):
         out_row = []
-        for cell in row:
-            if cell is None:
+        for t, l in zip(t_row, l_row):
+            if t is None:
                 out_row.append(NEG_INF)
                 continue
-            t, l = cell
-            x = tangibles.get(t)
+            x = t_fractions.get(t)
             if x is None:
-                x = tangibles[t] = Fraction(t - shift, d)
-            y = layers.get(l)
+                x = t_fractions[t] = Fraction(t, d)
+            y = l_fractions.get(l)
             if y is None:
-                y = layers[l] = Fraction(l * num, den)
+                y = l_fractions[l] = Fraction(l, d_layer)
             out_row.append(ELTScalar._raw(x, y))
         out.append(out_row)
     return out
 
 
-def _expanded_det(a: ELTMatrix, what: str) -> Tuple[Optional[Tuple[int, int]], ELTScalar]:
-    """det(a) at the full column set of ``_expansion``, for the function
-    ``what``: its (tangible, layer) on a's int form, None for -inf, and
-    its scalar.  Orders above EXPANSION_MAX_ORDER raise
-    WorkBudgetExceeded."""
-    n = _require_order(a, EXPANSION_MAX_ORDER, what, "2^n expansion")
-    d, tangibles, d_layer, layers = a._int_form()
-    full = _expansion(map(_cells, tangibles, layers)).get((1 << n) - 1)
-    return full, _scalars([[full]], d, 0, 1, d_layer**n)[0][0]
+def _expanded_det(form: IntForm, what: str) -> IntForm:
+    """The 1x1 int form of the determinant of a square int form, at the
+    full column set of ``_expansion``, for the function ``what``.
+    Orders above EXPANSION_MAX_ORDER raise WorkBudgetExceeded."""
+    d, tangibles, d_layer, layers = form
+    n = _require_order(len(tangibles), EXPANSION_MAX_ORDER, what, "2^n expansion")
+    t, l = _expansion(map(_cells, tangibles, layers)).get((1 << n) - 1, (None, 0))
+    return d, [[t]], d_layer**n, [[l]]
 
 
 def adjoint(a: ELTMatrix) -> ELTMatrix:
@@ -544,9 +545,8 @@ def adjoint(a: ELTMatrix) -> ELTMatrix:
     expansion over column subsets per deleted row, about n^2*2^(n-1)
     int products, and each entry's scalar built once.  Orders above
     EXPANSION_MAX_ORDER raise WorkBudgetExceeded."""
-    n = _require_order(a, EXPANSION_MAX_ORDER, "adjoint", "2^n expansion")
-    d, tangibles, d_layer, layers = a._int_form()
-    return ELTMatrix(_scalars(_cofactors(tangibles, layers), d, 0, 1, d_layer ** (n - 1)))
+    _require_order(_require_square(a), EXPANSION_MAX_ORDER, "adjoint", "2^n expansion")
+    return ELTMatrix(_scalars(_cofactors(a._int_form())))
 
 
 # ---------------------------------------------------------------------------
@@ -586,43 +586,27 @@ def quasi_identity_check(m: ELTMatrix) -> QuasiIdentityReport:
     that fails a check expands its determinant over column subsets
     (``_expansion``), and only it is refused above EXPANSION_MAX_ORDER."""
     _require_square(m)
-    d, tangibles, d_layer, layers = m._int_form()
-    cells = [
-        [None if t is None else (t, l) for t, l in zip(t_row, l_row)]
-        for t_row, l_row in zip(tangibles, layers)
-    ]
-    return _quasi_identity_report(cells, d, d_layer)
+    return _quasi_identity_report(m._int_form())
 
 
-def _quasi_identity_report(cells: IntCells, d: int, d_layer: int) -> QuasiIdentityReport:
-    """``quasi_identity_check`` on the int cells of a square matrix,
-    tangibles over d and layers over d_layer.  A diagonal cell must be
-    0^[1], (0, d_layer); a cell off it -inf or of layer 0.  The square's
-    cells are over (d, d_layer^2), so the matrix is idempotent when each
-    of them has its cell's tangible and d_layer times its layer.  Only a
-    matrix that fails a check builds its scalars, for ``_expanded_det``."""
-    n = len(cells)
-    diagonal_ok = all(cells[i][i] == (0, d_layer) for i in range(n))
-    offdiagonal_ok = all(
-        c is None or c[1] == 0 for i, row in enumerate(cells) for j, c in enumerate(row) if i != j
-    )
-    form = (
-        d,
-        [[None if c is None else c[0] for c in row] for row in cells],
-        d_layer,
-        [[0 if c is None else c[1] for c in row] for row in cells],
-    )
-    square = _products(form, form)[0]
-    idempotent = all(
-        c2 == (None if c is None else (c[0], c[1] * d_layer))
-        for row, row2 in zip(cells, square)
-        for c, c2 in zip(row, row2)
+def _quasi_identity_report(form: IntForm) -> QuasiIdentityReport:
+    """``quasi_identity_check`` on a square int form.  A diagonal entry
+    must be 0^[1], tangible 0 and layer d_layer; an entry off it must
+    have layer 0, as -inf has.  The square's form is over (d,
+    d_layer^2), so the matrix is idempotent when the square has its
+    tangibles and d_layer times its layers.  Only a matrix that fails a
+    check expands its determinant (``_expanded_det``), on this form."""
+    _, tangibles, d_layer, layers = form
+    diagonal_ok = all(tangibles[i][i] == 0 and layers[i][i] == d_layer for i in range(len(layers)))
+    offdiagonal_ok = all(not l for i, row in enumerate(layers) for j, l in enumerate(row) if i != j)
+    _, square_t, _, square_l = _products(form, form)
+    idempotent = square_t == tangibles and all(
+        l2 == l * d_layer for row, row2 in zip(layers, square_l) for l, l2 in zip(row, row2)
     )
     if diagonal_ok and offdiagonal_ok and idempotent:
         det_m = ONE
     else:
-        m = ELTMatrix(_scalars(cells, d, 0, 1, d_layer))
-        det_m = _expanded_det(m, "quasi_identity_check")[1]
+        det_m = _scalars(_expanded_det(form, "quasi_identity_check"))[0][0]
     return QuasiIdentityReport(diagonal_ok, offdiagonal_ok, idempotent, det_m, det_m.layer != 0)
 
 
@@ -641,26 +625,32 @@ def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
     Raises SingularDeterminant unless it is finite with a unit layer,
     before any cofactor is formed.  The cofactors come from the same
     kernel (``_cofactors``), and each entry of the inverse is built once,
-    its tangible less det's and its layer over det's.  The left and
-    right reports certify that both products with A are
-    quasi-identities, read off the products' int cells; by the paper's
-    theorem they pass every check, so no product's scalars are built
-    and no determinant is expanded for them.  Orders above
+    its tangible less det's and its layer over det's, on the int form.
+    The left and right reports certify that both products with A are
+    quasi-identities, read off the products of that form with A's; by
+    the paper's theorem they pass every check, so no product's scalars
+    are built and no determinant is expanded for them.  Orders above
     EXPANSION_MAX_ORDER raise WorkBudgetExceeded.
     """
-    full, det_a = _expanded_det(a, "quasi_inverse")
+    _require_square(a)
+    form = a._int_form()
+    full = _expanded_det(form, "quasi_inverse")
+    det_a = _scalars(full)[0][0]
     if det_a.is_neg_inf or not ring.is_unit(det_a.layer):
         raise SingularDeterminant(f"determinant {det_a} has no unit layer in {ring.name}")
-    d, tangibles, d_layer, layers = a._int_form()
     # det(A) is (t/d)^[l/d_layer^n], so a cofactor (c/d)^[m/d_layer^(n-1)]
-    # times its inverse is ((c - t)/d)^[m*d_layer/l]
-    t, l = full
-    qi = ELTMatrix(_scalars(_cofactors(tangibles, layers), d, t, d_layer, l))
-    qi_form, a_form = qi._int_form(), a._int_form()
+    # times its inverse is ((c - t)/d)^[m*d_layer/l]; the sign of l goes
+    # into the layers, so that their denominator stays positive
+    d, _, d_layer, _ = form
+    t, l = full[1][0][0], full[3][0][0]
+    k = d_layer if l > 0 else -d_layer
+    _, cof_t, _, cof_l = _cofactors(form)
+    inv_t = [[None if c is None else c - t for c in row] for row in cof_t]
+    inverse = (d, inv_t, abs(l), [[m * k for m in row] for row in cof_l])
     return QuasiInverseResult(
-        qi,
-        _quasi_identity_report(*_products(qi_form, a_form)),
-        _quasi_identity_report(*_products(a_form, qi_form)),
+        ELTMatrix(_scalars(inverse)),
+        _quasi_identity_report(_products(inverse, form)),
+        _quasi_identity_report(_products(form, inverse)),
     )
 
 
@@ -697,7 +687,7 @@ def charpoly(a: ELTMatrix) -> ELTPolynomial:
     layer denominator to that power.  Orders above EXPANSION_MAX_ORDER
     raise WorkBudgetExceeded.
     """
-    n = _require_order(a, EXPANSION_MAX_ORDER, "charpoly", "2^n expansion")
+    n = _require_order(_require_square(a), EXPANSION_MAX_ORDER, "charpoly", "2^n expansion")
     d, tangibles, d_layer, layers = a._int_form()
     w = n.bit_length()  # bits enough to count up to n powers of L
     rows = []
@@ -948,11 +938,11 @@ def essential_trace(a: ELTMatrix) -> EtrReport:
 # nilpotency
 
 
-def _layer_bits(a: ELTMatrix) -> int:
-    """The bit length of a's largest layer over their common
-    denominator, plus that of the denominator."""
-    d_layer, layers = a._int_form()[2:]
-    top = max((abs(x) for row in layers for x in row if x is not None), default=0)
+def _layer_bits(form: IntForm) -> int:
+    """The bit length of an int form's largest layer, plus that of its
+    layer denominator."""
+    d_layer, layers = form[2:]
+    top = max((abs(x) for row in layers for x in row), default=0)
     return top.bit_length() + d_layer.bit_length()
 
 
@@ -968,7 +958,7 @@ def is_nilpotent(a: ELTMatrix, bound: Optional[int] = None) -> Tuple[bool, Optio
     layer zero so have all higher powers: the layer-zero powers form a
     tail.  The squares A^(2^j) up to the bound lift, from the top bit
     down, the largest m whose power is not layer-zero, in about
-    2*log2(bound) products instead of bound.
+    2*log2(bound) products (``_products``) instead of bound.
     """
     n = _require_square(a)
     if bound is None:
@@ -980,7 +970,7 @@ def is_nilpotent(a: ELTMatrix, bound: Optional[int] = None) -> Tuple[bool, Optio
         )
     work = 0
 
-    def product(x: ELTMatrix, y: ELTMatrix) -> ELTMatrix:
+    def product(x: IntForm, y: IntForm) -> IntForm:
         nonlocal work
         # a layer of x*y is a sum of n products of a layer of x and one of y
         work += n**3 * (_layer_bits(x) + _layer_bits(y) + n.bit_length())
@@ -990,9 +980,13 @@ def is_nilpotent(a: ELTMatrix, bound: Optional[int] = None) -> Tuple[bool, Optio
                 f"is limited to {NILPOTENT_MAX_WORK} for n^3 times the layer bits, "
                 f"summed over its matrix products"
             )
-        return x * y
+        d, tangibles, d_layer, layers = _products(x, y)
+        # the layers over d_layer/g, the lcm of their own denominators,
+        # as ELTMatrix._int_form puts them and _layer_bits charges them
+        g = math.gcd(d_layer, *(l for row in layers for l in row))
+        return d, tangibles, d_layer // g, [[l // g for l in row] for row in layers]
 
-    squares = [a]
+    squares = [a._int_form()]
     while 2 ** len(squares) <= bound:
         squares.append(product(squares[-1], squares[-1]))
     m, power = 0, None
@@ -1000,7 +994,7 @@ def is_nilpotent(a: ELTMatrix, bound: Optional[int] = None) -> Tuple[bool, Optio
         if m + 2**j > bound:
             continue
         lifted = squares[j] if power is None else product(power, squares[j])
-        if not all(x.layer == 0 for row in lifted.rows for x in row):
+        if any(l for row in lifted[3] for l in row):
             m, power = m + 2**j, lifted
     if m >= bound:
         return False, None

@@ -1066,6 +1066,44 @@ def test_nilpotence_index_matches_powers_one_by_one():
             assert is_nilpotent(a, bound) == nilpotent_one_by_one(a, bound)
 
 
+def test_nilpotency_charge_reads_each_product_over_its_least_layer_denominator(monkeypatch):
+    """The squares of the 2x2 of 0^[1/2] entries are that matrix again,
+    with layers 2/4 that the charge reads over their least denominator,
+    as 1/2: each of the two products costs 2^3 * (3 + 3 + 2) = 64."""
+    text = "0^[1/2], 0^[1/2]\n0^[1/2], 0^[1/2]"
+    monkeypatch.setattr(matrix, "NILPOTENT_MAX_WORK", 128)
+    assert is_nilpotent(M(text)) == (False, None)
+    monkeypatch.setattr(matrix, "NILPOTENT_MAX_WORK", 127)
+    with pytest.raises(WorkBudgetExceeded) as refused:
+        is_nilpotent(M(text))
+    assert str(refused.value) == (
+        "nilpotency of a 2x2 matrix up to power 4: the search is limited to 127 "
+        "for n^3 times the layer bits, summed over its matrix products"
+    )
+
+
+def test_kernels_convert_only_their_argument(monkeypatch):
+    """A kernel's int form goes to the next kernel as it is, so a routine
+    that chains kernels puts only its argument over common denominators:
+    once for the tangibles and once for the layers."""
+    grids = []
+    convert = matrix.integer_grid
+
+    def counted(grid):
+        grids.append(grid)
+        return convert(grid)
+
+    monkeypatch.setattr(matrix, "integer_grid", counted)
+    result = quasi_inverse(M("0^[2], -1^[1]\n-inf, 1^[1/2]"))
+    assert result.left and result.right and len(grids) == 2
+    grids.clear()
+    assert is_nilpotent(M("0^[1/2], 0^[1/2]\n0^[1/2], 0^[1/2]")) == (False, None)
+    assert len(grids) == 2
+    grids.clear()
+    assert not quasi_identity_check(M("1^[1], 0^[0]\n0^[0], 0^[1]"))
+    assert len(grids) == 2
+
+
 def test_text_round_trips():
     rng = random.Random(103)
     for _ in range(30):
