@@ -41,6 +41,7 @@ from .core import (
     NEG_INF,
     ONE,
     Q_RING,
+    Record,
     format_scalar,
     integer_grid,
     parse_int,
@@ -778,11 +779,11 @@ def eigen_candidates(a: ELTMatrix, ring: LayerRing = Q_RING) -> RootDescription:
 # cycles
 
 
-@dataclass(frozen=True)
-class CycleInfo:
+class CycleInfo(Record):
     """A simple cycle through finite entries, listed from its smallest
     vertex; ``mean`` is the tangible weight divided by the length."""
 
+    __slots__ = ("vertices", "weight", "mean")
     vertices: Tuple[int, ...]
     weight: ELTScalar
     mean: Fraction

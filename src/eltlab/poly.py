@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -32,6 +31,7 @@ from .core import (
     LayerRing,
     NEG_INF,
     Q_RING,
+    Record,
     TOP,
     Top,
     exact_rational,
@@ -159,8 +159,7 @@ class ELTPolynomial:
 # envelope classification
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(Record):
     """Global status of every monomial of a polynomial.
 
     ``intervals`` maps each degree to the closed tangible interval on
@@ -169,9 +168,17 @@ class EnvelopeReport:
     attain it simultaneously.
     """
 
-    statuses: Dict[int, MonomialStatus]
-    intervals: Dict[int, Optional[Tuple[Bound, Bound]]]
-    corners: Tuple[Fraction, ...]
+    __slots__ = ("statuses", "intervals", "corners")
+
+    def __init__(
+        self,
+        statuses: Dict[int, MonomialStatus],
+        intervals: Dict[int, Optional[Tuple[Bound, Bound]]],
+        corners: Tuple[Fraction, ...],
+    ):
+        object.__setattr__(self, "statuses", statuses)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "corners", corners)
 
 
 def _require_nonzero(p: ELTPolynomial) -> None:
@@ -230,13 +237,15 @@ def envelope(p: ELTPolynomial) -> EnvelopeReport:
 # roots
 
 
-@dataclass(frozen=True)
-class LayerSolutions:
+class LayerSolutions(Record):
     """Solution set of a layer equation: either all of the ring, or a
     finite tuple of ring elements."""
 
-    all_layers: bool
-    values: Tuple[Fraction, ...] = ()
+    __slots__ = ("all_layers", "values")
+
+    def __init__(self, all_layers: bool, values: Tuple[Fraction, ...] = ()):
+        object.__setattr__(self, "all_layers", all_layers)
+        object.__setattr__(self, "values", values)
 
     def __contains__(self, layer: object) -> bool:
         return self.all_layers or exact_rational(layer) in self.values
@@ -251,34 +260,51 @@ class LayerSolutions:
         return "{" + ", ".join(str(v) for v in self.values) + "}"
 
 
-@dataclass(frozen=True)
-class CornerRoot:
+class CornerRoot(Record):
     """Tangible point where several monomials tie; its root layers are
     the solutions of ``sum s(c_i) * l^i = 0`` over the tied degrees i,
     with l^0 read as the constant 1."""
 
-    tangible: Fraction
-    degrees: Tuple[int, ...]
-    layer_equation: Dict[int, Fraction]
-    layers: LayerSolutions
+    __slots__ = ("tangible", "degrees", "layer_equation", "layers")
+
+    def __init__(
+        self,
+        tangible: Fraction,
+        degrees: Tuple[int, ...],
+        layer_equation: Dict[int, Fraction],
+        layers: LayerSolutions,
+    ):
+        object.__setattr__(self, "tangible", tangible)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "layer_equation", layer_equation)
+        object.__setattr__(self, "layers", layers)
 
 
-@dataclass(frozen=True)
-class IntervalRoot:
+class IntervalRoot(Record):
     """Open tangible interval dominated by a single monomial, together
     with the layers that make points there roots."""
 
-    lower: Bound
-    upper: Bound
-    degree: int
-    layers: LayerSolutions
+    __slots__ = ("lower", "upper", "degree", "layers")
+
+    def __init__(self, lower: Bound, upper: Bound, degree: int, layers: LayerSolutions):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "layers", layers)
 
 
-@dataclass(frozen=True)
-class RootDescription:
-    corners: Tuple[CornerRoot, ...]
-    intervals: Tuple[IntervalRoot, ...]
-    neg_infinity_root: bool
+class RootDescription(Record):
+    __slots__ = ("corners", "intervals", "neg_infinity_root")
+
+    def __init__(
+        self,
+        corners: Tuple[CornerRoot, ...],
+        intervals: Tuple[IntervalRoot, ...],
+        neg_infinity_root: bool,
+    ):
+        object.__setattr__(self, "corners", corners)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "neg_infinity_root", neg_infinity_root)
 
     def layers_at(self, a: Fraction) -> LayerSolutions:
         """Root layers of the tangible point a."""

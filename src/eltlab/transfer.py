@@ -50,31 +50,39 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, TypeVar, Union
 
-from .core import ELTScalar, NEG_INF, format_scalar, parse_int
+from .core import ELTScalar, NEG_INF, Record, format_scalar, parse_int
 from .errors import ParseError, UnboundVariable
 
 # ---------------------------------------------------------------------------
 # positive expression trees
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Var(Record):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Add:
-    args: Tuple["Node", ...]
+class Add(Record):
+    __slots__ = ("args",)
+
+    def __init__(self, args: Tuple["Node", ...]):
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Mul:
-    args: Tuple["Node", ...]
+class Mul(Record):
+    __slots__ = ("args",)
+
+    def __init__(self, args: Tuple["Node", ...]):
+        object.__setattr__(self, "args", args)
 
 
 Node = Const | Var | Add | Mul
@@ -438,11 +446,11 @@ def _program(e: Union[PolyExpression, _Program]) -> _Program:
 Exponents = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MonomialTable:
+class MonomialTable(Record):
     """Exact expansion counts: exponent vector -> (count in P+, count
     in P-)."""
 
+    __slots__ = ("nvars", "entries")
     nvars: int
     entries: Dict[Exponents, Tuple[int, int]]
 
@@ -697,8 +705,11 @@ def evaluate(e: Union[PolyExpression, _Program], model, assignment: Sequence[obj
 # randomized identity checks
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
+    __slots__ = (
+        "relation", "ring_ok", "maxplus_ok", "elt_ok", "strong_ok", "trials", "seed",
+        "counterexamples",
+    )
     relation: str
     ring_ok: bool
     maxplus_ok: bool
@@ -971,12 +982,13 @@ def _identity_expression(n: int) -> ExprMatrix:
 # canned suites
 
 
-@dataclass(frozen=True)
-class CannedIdentity:
+class CannedIdentity(Record):
+    __slots__ = ("name", "relation", "components", "strong")
+    _defaults = {"strong": False}
     name: str
     relation: str
     components: Tuple[Component, ...]
-    strong: bool = False
+    strong: bool
 
 
 def _det_mult(n: int) -> CannedIdentity:

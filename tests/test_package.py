@@ -173,3 +173,36 @@ def test_the_library_draws_only_through_getrandbits():
     library's."""
     found = {p.stem: per_value_draws(p) for p in PACKAGE.glob("*.py")}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+# the result types that ``perfbench/tests`` hands to
+# ``dataclasses.replace``; every other result type is a ``core.Record``
+DATACLASSES = {
+    "assign.HungarianResult",
+    "matrix.EtrReport",
+    "matrix.QuasiIdentityReport",
+    "matrix.QuasiInverseResult",
+    "transfer.SuiteRecord",
+}
+
+
+def dataclass_names(path):
+    """The classes of one module decorated with ``dataclass``, bare,
+    called or as ``dataclasses.dataclass``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if (getattr(target, "id", None) or getattr(target, "attr", None)) == "dataclass":
+                    found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_only_the_results_the_benchmark_replaces_are_dataclasses():
+    found = {name for p in PACKAGE.glob("*.py") for name in dataclass_names(p)}
+    assert found == DATACLASSES, (
+        "every eltlab process imports every result type, and a @dataclass compiles six "
+        "methods at import, about 0.66 ms per class; derive a new result type from "
+        "core.Record unless perfbench/tests hands it to dataclasses.replace"
+    )
