@@ -48,29 +48,23 @@ class Record:
     """Base of the immutable result types: a frozen dataclass's
     contract, read off the subclass's ``__slots__``.
 
-    A subclass lists its fields, in order, as ``__slots__``, and the
-    defaults of trailing ones as ``_defaults``.  Instances take the
-    fields by position or keyword, compare equal only to an instance of
-    the same class with equal fields, hash as the tuple of their fields,
-    print as ``Name(field=value, ...)`` and refuse to set or delete an
-    attribute.  Unlike ``@dataclass(frozen=True)``, which compiles six
-    methods per class when its module loads, a subclass costs no
-    compilation, and a command-line process imports every result type.
-
-    A subclass built in bulk on a hot path (root descriptions,
-    expression nodes) defines a plain ``__init__`` that sets each field
-    with ``object.__setattr__``, as a frozen dataclass's does: the one
-    made below loops over the fields, and for one field it takes about
-    1.8 times as long (Python 3.11).
+    A subclass lists its fields, in order, as ``__slots__`` and defines
+    a plain ``__init__`` that sets each one with ``object.__setattr__``,
+    as a frozen dataclass's does.  Instances compare equal only to an
+    instance of the same class with equal fields, hash as the tuple of
+    their fields, print as ``Name(field=value, ...)`` and refuse to set
+    or delete an attribute.  Unlike ``@dataclass(frozen=True)``, which
+    compiles six methods per class when its module loads, a subclass
+    costs no compilation, and a command-line process imports every
+    result type.
     """
 
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
-        # __eq__ and __init__ are closures made for each class: Python
-        # 3.11 specialises an attribute lookup for one class, and one
-        # method shared by every record would miss those caches
+        # __eq__ is a closure made for each class: Python 3.11
+        # specialises an attribute lookup for one class, and one method
+        # shared by every record would miss those caches
         super().__init_subclass__(**kwargs)
         fields = operator.attrgetter(*cls.__slots__)
 
@@ -80,42 +74,6 @@ class Record:
             return fields(self) == fields(other)
 
         cls.__eq__ = __eq__
-        if "__init__" in cls.__dict__:
-            return
-        # the slots' own setters, which __setattr__ below does not reach
-        setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-        count = len(setters)
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != count:
-                args = cls._bind(args, kwargs)
-            for set_field, value in zip(setters, args):
-                set_field(self, value)
-
-        cls.__init__ = __init__
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values of a call that is not one value per field
-        by position, in field order."""
-        fields = cls.__slots__
-        if len(args) > len(fields):
-            raise TypeError(
-                f"{cls.__name__}() takes {len(fields)} arguments but {len(args)} were given"
-            )
-        values = list(args)
-        for name in fields[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in cls._defaults:
-                values.append(cls._defaults[name])
-            else:
-                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-        if kwargs:
-            raise TypeError(
-                f"{cls.__name__}() got an unexpected or repeated argument {next(iter(kwargs))!r}"
-            )
-        return values
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))

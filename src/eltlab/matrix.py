@@ -784,9 +784,11 @@ class CycleInfo(Record):
     vertex; ``mean`` is the tangible weight divided by the length."""
 
     __slots__ = ("vertices", "weight", "mean")
-    vertices: Tuple[int, ...]
-    weight: ELTScalar
-    mean: Fraction
+
+    def __init__(self, vertices: Tuple[int, ...], weight: ELTScalar, mean: Fraction):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "mean", mean)
 
     @property
     def length(self) -> int:

@@ -451,8 +451,10 @@ class MonomialTable(Record):
     in P-)."""
 
     __slots__ = ("nvars", "entries")
-    nvars: int
-    entries: Dict[Exponents, Tuple[int, int]]
+
+    def __init__(self, nvars: int, entries: Dict[Exponents, Tuple[int, int]]):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def has_disjoint_support(self) -> bool:
@@ -710,14 +712,26 @@ class CheckReport(Record):
         "relation", "ring_ok", "maxplus_ok", "elt_ok", "strong_ok", "trials", "seed",
         "counterexamples",
     )
-    relation: str
-    ring_ok: bool
-    maxplus_ok: bool
-    elt_ok: bool
-    strong_ok: Optional[bool]
-    trials: int
-    seed: int
-    counterexamples: Tuple[str, ...]
+
+    def __init__(
+        self,
+        relation: str,
+        ring_ok: bool,
+        maxplus_ok: bool,
+        elt_ok: bool,
+        strong_ok: Optional[bool],
+        trials: int,
+        seed: int,
+        counterexamples: Tuple[str, ...],
+    ):
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "ring_ok", ring_ok)
+        object.__setattr__(self, "maxplus_ok", maxplus_ok)
+        object.__setattr__(self, "elt_ok", elt_ok)
+        object.__setattr__(self, "strong_ok", strong_ok)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "counterexamples", counterexamples)
 
     @property
     def ok(self) -> bool:
@@ -984,11 +998,14 @@ def _identity_expression(n: int) -> ExprMatrix:
 
 class CannedIdentity(Record):
     __slots__ = ("name", "relation", "components", "strong")
-    _defaults = {"strong": False}
-    name: str
-    relation: str
-    components: Tuple[Component, ...]
-    strong: bool
+
+    def __init__(
+        self, name: str, relation: str, components: Tuple[Component, ...], strong: bool = False
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "strong", strong)
 
 
 def _det_mult(n: int) -> CannedIdentity:

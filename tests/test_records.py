@@ -90,7 +90,7 @@ def test_omitted_trailing_fields_take_their_defaults():
 
 
 def test_a_call_that_does_not_bind_every_field_once_is_refused():
-    for cls in (Var, MonomialTable):  # a plain __init__ and Record's
+    for cls in (Var, MonomialTable):
         for call in (
             lambda: cls(),  # a field without a default left out
             lambda: cls(1, {}, 2),  # a value too many
