@@ -5,10 +5,13 @@
 subcommand on every file in ``fixtures/`` and on a missing one, plain
 and ``--machine``, parse and domain errors included; ``--layer-ring Z``
 for the subcommands that take it; ``nilpotent --bound 1`` and
-``--bound 7``; and ``verify all --seed 3 --trials 5``.  It was written
-by an earlier version of the library, so a rewrite of any algorithm
-behind the CLI must reproduce those transcripts exactly.  Paths are
-relative to the repository root, where the commands run.
+``--bound 7``; ``verify all --seed 3 --trials 5``; the help text of
+the program and of every subcommand; and five usage errors, with
+``COLUMNS=80`` so argparse wraps them the same way in any terminal.
+It was written by an earlier version of the library, so a rewrite of
+any algorithm or of the parser behind the CLI must reproduce those
+transcripts exactly.  Paths are relative to the repository root, where
+the commands run.
 
 To write the file from the CLI as it stands::
 
@@ -31,6 +34,10 @@ PATHS = (*sorted(f"fixtures/{p.name}" for p in (ROOT / "fixtures").iterdir()), "
 SUBCOMMANDS = (
     "det", "adj", "qinv", "charpoly", "roots", "eig-verify", "trace", "etr",
     "nilpotent", "cycles", "hungarian", "eltrop",
+)
+USAGE_ERRORS = (
+    ["bogus"], ["det"], ["verify", "--trials", "0", "det-mult"], ["verify", "nosuch"],
+    ["nilpotent", "--bound", "-3", "x"],
 )
 
 
@@ -56,6 +63,11 @@ def command_lines():
                     yield [command, path, *extra, *variant, *machine]
     for machine in ([], ["--machine"]):
         yield ["verify", "all", "--seed", "3", "--trials", "5", *machine]
+    yield []
+    yield ["--help"]
+    for command in (*SUBCOMMANDS, "verify"):
+        yield [command, "--help"]
+    yield from USAGE_ERRORS
 
 
 def transcript(argv):
@@ -66,12 +78,17 @@ def transcript(argv):
 
 
 def transcripts():
-    cwd = os.getcwd()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"
     try:
         return [transcript(argv) for argv in command_lines()]
     finally:
         os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
 
 
 def test_cli_transcripts_match_the_golden_file():
