@@ -572,6 +572,36 @@ def _surpasses(x: Pair, y: Pair) -> bool:
     return x == y or (x is not None and x[1] == 0 and (y is None or x[0] > y[0]))
 
 
+# LAYER_CHOICES of tests/rand.py as ints: a choice over either takes the
+# same draw
+_LAYERS = (-2, -1, 0, 1, 2)
+
+
+def _draw(rng: random.Random, count: int, layered: bool) -> tuple:
+    """``count`` values drawn as this section's comment says: each None or a
+    tangible, paired with a layer when ``layered``."""
+    getrandbits = rng.getrandbits
+    values = []
+    for _ in range(count):
+        r = getrandbits(4)
+        while r >= 10:
+            r = getrandbits(4)
+        if not r:
+            values.append(None)
+            continue
+        t = getrandbits(5)
+        while t >= 21:
+            t = getrandbits(5)
+        if layered:
+            l = getrandbits(3)
+            while l >= 5:
+                l = getrandbits(3)
+            values.append((t - 10, _LAYERS[l]))
+        else:
+            values.append(t - 10)
+    return tuple(values)
+
+
 class MaxPlusModel:
     """Ints with max and plus, None for -inf; negation is trivial."""
 
@@ -580,20 +610,7 @@ class MaxPlusModel:
 
     def sample(self, rng: random.Random, count: int) -> Tuple[Optional[int], ...]:
         """``count`` values, each -inf or a tangible in -10..10."""
-        getrandbits = rng.getrandbits
-        values = []
-        for _ in range(count):
-            r = getrandbits(4)
-            while r >= 10:
-                r = getrandbits(4)
-            if r:
-                t = getrandbits(5)
-                while t >= 21:
-                    t = getrandbits(5)
-                values.append(t - 10)
-            else:
-                values.append(None)
-        return tuple(values)
+        return _draw(rng, count, False)
 
     def show(self, a: Optional[int]) -> str:
         return "-inf" if a is None else str(a)
@@ -614,11 +631,6 @@ class MaxPlusModel:
         return tuple(
             v[pos] if _dominates(v[pos], v[neg]) else v[neg] for pos, neg in outputs
         )
-
-
-# LAYER_CHOICES of tests/rand.py as ints: a choice over either takes the
-# same draw
-_LAYERS = (-2, -1, 0, 1, 2)
 
 
 def _scalar(a: Pair) -> ELTScalar:
@@ -648,23 +660,7 @@ class ELTModel:
     def sample(self, rng: random.Random, count: int) -> Tuple[Pair, ...]:
         """``count`` values, each -inf or a tangible in -10..10 with a
         layer from ``_LAYERS``."""
-        getrandbits = rng.getrandbits
-        values = []
-        for _ in range(count):
-            r = getrandbits(4)
-            while r >= 10:
-                r = getrandbits(4)
-            if r:
-                t = getrandbits(5)
-                while t >= 21:
-                    t = getrandbits(5)
-                l = getrandbits(3)
-                while l >= 5:
-                    l = getrandbits(3)
-                values.append((t - 10, _LAYERS[l]))
-            else:
-                values.append(None)
-        return tuple(values)
+        return _draw(rng, count, True)
 
     def show(self, a: Pair) -> str:
         return format_scalar(_scalar(a))
