@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import assign, matrix, poly, puiseux, transfer
 from .core import format_scalar, get_ring, parse_scalar
@@ -33,9 +34,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _integer(text: str) -> int:
+    """``int(text)`` for a sign and ASCII digits, as the file readers take
+    them; ValueError for other digits, underscores, a plus sign, spaces."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise ValueError(text)
+    return int(text)
+
+
 def _positive(text: str) -> int:
     try:
-        value = int(text)
+        value = _integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value <= 0:
@@ -47,35 +56,33 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="eltlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, help_text: str, path: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, run: Callable, path: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if path:
             p.add_argument("path", help="input file")
-        p.add_argument(
-            "--machine", action="store_true",
-            help="field-prefixed line output",
-        )
+        p.add_argument("--machine", action="store_true", help="field-prefixed line output")
         return p
 
-    add("det", "determinant of a matrix")
-    add("adj", "adjoint of a matrix")
-    p = add("qinv", "quasi-inverse of a matrix")
+    add("det", "determinant of a matrix", _cmd_det)
+    add("adj", "adjoint of a matrix", _cmd_adj)
+    p = add("qinv", "quasi-inverse of a matrix", _cmd_qinv)
     p.add_argument("--layer-ring", choices=("Q", "Z"), default="Q")
-    add("charpoly", "characteristic polynomial of a matrix")
-    p = add("roots", "root description of a polynomial")
+    add("charpoly", "characteristic polynomial of a matrix", _cmd_charpoly)
+    p = add("roots", "root description of a polynomial", _cmd_roots)
     p.add_argument("--layer-ring", choices=("Q", "Z"), default="Q")
-    p = add("eig-verify", "grade a claimed eigenpair")
+    p = add("eig-verify", "grade a claimed eigenpair", _cmd_eig_verify)
     p.add_argument("--value", required=True, help="eigenvalue scalar")
     p.add_argument("--vector", required=True, help="comma-separated scalar entries")
-    add("trace", "trace of a matrix")
-    add("etr", "essential trace of a matrix")
-    p = add("nilpotent", "least power with all layers zero")
+    add("trace", "trace of a matrix", _cmd_trace)
+    add("etr", "essential trace of a matrix", _cmd_etr)
+    p = add("nilpotent", "least power with all layers zero", _cmd_nilpotent)
     p.add_argument("--bound", type=_positive, default=None,
                    help="power bound (default n^2)")
-    add("cycles", "simple cycles of the finite-entry digraph")
-    add("hungarian", "Hungarian row scaling of a (tropical) matrix")
-    add("eltrop", "tropicalisation of a series")
-    p = add("verify", "run identity verification suites", path=False)
+    add("cycles", "simple cycles of the finite-entry digraph", _cmd_cycles)
+    add("hungarian", "Hungarian row scaling of a (tropical) matrix", _cmd_hungarian)
+    add("eltrop", "tropicalisation of a series", _cmd_eltrop)
+    p = add("verify", "run identity verification suites", _cmd_verify, path=False)
     p.add_argument("name", choices=_SUITE_CHOICES)
     p.add_argument("--trials", type=_positive, default=1000)
     p.add_argument("--seed", type=_positive, default=None,
@@ -95,13 +102,12 @@ def _read(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _emit_scalar(args, name: str, value) -> None:
-    text = format_scalar(value)
+def _matrix(args) -> matrix.ELTMatrix:
+    return matrix.ELTMatrix.from_text(_read(args.path))
+
+
+def _emit(args, name: str, text: str) -> None:
     print(f"{name}: {text}" if args.machine else text)
-
-
-def _emit_matrix(args, m: matrix.ELTMatrix) -> None:
-    print(m.to_text(structured=args.machine))
 
 
 def _resolve_seed(args) -> int:
@@ -110,7 +116,7 @@ def _resolve_seed(args) -> int:
     env = os.environ.get("ELTLAB_SEED")
     if env is not None:
         try:
-            value = int(env)
+            value = _integer(env)
         except ValueError:
             raise ParseError(f"ELTLAB_SEED is not an integer: {env!r}")
         if value <= 0:
@@ -119,31 +125,24 @@ def _resolve_seed(args) -> int:
     return 42
 
 
-def _cmd_det(args) -> int:
-    _emit_scalar(args, "det", matrix.det(matrix.ELTMatrix.from_text(_read(args.path))))
-    return 0
+def _cmd_det(args) -> None:
+    _emit(args, "det", format_scalar(matrix.det(_matrix(args))))
 
 
-def _cmd_adj(args) -> int:
-    _emit_matrix(args, matrix.adjoint(matrix.ELTMatrix.from_text(_read(args.path))))
-    return 0
+def _cmd_adj(args) -> None:
+    print(matrix.adjoint(_matrix(args)).to_text(structured=args.machine))
 
 
-def _cmd_qinv(args) -> int:
-    a = matrix.ELTMatrix.from_text(_read(args.path))
-    result = matrix.quasi_inverse(a, get_ring(args.layer_ring))
-    _emit_matrix(args, result.inverse)
-    return 0
+def _cmd_qinv(args) -> None:
+    result = matrix.quasi_inverse(_matrix(args), get_ring(args.layer_ring))
+    print(result.inverse.to_text(structured=args.machine))
 
 
-def _cmd_charpoly(args) -> int:
-    p = matrix.charpoly(matrix.ELTMatrix.from_text(_read(args.path)))
-    text = poly.format_polynomial(p)
-    print(f"charpoly: {text}" if args.machine else text)
-    return 0
+def _cmd_charpoly(args) -> None:
+    _emit(args, "charpoly", poly.format_polynomial(matrix.charpoly(_matrix(args))))
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args) -> None:
     p = poly.parse_polynomial(_read(args.path))
     description = poly.elt_roots(p, get_ring(args.layer_ring))
     for corner in description.corners:
@@ -151,59 +150,48 @@ def _cmd_roots(args) -> int:
     for iv in description.intervals:
         print(f"interval ({iv.lower}, {iv.upper}): layers {iv.layers}")
     print("neg-inf: root" if description.neg_infinity_root else "neg-inf: not-a-root")
-    return 0
 
 
-def _cmd_eig_verify(args) -> int:
-    a = matrix.ELTMatrix.from_text(_read(args.path))
+def _cmd_eig_verify(args) -> None:
+    a = _matrix(args)
     value = parse_scalar(args.value)
     vector = matrix.parse_vector(args.vector)
-    status = matrix.eigen_verify(a, value, vector)
-    print(f"status: {status}" if args.machine else str(status))
-    return 0
+    _emit(args, "status", str(matrix.eigen_verify(a, value, vector)))
 
 
-def _cmd_trace(args) -> int:
-    _emit_scalar(args, "trace", matrix.trace(matrix.ELTMatrix.from_text(_read(args.path))))
-    return 0
+def _cmd_trace(args) -> None:
+    _emit(args, "trace", format_scalar(matrix.trace(_matrix(args))))
 
 
-def _cmd_etr(args) -> int:
-    report = matrix.essential_trace(matrix.ELTMatrix.from_text(_read(args.path)))
+def _cmd_etr(args) -> None:
+    report = matrix.essential_trace(_matrix(args))
+    _emit(args, "etr", format_scalar(report.value))
     if args.machine:
-        print(f"etr: {format_scalar(report.value)}")
         print(f"status: {report.status}")
         print(f"trace: {format_scalar(report.trace)}")
         print(f"mu: {'none' if report.mu is None else report.mu}")
-    else:
-        print(format_scalar(report.value))
-    return 0
 
 
-def _cmd_nilpotent(args) -> int:
-    a = matrix.ELTMatrix.from_text(_read(args.path))
-    ok, index = matrix.is_nilpotent(a, args.bound)
+def _cmd_nilpotent(args) -> None:
+    ok, index = matrix.is_nilpotent(_matrix(args), args.bound)
     if args.machine:
         print(f"nilpotent: {'yes' if ok else 'no'}")
         if ok:
             print(f"index: {index}")
     else:
         print(f"yes {index}" if ok else "no")
-    return 0
 
 
-def _cmd_cycles(args) -> int:
-    a = matrix.ELTMatrix.from_text(_read(args.path))
-    cycles = matrix.simple_cycles(a)
+def _cmd_cycles(args) -> None:
+    cycles = matrix.simple_cycles(_matrix(args))
     for cyc in cycles:
         path = "->".join(str(v) for v in cyc.vertices)
         print(f"cycle {path}: weight {format_scalar(cyc.weight)} mean {cyc.mean}")
     if not cycles and not args.machine:
         print("no cycles")
-    return 0
 
 
-def _cmd_hungarian(args) -> int:
+def _cmd_hungarian(args) -> None:
     text = _read(args.path)
     if "^[" in text:
         grid = matrix.tangible_matrix(matrix.ELTMatrix.from_text(text))
@@ -216,39 +204,19 @@ def _cmd_hungarian(args) -> int:
     if args.machine:
         print("u: " + ", ".join(str(x) for x in result.row_duals))
         print("v: " + ", ".join(str(x) for x in result.col_duals))
-    return 0
 
 
-def _cmd_eltrop(args) -> int:
-    series = puiseux.parse_series(_read(args.path))
-    _emit_scalar(args, "eltrop", puiseux.eltrop(series))
-    return 0
+def _cmd_eltrop(args) -> None:
+    _emit(args, "eltrop", format_scalar(puiseux.eltrop(puiseux.parse_series(_read(args.path)))))
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Optional[int]:
     seed = _resolve_seed(args)
     names = None if args.name == "all" else [args.name]
     records = transfer.run_suite(names, trials=args.trials, seed=seed)
     for record in records:
         print(record.line)
-    return 0 if all(record.ok for record in records) else 3
-
-
-_COMMANDS = {
-    "det": _cmd_det,
-    "adj": _cmd_adj,
-    "qinv": _cmd_qinv,
-    "charpoly": _cmd_charpoly,
-    "roots": _cmd_roots,
-    "eig-verify": _cmd_eig_verify,
-    "trace": _cmd_trace,
-    "etr": _cmd_etr,
-    "nilpotent": _cmd_nilpotent,
-    "cycles": _cmd_cycles,
-    "hungarian": _cmd_hungarian,
-    "eltrop": _cmd_eltrop,
-    "verify": _cmd_verify,
-}
+    return None if all(record.ok for record in records) else 3
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -258,7 +226,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args) or 0
     except ParseError as exc:
         print(f"eltlab: parse error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 """End to end command line behaviour: output text, exit codes, determinism."""
 
+import argparse
 import os
 import pathlib
 import resource
@@ -201,6 +202,36 @@ def test_verify_and_seed_precedence(capsys, monkeypatch):
     assert out == "PASS det-mult-n2 13\nPASS det-mult-n3 13\n"
 
 
+@pytest.mark.parametrize("text", ["١٠", "1_0", "+7", " 7", "7\n"])
+def test_integer_options_take_ascii_digits_only(capsys, text):
+    # int() takes all of these; the file readers take none of them
+    code, out, err = run(capsys, "nilpotent", fixture("nilp.mat"), "--bound", text)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"eltlab nilpotent: error: argument --bound: not an integer: {text!r}\n")
+    code, out, err = run(capsys, "verify", "--trials", "1", "--seed", text, "det-mult")
+    assert (code, out) == (1, "")
+    assert err.endswith(f"eltlab verify: error: argument --seed: not an integer: {text!r}\n")
+
+
+@pytest.mark.parametrize("text", ["٣", "1_0", "+7"])
+def test_seed_variable_takes_ascii_digits_only(capsys, monkeypatch, text):
+    monkeypatch.setenv("ELTLAB_SEED", text)
+    code, out, err = run(capsys, "verify", "--trials", "1", "det-mult")
+    assert (code, out) == (1, "")
+    assert err == f"eltlab: parse error: ELTLAB_SEED is not an integer: {text!r}\n"
+
+
+def test_integer_options_keep_leading_zeros(capsys, monkeypatch):
+    assert run(capsys, "nilpotent", fixture("nilp.mat"), "--bound", "07") == (
+        run(capsys, "nilpotent", fixture("nilp.mat"), "--bound", "7"))
+    monkeypatch.setenv("ELTLAB_SEED", "07")
+    code, out, _ = run(capsys, "verify", "--trials", "1", "det-mult")
+    assert (code, out) == (0, "PASS det-mult-n2 7\nPASS det-mult-n3 7\n")
+    monkeypatch.setenv("ELTLAB_SEED", "-3")
+    assert run(capsys, "verify", "--trials", "1", "det-mult") == (
+        1, "", "eltlab: parse error: ELTLAB_SEED must be positive\n")
+
+
 def test_verify_runs_the_full_catalogue(capsys):
     code, out, _ = run(capsys, "verify", "--trials", "2", "--seed", "5", "all")
     assert code == 0
@@ -277,9 +308,10 @@ FILE_COMMANDS = {
 
 
 def test_file_commands_are_every_subcommand_but_verify():
-    from eltlab.cli import _COMMANDS
+    from eltlab.cli import _build_parser
 
-    assert set(FILE_COMMANDS) == set(_COMMANDS) - {"verify"}
+    (sub,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(FILE_COMMANDS) == set(sub.choices) - {"verify"}
 
 
 @pytest.mark.parametrize("command", FILE_COMMANDS)
