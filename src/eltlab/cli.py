@@ -35,8 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    """``int(text)`` for a sign and ASCII digits, as the file readers take
-    them; ValueError for other digits, underscores, a plus sign, spaces."""
+    """``int(text)`` for an optional minus and ASCII digits, as the file
+    readers take them; ValueError for other digits, ``_``, ``+``, spaces."""
     if re.fullmatch("-?[0-9]+", text) is None:
         raise ValueError(text)
     return int(text)

@@ -221,7 +221,7 @@ def test_seed_variable_takes_ascii_digits_only(capsys, monkeypatch, text):
     assert err == f"eltlab: parse error: ELTLAB_SEED is not an integer: {text!r}\n"
 
 
-def test_integer_options_keep_leading_zeros(capsys, monkeypatch):
+def test_integer_options_keep_leading_zeros_and_refuse_non_positive(capsys, monkeypatch):
     assert run(capsys, "nilpotent", fixture("nilp.mat"), "--bound", "07") == (
         run(capsys, "nilpotent", fixture("nilp.mat"), "--bound", "7"))
     monkeypatch.setenv("ELTLAB_SEED", "07")
