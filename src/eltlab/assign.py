@@ -13,12 +13,14 @@ assignment) that make any feasible matrix critical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .core import BOTTOM, Bottom, exact_rational, integer_grid, parse_rational
 from .errors import InfeasibleAssignment, NotSquare, ParseError
+
+if TYPE_CHECKING:
+    from .reports import HungarianResult
 
 Entry = Fraction | Bottom
 TropicalMatrix = tuple[tuple[Entry, ...], ...]
@@ -112,20 +114,6 @@ def is_critical(t: TropicalMatrix) -> Tuple[bool, Optional[Tuple[int, ...]]]:
 # Hungarian scaling
 
 
-@dataclass(frozen=True)
-class HungarianResult:
-    """Row offsets alpha_i = -u_i plus the certifying data: the
-    optimal assignment sigma, the dual potentials (u, v) with
-    u_i + v_j >= t_ij everywhere finite and equality on sigma, and the
-    assignment value."""
-
-    alphas: Tuple[Fraction, ...]
-    sigma: Tuple[int, ...]
-    row_duals: Tuple[Fraction, ...]
-    col_duals: Tuple[Fraction, ...]
-    value: Fraction
-
-
 def hungarian_scaling(t: TropicalMatrix) -> HungarianResult:
     """Exact max-weight assignment by augmenting paths on the equality
     graph of dual potentials.
@@ -206,6 +194,8 @@ def hungarian_scaling(t: TropicalMatrix) -> HungarianResult:
                 if slack[j] is None or cand < slack[j]:
                     slack[j] = cand
                     way[j] = i_next
+
+    from .reports import HungarianResult
 
     sigma = tuple(match_row[i] for i in range(n))
     return HungarianResult(

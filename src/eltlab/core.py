@@ -55,8 +55,10 @@ class Record:
     their fields, print as ``Name(field=value, ...)`` and refuse to set
     or delete an attribute.  Unlike ``@dataclass(frozen=True)``, which
     compiles six methods per class when its module loads, a subclass
-    costs no compilation, and a command-line process imports every
-    result type.
+    costs no compilation, and every command-line process imports the
+    modules that define these types.  The five results that stay
+    dataclasses live in ``reports``, which only the functions that
+    build one of them load.
     """
 
     __slots__ = ()

@@ -26,10 +26,9 @@ diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .assign import TropicalMatrix, hungarian_scaling, karp_max_mean_cycle
 from .core import (
@@ -56,6 +55,9 @@ from .errors import (
     ZeroVector,
 )
 from .poly import ELTPolynomial, MonomialStatus, RootDescription, elt_roots
+
+if TYPE_CHECKING:
+    from .reports import EtrReport, QuasiIdentityReport, QuasiInverseResult
 
 Vector = tuple[ELTScalar, ...]
 IntForm = tuple[int, IntGrid, int, IntGrid]
@@ -554,31 +556,6 @@ def adjoint(a: ELTMatrix) -> ELTMatrix:
 # quasi-identities and the quasi-inverse
 
 
-@dataclass(frozen=True)
-class QuasiIdentityReport:
-    """Checks that a matrix is a quasi-identity: ones on the diagonal,
-    layer-zero entries off it, idempotent, and a determinant of nonzero
-    layer, which is expanded only when a check fails."""
-
-    diagonal_ok: bool
-    offdiagonal_ok: bool
-    idempotent: bool
-    determinant: ELTScalar
-    nonsingular: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.diagonal_ok
-            and self.offdiagonal_ok
-            and self.idempotent
-            and self.nonsingular
-        )
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def quasi_identity_check(m: ELTMatrix) -> QuasiIdentityReport:
     """When the other checks hold, det(m) is 0^[1]: ``M = M*M`` gives
     ``t_ij >= t_ik + t_kj``, so every cycle weighs at most ``t_ii = 0``;
@@ -587,11 +564,15 @@ def quasi_identity_check(m: ELTMatrix) -> QuasiIdentityReport:
     that fails a check expands its determinant over column subsets
     (``_expansion``), and only it is refused above EXPANSION_MAX_ORDER."""
     _require_square(m)
-    return _quasi_identity_report(m._int_form())
+    checks = _quasi_identity_checks(m._int_form())
+    from .reports import QuasiIdentityReport
+
+    return QuasiIdentityReport(*checks)
 
 
-def _quasi_identity_report(form: IntForm) -> QuasiIdentityReport:
-    """``quasi_identity_check`` on a square int form.  A diagonal entry
+def _quasi_identity_checks(form: IntForm) -> Tuple[bool, bool, bool, ELTScalar, bool]:
+    """The fields of ``quasi_identity_check``'s report, in order, on a
+    square int form; its callers load ``reports`` once.  A diagonal entry
     must be 0^[1], tangible 0 and layer d_layer; an entry off it must
     have layer 0, as -inf has.  The square's form is over (d,
     d_layer^2), so the matrix is idempotent when the square has its
@@ -608,14 +589,7 @@ def _quasi_identity_report(form: IntForm) -> QuasiIdentityReport:
         det_m = ONE
     else:
         det_m = _scalars(_expanded_det(form, "quasi_identity_check"))[0][0]
-    return QuasiIdentityReport(diagonal_ok, offdiagonal_ok, idempotent, det_m, det_m.layer != 0)
-
-
-@dataclass(frozen=True)
-class QuasiInverseResult:
-    inverse: ELTMatrix
-    left: QuasiIdentityReport
-    right: QuasiIdentityReport
+    return diagonal_ok, offdiagonal_ok, idempotent, det_m, det_m.layer != 0
 
 
 def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
@@ -639,6 +613,8 @@ def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
     det_a = _scalars(full)[0][0]
     if det_a.is_neg_inf or not ring.is_unit(det_a.layer):
         raise SingularDeterminant(f"determinant {det_a} has no unit layer in {ring.name}")
+    from .reports import QuasiIdentityReport, QuasiInverseResult
+
     # det(A) is (t/d)^[l/d_layer^n], so a cofactor (c/d)^[m/d_layer^(n-1)]
     # times its inverse is ((c - t)/d)^[m*d_layer/l]; the sign of l goes
     # into the layers, so that their denominator stays positive
@@ -650,8 +626,8 @@ def quasi_inverse(a: ELTMatrix, ring: LayerRing = Q_RING) -> QuasiInverseResult:
     inverse = (d, inv_t, abs(l), [[m * k for m in row] for row in cof_l])
     return QuasiInverseResult(
         ELTMatrix(_scalars(inverse)),
-        _quasi_identity_report(_products(inverse, form)),
-        _quasi_identity_report(_products(form, inverse)),
+        QuasiIdentityReport(*_quasi_identity_checks(_products(inverse, form))),
+        QuasiIdentityReport(*_quasi_identity_checks(_products(form, inverse))),
     )
 
 
@@ -870,36 +846,6 @@ def simple_cycles(a: ELTMatrix) -> Tuple[CycleInfo, ...]:
 # essential trace
 
 
-Bound = Fraction | Bottom
-
-
-@dataclass(frozen=True)
-class EtrReport:
-    """Essential trace with its supporting spectral data.
-
-    ``coefficients`` maps k to the coefficient of L^(n-k) in the
-    characteristic polynomial (finite ones only); ``l_set`` collects
-    the k maximising t(c_k)/k and ``mu`` is its minimum.  The status
-    grades the trace monomial: essential when the trace tangible beats
-    every simple cycle of length at least two, quasi-essential on a
-    tie, inessential when it is beaten or absent.  The value is the
-    trace itself in the essential case and (t(c_mu)/mu)^[0] otherwise.
-    AB and BA have the same trace and the same etr tangible; their etr
-    values can differ only in the layer-zero collapse of a
-    quasi-essential tie, where one side is essential and the other
-    quasi-essential.
-    """
-
-    trace: ELTScalar
-    coefficients: Dict[int, ELTScalar]
-    l_set: frozenset
-    mu: Optional[int]
-    dominant: ELTScalar
-    long_cycle_bound: Bound
-    status: MonomialStatus
-    value: ELTScalar
-
-
 def essential_trace(a: ELTMatrix) -> EtrReport:
     n = _require_square(a)
     p = charpoly(a)
@@ -912,7 +858,9 @@ def essential_trace(a: ELTMatrix) -> EtrReport:
         tuple(BOTTOM if i == j else x.tangible for j, x in enumerate(row))
         for i, row in enumerate(a.rows)
     ))
-    long_bound: Bound = BOTTOM if long_mean is None else long_mean
+    long_bound: Fraction | Bottom = BOTTOM if long_mean is None else long_mean
+    from .reports import EtrReport
+
     if not coefficients:
         return EtrReport(
             tr, {}, frozenset(), None, NEG_INF, long_bound,

@@ -47,11 +47,14 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from .core import ELTScalar, NEG_INF, Record, format_scalar, parse_int
 from .errors import ParseError, UnboundVariable
+
+if TYPE_CHECKING:
+    from .reports import SuiteRecord
+
 
 # ---------------------------------------------------------------------------
 # positive expression trees
@@ -1087,19 +1090,9 @@ def corrupted_det_mult(n: int = 2) -> CannedIdentity:
     )
 
 
-@dataclass(frozen=True)
-class SuiteRecord:
-    name: str
-    ok: bool
-    seed: int
-    reports: Tuple[CheckReport, ...]
-
-    @property
-    def line(self) -> str:
-        return f"{'PASS' if self.ok else 'FAIL'} {self.name} {self.seed}"
-
-
 def _record(name: str, relation: str, plan: _Plan, trials: int, seed: int) -> SuiteRecord:
+    from .reports import SuiteRecord
+
     reports = _sample(plan, relation, trials, seed)
     return SuiteRecord(name, all(r.ok for r in reports), seed, reports)
 
@@ -1148,6 +1141,8 @@ def run_suite(
         if family in wanted
     ]
     if "mutation-control" in wanted:
+        from .reports import SuiteRecord
+
         mutated = _record(*_suite_plan("mutation-control", 2), 10, seed)
         records.append(
             SuiteRecord("mutation-control", not mutated.ok, seed, mutated.reports)

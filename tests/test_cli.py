@@ -1,6 +1,7 @@
 """End to end command line behaviour: output text, exit codes, determinism."""
 
 import argparse
+import dataclasses
 import os
 import pathlib
 import resource
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eltlab import transfer
+from eltlab.assign import hungarian_scaling, parse_tropical_matrix
 from eltlab.cli import main
 from eltlab.matrix import (
     CYCLES_MAX,
@@ -20,9 +22,11 @@ from eltlab.matrix import (
     NILPOTENT_MAX_WORK,
     ELTMatrix,
     adjoint,
+    essential_trace,
+    quasi_inverse,
 )
 from eltlab.poly import ROOT_POWER_MAX_BITS, ROOTS_MAX_WORK
-from eltlab.transfer import SuiteRecord
+from eltlab.reports import SuiteRecord
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -400,6 +404,60 @@ def run_within_cpu_seconds(limit, *argv):
     used = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     assert used < limit, f"{argv[0]} took {used:.2f} s of CPU time, over {limit} s"
     return proc
+
+
+def modules_imported(*argv):
+    """The exit code of one ``python -X importtime -m eltlab`` process
+    and the modules it imported, read off its import-time log."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "eltlab", *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    names = {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    return proc.returncode, names
+
+
+# children that build none of the results in eltlab.reports, with their
+# exit codes: the last two are a malformed file and a singular matrix
+CHILDREN_WITHOUT_REPORTS = [
+    (("det", "a.mat"), 0),
+    (("adj", "a.mat"), 0),
+    (("charpoly", "a.mat"), 0),
+    (("trace", "a.mat"), 0),
+    (("cycles", "tri.mat"), 0),
+    (("nilpotent", "nilp.mat"), 0),
+    (("eig-verify", "sym.mat", "--value", "3^[1]", "--vector", "0^[1], 1^[1]"), 0),
+    (("roots", "char.poly"), 0),
+    (("eltrop", "lead.ser"), 0),
+    (("det", "char.poly"), 1),
+    (("qinv", "sym.mat"), 2),
+]
+
+
+def test_only_the_commands_that_build_a_dataclass_result_import_dataclasses():
+    """``dataclasses`` and the ``inspect`` it imports cost a child about
+    10 ms; only ``etr``, ``qinv`` and ``hungarian`` build one of the
+    frozen dataclasses that the benchmark's tests hand to
+    ``dataclasses.replace``.  It takes a child process, because pytest
+    imports both modules itself."""
+    heavy = {"dataclasses", "inspect", "eltlab.reports"}
+    for (command, name, *options), code in CHILDREN_WITHOUT_REPORTS:
+        returncode, names = modules_imported(command, fixture(name), *options)
+        assert (returncode, sorted(names & heavy)) == (code, []), (command, name)
+    a = ELTMatrix.from_text((FIXTURES / "a.mat").read_text())
+    trop = parse_tropical_matrix((FIXTURES / "trop.mat").read_text())
+    for command, name, result in [
+        ("etr", "a.mat", essential_trace(a)),
+        ("qinv", "a.mat", quasi_inverse(a)),
+        ("hungarian", "trop.mat", hungarian_scaling(trop)),
+    ]:
+        assert dataclasses.is_dataclass(result), command
+        returncode, names = modules_imported(command, fixture(name))
+        assert (returncode, sorted(heavy - names)) == (0, []), command
 
 
 def test_roots_of_a_long_concave_polynomial_are_fast(tmp_path):

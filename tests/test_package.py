@@ -71,19 +71,21 @@ def test_every_module_is_imported_by_another():
     assert sorted(unused) == []
 
 
-# the package modules each module imports, ``TYPE_CHECKING`` imports
-# included: errors < core < assign, poly, puiseux, transfer < matrix <
-# cli, __init__.  The max-plus (assign), polynomial (poly, puiseux) and
-# symbolic (transfer) layers see only the scalars; matrix adapts ELT
+# the package modules each module imports, ``TYPE_CHECKING`` and
+# function-level imports included: errors < core < reports < assign,
+# poly, puiseux, transfer < matrix < cli, __init__.  The max-plus
+# (assign), polynomial (poly, puiseux) and symbolic (transfer) layers
+# see only the scalars and the dataclass results; matrix adapts ELT
 # matrices to the max-plus layer and reads their polynomials.
 LAYERS = {
     "errors": set(),
     "core": {"errors"},
-    "assign": {"core", "errors"},
+    "reports": {"core"},
+    "assign": {"core", "errors", "reports"},
     "poly": {"core", "errors"},
     "puiseux": {"core", "errors"},
-    "transfer": {"core", "errors"},
-    "matrix": {"core", "errors", "assign", "poly"},
+    "transfer": {"core", "errors", "reports"},
+    "matrix": {"core", "errors", "assign", "poly", "reports"},
     "cli": {"core", "errors", "assign", "poly", "puiseux", "transfer", "matrix"},
     "__init__": {"core", "errors", "poly", "puiseux", "transfer", "matrix"},
     "__main__": {"cli"},
@@ -178,11 +180,11 @@ def test_the_library_draws_only_through_getrandbits():
 # the result types that ``perfbench/tests`` hands to
 # ``dataclasses.replace``; every other result type is a ``core.Record``
 DATACLASSES = {
-    "assign.HungarianResult",
-    "matrix.EtrReport",
-    "matrix.QuasiIdentityReport",
-    "matrix.QuasiInverseResult",
-    "transfer.SuiteRecord",
+    "reports.EtrReport",
+    "reports.HungarianResult",
+    "reports.QuasiIdentityReport",
+    "reports.QuasiInverseResult",
+    "reports.SuiteRecord",
 }
 
 
@@ -202,7 +204,29 @@ def dataclass_names(path):
 def test_only_the_results_the_benchmark_replaces_are_dataclasses():
     found = {name for p in PACKAGE.glob("*.py") for name in dataclass_names(p)}
     assert found == DATACLASSES, (
-        "every eltlab process imports every result type, and a @dataclass compiles six "
-        "methods at import, about 0.66 ms per class; derive a new result type from "
-        "core.Record unless perfbench/tests hands it to dataclasses.replace"
+        "a @dataclass compiles six methods when its module loads, about 0.66 ms per "
+        "class, and its module imports dataclasses and inspect; derive a new result "
+        "type from core.Record unless perfbench/tests hands it to dataclasses.replace, "
+        "and then define it in reports, which only the functions that build one load"
     )
+
+
+def imports_dataclasses(path):
+    """Whether one module imports ``dataclasses``, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.partition(".")[0] == "dataclasses":
+                return True
+        elif isinstance(node, ast.Import):
+            if any(alias.name.partition(".")[0] == "dataclasses" for alias in node.names):
+                return True
+    return False
+
+
+def test_only_reports_imports_dataclasses():
+    """``dataclasses`` imports ``inspect`` and with it ``ast``, ``dis``
+    and ``tokenize``: about 10 ms of a command-line process's start-up.
+    Only ``reports`` imports it, and only the functions that build one
+    of its results load ``reports``."""
+    importing = [p.stem for p in PACKAGE.glob("*.py") if imports_dataclasses(p)]
+    assert importing == ["reports"]
