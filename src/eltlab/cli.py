@@ -87,6 +87,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=_positive, default=1000)
     p.add_argument("--seed", type=_positive, default=None,
                    help="default 42, or the ELTLAB_SEED variable")
+    # the usage as Python 3.10-3.12 wrap it, which 3.13 would put on one
+    # line, so the text does not depend on the Python version
+    parser.usage = f"%(prog)s [-h]\n{'':14}{{{','.join(sub.choices)}}}\n{'':14}..."
     return parser
 
 

@@ -47,7 +47,7 @@ import functools
 import itertools
 import operator
 import random
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
 from .core import ELTScalar, NEG_INF, Record, format_scalar, parse_int
 from .errors import ParseError, UnboundVariable
@@ -343,11 +343,14 @@ class _Program(NamedTuple):
     up to ``top``, the highest variable index.  Op i, a triple
     (is_product, left slot, right slot) with left <= right, writes slot
     2 + top + i.  ``outputs`` holds the (pos, neg) slots of each
-    expression, in the order given."""
+    expression, in the order given.  ``last`` holds, per slot, the
+    last op that reads it, after which a run drops its value, or -1
+    for a slot that is kept: an output, or a slot no op reads."""
 
     top: int
     ops: Ops
     outputs: Outputs
+    last: tuple[int, ...]
 
 
 def _walk(exprs: Sequence[PolyExpression]) -> Tuple[List[Node], int]:
@@ -429,7 +432,14 @@ def _compile(exprs: Sequence[PolyExpression]) -> _Program:
                     got = numbered[key] = top + 1 + len(ops)
                 acc = got
         slots[id(node)] = acc
-    return _Program(top, ops, tuple((slot(e.pos), slot(e.neg)) for e in exprs))
+    outputs = tuple((slot(e.pos), slot(e.neg)) for e in exprs)
+    last = [-1] * (2 + top + len(ops))
+    for i, (_, a, b) in enumerate(ops):
+        last[a] = last[b] = i
+    for pair in outputs:
+        for s in pair:
+            last[s] = -1
+    return _Program(top, ops, outputs, tuple(last))
 
 
 def _program(e: Union[PolyExpression, _Program]) -> _Program:
@@ -471,14 +481,10 @@ class MonomialTable(Record):
         return out
 
 
-def _run_monomials(ops: Ops, v: List[Optional[Dict[int, int]]], keep: Set[int]) -> None:
+def _run_monomials(ops: Ops, v: List[Optional[Dict[int, int]]], last: Sequence[int]) -> None:
     """Run a program over monomial tables (packed exponents -> count),
     appending one table per op to v.  A product of two monomials is the
-    sum of their keys.  The table of a slot outside ``keep`` is dropped
-    after the last op that reads it."""
-    last = {}
-    for i, (_, a, b) in enumerate(ops):
-        last[a] = last[b] = i
+    sum of their keys.  Each table is dropped after op ``last[slot]``."""
     for i, (product, a, b) in enumerate(ops):
         x = v[a]
         y = v[b]
@@ -494,9 +500,10 @@ def _run_monomials(ops: Ops, v: List[Optional[Dict[int, int]]], keep: Set[int]) 
             for key, c in y.items():
                 out[key] = out.get(key, 0) + c
         v.append(out)
-        for used in (a, b):
-            if last[used] == i and used not in keep:
-                v[used] = None
+        if last[a] == i:
+            v[a] = None
+        if last[b] == i:
+            v[b] = None
 
 
 def expand(
@@ -514,7 +521,7 @@ def expand(
     reach ``base``, so a product of monomials is one int addition that
     never carries, and only the output tables are unpacked to exponent
     tuples."""
-    top, ops, outputs = _program(e)
+    top, ops, outputs, last = _program(e)
     if nvars is None:
         nvars = top
     elif nvars < top:
@@ -525,7 +532,7 @@ def expand(
     base = max(bound) + 1
     v: List[Optional[Dict[int, int]]] = [{}, {0: 1}]
     v.extend({base**k: 1} for k in range(top))
-    _run_monomials(ops, v, {s for pair in outputs for s in pair})
+    _run_monomials(ops, v, last)
     pad = (0,) * (nvars - top)
     tables = []
     for pos, neg in outputs:
@@ -546,21 +553,32 @@ def expand(
 # ---------------------------------------------------------------------------
 # evaluation models
 #
-# Each model runs a program on plain values, with None for -inf, and
-# returns, for each output, the sum of pos and the negation of neg.
+# Each model runs a program over columns: a slot holds its values over
+# a block of trials, one list per part of a value, and each op is one
+# pass over its operands' lists.  A max-plus value has one part, its
+# tangible.  An ELT value has two, its tangible and its layer, kept in
+# two lists of ints rather than one list of (tangible, layer) tuples,
+# so a block creates no tuple for the cyclic collector to track.  A
+# tangible is None for -inf, and the layer of -inf is 0, which every op
+# keeps: a product with -inf has the layer product 0, and a sum of two
+# -infs takes the first one's layer.  So two ELT values are equal
+# exactly when their tangibles and their layers are.  Each slot's
+# column is dropped after the last op that reads it, and a run returns,
+# for each output, the column of the sum of pos and the negation of
+# neg.
 #
-# A model's ``sample`` draws a trial's values straight from
-# ``getrandbits``, with the rejection loops that ``random`` runs on it.
-# A value is -inf when a 4-bit draw, redrawn while >= 10, is 0: that is
-# ``randrange(10) == 0``.  Otherwise its tangible is a 5-bit draw,
-# redrawn while >= 21, minus 10: ``randint(-10, 10)``.  An ELT value
-# takes its layer from ``_LAYERS`` at a 3-bit draw, redrawn while >= 5:
-# ``choice(_LAYERS)``.  The stdlib methods make those same
-# ``getrandbits`` calls, so the stream, and every verdict drawn from it,
-# is theirs.
+# A model's ``sample`` draws values straight from ``getrandbits``, with
+# the rejection loops that ``random`` runs on it.  A value is -inf when
+# a 4-bit draw, redrawn while >= 10, is 0: that is ``randrange(10) ==
+# 0``.  Otherwise its tangible is a 5-bit draw, redrawn while >= 21,
+# minus 10: ``randint(-10, 10)``.  An ELT value takes its layer from
+# ``_LAYERS`` at a 3-bit draw, redrawn while >= 5: ``choice(_LAYERS)``.
+# The stdlib methods make those same ``getrandbits`` calls, so the
+# stream, and every verdict drawn from it, is theirs.
 
 
 Pair = tuple[int, int] | None
+Column = tuple[list, ...]
 
 
 def _dominates(x: Optional[int], y: Optional[int]) -> bool:
@@ -568,11 +586,22 @@ def _dominates(x: Optional[int], y: Optional[int]) -> bool:
     return y is None or (x is not None and x >= y)
 
 
-def _surpasses(x: Pair, y: Pair) -> bool:
-    """x surpasses y on ELT pairs, by the closed form of
-    ``ELTScalar.surpasses``: x equals y, or x has layer 0 and y is -inf
-    or has a smaller tangible."""
-    return x == y or (x is not None and x[1] == 0 and (y is None or x[0] > y[0]))
+def _surpasses(p: Optional[int], l: int, q: Optional[int], m: int) -> bool:
+    """p^[l] surpasses q^[m], by the closed form of
+    ``ELTScalar.surpasses``: they are equal, or the first has layer 0
+    and the second is -inf or has a smaller tangible.  A tangible is
+    None for -inf, whose layer is 0."""
+    return (p == q and l == m) or (p is not None and l == 0 and (q is None or p > q))
+
+
+def _elt_equal(p: Optional[int], l: int, q: Optional[int], m: int) -> bool:
+    """p^[l] equals q^[m], a tangible None for -inf, whose layer is 0."""
+    return p == q and l == m
+
+
+def _max(x: Sequence[Optional[int]], y: Sequence[Optional[int]]) -> list:
+    """The trialwise max of two columns of tangibles."""
+    return [q if p is None else p if q is None or p >= q else q for p, q in zip(x, y)]
 
 
 # LAYER_CHOICES of tests/rand.py as ints: a choice over either takes the
@@ -606,10 +635,8 @@ def _draw(rng: random.Random, count: int, layered: bool) -> tuple:
 
 
 class MaxPlusModel:
-    """Ints with max and plus, None for -inf; negation is trivial."""
-
-    zero = None
-    one = 0
+    """Ints with max and plus, None for -inf; negation is trivial.  A
+    column is a 1-tuple: the list of tangibles."""
 
     def sample(self, rng: random.Random, count: int) -> Tuple[Optional[int], ...]:
         """``count`` values, each -inf or a tangible in -10..10."""
@@ -618,22 +645,28 @@ class MaxPlusModel:
     def show(self, a: Optional[int]) -> str:
         return "-inf" if a is None else str(a)
 
-    def run(self, ops: Ops, v: list, outputs: Outputs) -> Tuple[Optional[int], ...]:
+    def value(self, column: Column, trial: int) -> Optional[int]:
+        return column[0][trial]
+
+    def run(self, program: _Program, values: Sequence[Optional[int]], k: int) -> Tuple[Column, ...]:
+        """The column of each output over k trials, where ``values``
+        holds x1..x_top of each trial in turn, as ``sample`` draws them."""
+        top, ops, outputs, last = program
+        v: List[Optional[Sequence[Optional[int]]]] = [[None] * k, [0] * k]
+        v.extend(values[j::top] for j in range(top))
         append = v.append
-        for product, a, b in ops:
+        for i, (product, a, b) in enumerate(ops):
             x = v[a]
             y = v[b]
-            if x is None:
-                append(None if product else y)
-            elif y is None:
-                append(None if product else x)
-            elif product:
-                append(x + y)
+            if product:
+                append([None if p is None or q is None else p + q for p, q in zip(x, y)])
             else:
-                append(x if x >= y else y)
-        return tuple(
-            v[pos] if _dominates(v[pos], v[neg]) else v[neg] for pos, neg in outputs
-        )
+                append([q if p is None else p if q is None or p >= q else q for p, q in zip(x, y)])
+            if last[a] == i:
+                v[a] = None
+            if last[b] == i:
+                v[b] = None
+        return tuple((_max(v[pos], v[neg]),) for pos, neg in outputs)
 
 
 def _scalar(a: Pair) -> ELTScalar:
@@ -642,23 +675,10 @@ def _scalar(a: Pair) -> ELTScalar:
     return NEG_INF if a is None else ELTScalar(*a)
 
 
-def _elt_difference(x: Pair, y: Pair) -> Pair:
-    """x + (-y) on pairs."""
-    if y is None:
-        return x
-    if x is None or x[0] < y[0]:
-        return y[0], -y[1]
-    if x[0] > y[0]:
-        return x
-    return x[0], x[1] - y[1]
-
-
 class ELTModel:
     """(tangible, layer) pairs of ints, None for -inf; negation flips
-    the layer."""
-
-    zero = None
-    one = (0, 1)
+    the layer.  A column is a pair of lists: the tangibles and the
+    layers."""
 
     def sample(self, rng: random.Random, count: int) -> Tuple[Pair, ...]:
         """``count`` values, each -inf or a tangible in -10..10 with a
@@ -668,37 +688,78 @@ class ELTModel:
     def show(self, a: Pair) -> str:
         return format_scalar(_scalar(a))
 
-    def run(self, ops: Ops, v: list, outputs: Outputs) -> Tuple[Pair, ...]:
-        append = v.append
-        for product, a, b in ops:
-            x = v[a]
-            y = v[b]
-            if x is None:
-                append(None if product else y)
-            elif y is None:
-                append(None if product else x)
-            elif product:
-                append((x[0] + y[0], x[1] * y[1]))
-            elif x[0] != y[0]:
-                append(x if x[0] > y[0] else y)
+    def value(self, column: Column, trial: int) -> Pair:
+        tangible = column[0][trial]
+        return None if tangible is None else (tangible, column[1][trial])
+
+    def run(self, program: _Program, values: Sequence[Pair], k: int) -> Tuple[Column, ...]:
+        """The column of each output over k trials, where ``values``
+        holds x1..x_top of each trial in turn, as ``sample`` draws them.
+
+        A sum takes the layer of the operand with the larger tangible,
+        or the sum of both layers on a tie; a product multiplies the
+        layers; the negation of neg flips its layers."""
+        top, ops, outputs, last = program
+        ts: List[Optional[list]] = [[None] * k, [0] * k]
+        ls: List[Optional[list]] = [[0] * k, [1] * k]
+        for j in range(top):
+            column = values[j::top]
+            ts.append([None if x is None else x[0] for x in column])
+            ls.append([0 if x is None else x[1] for x in column])
+        for i, (product, a, b) in enumerate(ops):
+            x = ts[a]
+            y = ts[b]
+            if product:
+                ts.append([None if p is None or q is None else p + q for p, q in zip(x, y)])
+                ls.append([l * m for l, m in zip(ls[a], ls[b])])
             else:
-                append((x[0], x[1] + y[1]))
-        return tuple(_elt_difference(v[pos], v[neg]) for pos, neg in outputs)
+                ts.append([q if p is None else p if q is None or p >= q else q for p, q in zip(x, y)])
+                ls.append([
+                    l if q is None else m if p is None or q > p else l if p > q else l + m
+                    for p, q, l, m in zip(x, y, ls[a], ls[b])
+                ])
+            if last[a] == i:
+                ts[a] = ls[a] = None
+            if last[b] == i:
+                ts[b] = ls[b] = None
+        out = []
+        for pos, neg in outputs:
+            x = ts[pos]
+            y = ts[neg]
+            out.append((_max(x, y), [
+                l if q is None else -m if p is None or q > p else l if p > q else l - m
+                for p, q, l, m in zip(x, y, ls[pos], ls[neg])
+            ]))
+        return tuple(out)
 
 
 MAXPLUS_MODEL = MaxPlusModel()
 ELT_MODEL = ELTModel()
 
 
-def evaluate(e: Union[PolyExpression, _Program], model, assignment: Sequence[object]):
+def evaluate(
+    e: Union[PolyExpression, _Program],
+    model,
+    assignment: Sequence[object],
+    trials: Optional[int] = None,
+):
     """Evaluate pos and neg in the model, with x_k bound to
     assignment[k - 1], and combine them with the model's negation.
     Given a program compiled from several expressions, the tuple of
-    their values, in order; the program runs once for all of them."""
-    top, ops, outputs = _program(e)
-    if top > len(assignment):
+    their values, in order; the program runs once for all of them.
+
+    Given ``trials``, ``assignment`` holds that many assignments of
+    x1..x_top in turn, as ``sample`` draws them, the program runs once
+    over columns of that many trials, and each value is the model's
+    column instead.  Without it, the program runs on one-trial columns."""
+    program = _program(e)
+    top = program.top
+    k = 1 if trials is None else trials
+    if top * k > len(assignment):
         raise UnboundVariable(f"no value bound for x{top}")
-    values = model.run(ops, [model.zero, model.one, *assignment[:top]], outputs)
+    values = model.run(program, assignment[:top * k], k)
+    if trials is None:
+        values = tuple(model.value(column, 0) for column in values)
     return values if isinstance(e, _Program) else values[0]
 
 
@@ -742,8 +803,8 @@ class CheckReport(Record):
         )
 
 
-# relation -> its sampled stages (label, model, holds(lhs, rhs)), run in
-# this order on one generator
+# relation -> its sampled stages (label, model, holds), run in this order
+# on one generator; holds takes the parts of lhs, then those of rhs
 _STAGES = {
     "surpass": (
         ("maxplus", MAXPLUS_MODEL, _dominates),
@@ -751,9 +812,13 @@ _STAGES = {
     ),
     "equal": (
         ("maxplus", MAXPLUS_MODEL, operator.eq),
-        ("elt", ELT_MODEL, operator.eq),
+        ("elt", ELT_MODEL, _elt_equal),
     ),
 }
+
+# trials per pass over a program: one pass spreads its per-op cost over
+# the block, and the block bounds the memory a pass holds
+BLOCK = 256
 
 
 Component = tuple[PolyExpression, PolyExpression]
@@ -802,11 +867,15 @@ def _sample(plan: _Plan, relation: str, trials: int, seed: int) -> Tuple[CheckRe
     """The report of ``check_identity`` on each pair of the plan, in
     order.
 
-    Each group shares one generator seeded with ``seed``: each trial
-    draws its assignment once and runs the group's program once, and
-    every pair of the group is judged on it.  Those are the draws each
-    pair would make on a generator of its own, so its report is the
-    same; the draws are streamed, never stored."""
+    Each group shares one generator seeded with ``seed``, and runs its
+    trials in blocks of ``BLOCK``: one ``sample`` call draws a block's
+    assignments, the group's program runs once over their columns, and
+    every pair of the group is judged on every trial of the block.  No
+    draw depends on a value, so those are the draws each pair would
+    make trial by trial on a generator of its own, and its report is
+    the same.  Only a failing pair's trials are walked, in order, for
+    its first three counterexamples.  A block is dropped before the
+    next is drawn, so memory does not grow with ``trials``."""
     stages = _STAGES[relation]
     failures: List[List[str]] = [[] for _ in plan.ring_ok]
     verdicts: List[List[bool]] = [[] for _ in plan.ring_ok]
@@ -815,20 +884,29 @@ def _sample(plan: _Plan, relation: str, trials: int, seed: int) -> Tuple[CheckRe
         for label, model, holds in stages:
             for i in members:
                 verdicts[i].append(True)
-            for trial in range(trials):
-                values = model.sample(rng, nvars)
-                out = evaluate(program, model, values)
+            for start in range(0, trials, BLOCK):
+                k = min(BLOCK, trials - start)
+                values = model.sample(rng, nvars * k)
+                out = evaluate(program, model, values, k)
                 for i, lhs, rhs in zip(members, out[::2], out[1::2]):
-                    if not holds(lhs, rhs):
-                        verdicts[i][-1] = False
-                        if len(failures[i]) < 3:
-                            shown = ", ".join(
-                                f"x{j + 1}={model.show(v)}" for j, v in enumerate(values)
-                            )
-                            failures[i].append(
-                                f"{label} trial {trial}: {shown}: "
-                                f"lhs={model.show(lhs)} rhs={model.show(rhs)}"
-                            )
+                    if all(map(holds, *lhs, *rhs)):
+                        continue
+                    verdicts[i][-1] = False
+                    failed = failures[i]
+                    for t, parts in enumerate(zip(*lhs, *rhs)):
+                        if len(failed) == 3:
+                            break
+                        if holds(*parts):
+                            continue
+                        shown = ", ".join(
+                            f"x{j + 1}={model.show(v)}"
+                            for j, v in enumerate(values[t * nvars:(t + 1) * nvars])
+                        )
+                        failed.append(
+                            f"{label} trial {start + t}: {shown}: "
+                            f"lhs={model.show(model.value(lhs, t))} "
+                            f"rhs={model.show(model.value(rhs, t))}"
+                        )
     reports = []
     for ring_ok, strong_ok, (maxplus_ok, elt_ok), failed in zip(
         plan.ring_ok, plan.strong_ok, verdicts, failures

@@ -42,7 +42,6 @@ from eltlab.poly import (
     _roots_budget_exceeded,
 )
 from eltlab.transfer import (
-    _STAGES,
     ELT_MODEL,
     MAXPLUS_MODEL,
     Add,
@@ -608,7 +607,7 @@ def expand_by_tuples(
     """``transfer.expand`` with every monomial an exponent tuple and
     every product of two monomials a tuple addition, where the library
     packs each monomial into one int."""
-    top, ops, outputs = e if isinstance(e, _Program) else _compile((e,))
+    top, ops, outputs, _ = e if isinstance(e, _Program) else _compile((e,))
     if nvars is None:
         nvars = top
     elif nvars < top:
@@ -634,10 +633,12 @@ def scalar_surpasses(x, y) -> bool:
     return lift(x).surpasses(lift(y))
 
 
-# transfer._STAGES with ELT surpassing decided on scalars
+# transfer._STAGES on the values ``evaluate`` returns one trial at a
+# time, where the library judges columns: ELT pairs compared as tuples
+# and ELT surpassing decided on scalars
 STAGES = {
     "surpass": (("maxplus", MAXPLUS_MODEL, _dominates), ("elt", ELT_MODEL, scalar_surpasses)),
-    "equal": _STAGES["equal"],
+    "equal": (("maxplus", MAXPLUS_MODEL, operator.eq), ("elt", ELT_MODEL, operator.eq)),
 }
 
 
@@ -689,16 +690,26 @@ def reference_draw(model, rng: random.Random, count: int) -> tuple:
     return tuple(one() for _ in range(count))
 
 
+def _values_at(e: PolyExpression, model, draws: Sequence[tuple]) -> list:
+    """The value of e at each assignment of ``draws``, from one
+    ``evaluate`` over all of them."""
+    top = num_variables(e)
+    column = evaluate(e, model, [x for values in draws for x in values[:top]], len(draws))
+    return [model.value(column, t) for t in range(len(draws))]
+
+
 def check_components_one_by_one(
     components: Sequence[Component], relation: str, trials: int, seed: int, strong: bool
 ) -> Tuple[CheckReport, ...]:
     """``transfer._sample(transfer._plan(...))`` with every side
-    evaluated and expanded on its own: the same grouped draws, but one
-    program per expression, ``ring_equal`` per pair and a second
-    expansion of q for the strong stage, both over exponent tuples, and
-    ELT surpassing decided on scalars, where the library runs one
-    program per group, expands it over packed keys and decides
-    surpassing on pairs."""
+    evaluated and expanded on its own: the same grouped draws, but drawn
+    value by value, one program per expression, run once over all the
+    trials, each trial judged on its values one at a time, ``ring_equal``
+    per pair and a second expansion of q for the strong stage, both over
+    exponent tuples, and ELT surpassing decided on scalars, where the
+    library runs one program per group over blocks of trials, judges
+    columns, expands it over packed keys and decides surpassing on
+    ints."""
     stages = STAGES[relation]
     groups: Dict[int, List[int]] = {}
     for i, (p, q) in enumerate(components):
@@ -710,12 +721,10 @@ def check_components_one_by_one(
         for label, model, holds in stages:
             for i in members:
                 verdicts[i].append(True)
-            for trial in range(trials):
-                values = reference_draw(model, rng, nvars)
-                for i in members:
-                    p, q = components[i]
-                    lhs = evaluate(p, model, values)
-                    rhs = evaluate(q, model, values)
+            draws = [reference_draw(model, rng, nvars) for _ in range(trials)]
+            for i in members:
+                sides = (_values_at(side, model, draws) for side in components[i])
+                for trial, (values, lhs, rhs) in enumerate(zip(draws, *sides)):
                     if not holds(lhs, rhs):
                         verdicts[i][-1] = False
                         if len(failures[i]) < 3:

@@ -318,6 +318,23 @@ def test_file_commands_are_every_subcommand_but_verify():
     assert set(FILE_COMMANDS) == set(sub.choices) - {"verify"}
 
 
+def test_usage_lists_every_subcommand_as_python_3_10_to_3_12_wrap_it():
+    """The top-level usage is fixed text, so Python 3.13, which would
+    keep it on one line, prints what 3.10-3.12 print; its subcommands
+    are the parser's, in order, and each subcommand's prog is
+    unaffected."""
+    from eltlab.cli import _build_parser
+
+    parser = _build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = ",".join(sub.choices)
+    assert parser.format_usage() == (
+        f"usage: eltlab [-h]\n{'':14}{{{names}}}\n{'':14}...\n"
+    )
+    assert list(sub.choices) == [*FILE_COMMANDS, "verify"]
+    assert [p.prog for p in sub.choices.values()] == [f"eltlab {name}" for name in sub.choices]
+
+
 @pytest.mark.parametrize("command", FILE_COMMANDS)
 def test_non_utf8_input_is_a_parse_error(capsys, tmp_path, command):
     bad = tmp_path / "bad.txt"

@@ -3,6 +3,8 @@ the max-plus and layered models."""
 
 import itertools
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from eltlab.core import BOTTOM, NEG_INF, ELTScalar
 from eltlab import transfer
 from eltlab.errors import ParseError, UnboundVariable
 from eltlab.transfer import (
+    BLOCK,
     ELT_MODEL,
     FAMILIES,
     MAXPLUS_MODEL,
@@ -217,6 +220,36 @@ def test_int_evaluation_matches_the_scalar_fold(case):
     assert got is None or (type(got[0]) is int and type(got[1]) is int)
 
 
+ELT_VALUES = st.none() | st.tuples(st.integers(-10, 10), st.integers(-3, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression_dags(), st.lists(st.lists(ELT_VALUES, min_size=5, max_size=5), max_size=8))
+def test_a_block_of_trials_matches_the_scalar_fold_trial_by_trial(case, more):
+    """One run over the columns of k trials gives, trial by trial, the
+    values of k recursive folds over scalars."""
+    e, pairs = case
+    top = num_variables(e)
+    block = [pairs[:top]] + [a[:top] for a in more]
+    k = len(block)
+    got = evaluate(e, MAXPLUS_MODEL, [_tangible(x) for a in block for x in a], k)
+    assert len(got) == 1 and len(got[0]) == k
+    for t, a in enumerate(block):
+        want = fold_evaluate(e, FOLD_MAXPLUS, [BOTTOM if x is None else Fraction(x[0]) for x in a])
+        value = MAXPLUS_MODEL.value(got, t)
+        assert (BOTTOM if value is None else Fraction(value)) == want
+        assert value is None or type(value) is int
+    got = evaluate(e, ELT_MODEL, [x for a in block for x in a], k)
+    assert len(got) == 2 and len(got[0]) == len(got[1]) == k
+    for t, a in enumerate(block):
+        want = fold_evaluate(e, FOLD_ELT, [NEG_INF if x is None else ELTScalar(*x) for x in a])
+        value = ELT_MODEL.value(got, t)
+        assert (NEG_INF if value is None else ELTScalar(*value)) == want
+        assert value is None or (type(value[0]) is int and type(value[1]) is int)
+        # -inf has layer 0 in a column
+        assert value is not None or got[1][t] == 0
+
+
 @st.composite
 def expression_families(draw):
     """Expressions over x1..xm drawn from one pool of subtrees, so they
@@ -336,7 +369,12 @@ ELT_PAIRS = st.none() | st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 @example((2, 0), (1, 2))
 @example((1, 0), (2, 0))
 def test_int_pair_surpassing_matches_the_scalars(x, y):
-    assert _surpasses(x, y) == scalar_surpasses(x, y)
+    # the library takes each value as its tangible and layer, -inf as
+    # (None, 0)
+    def parts(a):
+        return (None, 0) if a is None else a
+
+    assert _surpasses(*parts(x), *parts(y)) == scalar_surpasses(x, y)
 
 
 def test_value_numbering_shares_commuted_and_repeated_ops():
@@ -605,6 +643,95 @@ def test_components_with_different_variable_counts():
         record = run_identity(CannedIdentity("mixed", "surpass", order), trials=8, seed=3)
         assert not record.ok
         assert record.reports == tuple(expected[c] for c in order)
+
+
+# the largest of x1..x7 against the same with 1 (tangible 0) added: not
+# equal when every x_k is below 0 in max-plus, or at most 0 in ELT, in
+# about one trial in 90 and one in 50
+RARELY_EQUAL = (E("x1 + x2 + x3 + x4 + x5 + x6 + x7"), E("x1 + x2 + x3 + x4 + x5 + x6 + x7 + 1"))
+
+
+def _trial_numbers(report):
+    return [int(re.search(r"trial (\d+)", c).group(1)) for c in report.counterexamples]
+
+
+def test_trials_in_blocks_report_as_trial_by_trial():
+    """Over two blocks and three more trials, a pair failing in most
+    trials keeps only the first three counterexamples of all its
+    blocks, and a rarely failing one numbers its trials across blocks:
+    at seed 4 its counterexamples straddle the end of the first block
+    (trial 255 is its last), and at seed 23 the third is the first
+    trial of the third block."""
+    trials = 2 * BLOCK + 3
+    often = (E("x1 + x2"), E("x1*x2"))
+    for seed in (1, 4, 23):
+        for pair in (often, RARELY_EQUAL):
+            report = check_identity(*pair, "equal", trials, seed)
+            assert (report,) == check_components_one_by_one((pair,), "equal", trials, seed, False)
+            assert not report.maxplus_ok and not report.elt_ok
+            assert len(report.counterexamples) == 3
+    assert BLOCK == 256
+    assert _trial_numbers(check_identity(*RARELY_EQUAL, "equal", trials, 4)) == [165, 255, 288]
+    assert _trial_numbers(check_identity(*RARELY_EQUAL, "equal", trials, 23)) == [281, 355, 512]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_any_block_size_reports_as_trial_by_trial(monkeypatch, block):
+    """The reports do not depend on the block size: with blocks of a
+    few trials, counterexamples and verdicts cross many boundaries."""
+    monkeypatch.setattr(transfer, "BLOCK", block)
+    cases = [
+        (MIXED, "surpass"),
+        (((E("x1 + x2"), E("x1*x2")), RARELY_EQUAL), "equal"),
+        ((corrupted_det_mult().components[0],), "surpass"),
+    ]
+    for components, relation in cases:
+        for seed in (1, 2, 3):
+            for trials in (block - 1, block, block + 1, 3 * block + 2, 40):
+                assert run_identity(CannedIdentity("c", relation, components), trials, seed).reports == (
+                    check_components_one_by_one(components, relation, trials, seed, False)
+                )
+
+
+# pairs whose outputs are variable and constant slots, one read by an op
+# too, and pairs with no variable
+SLOT_OUTPUTS = (
+    (E("x1"), E("x1*x2")),
+    (E("0"), E("x2")),
+    (E("1"), E("x1 + x2")),
+    (E("x2 - x1"), E("1 - 0")),
+)
+NO_VARIABLE = ((E("1"), E("1")), (E("1"), E("0")), (E("0 - 1"), E("1 - 1")))
+
+
+@pytest.mark.parametrize("relation", ["surpass", "equal"])
+@pytest.mark.parametrize(
+    "components", [SLOT_OUTPUTS, NO_VARIABLE, SLOT_OUTPUTS + NO_VARIABLE],
+    ids=["slot-outputs", "no-variable", "both"],
+)
+def test_block_edge_cases_report_as_trial_by_trial(components, relation):
+    for seed in (1, 5):
+        for trials in (0, 1, BLOCK, BLOCK + 1):
+            record = run_identity(CannedIdentity("c", relation, components), trials, seed)
+            assert record.reports == check_components_one_by_one(
+                components, relation, trials, seed, False
+            )
+            if trials == 0:
+                assert all(r.maxplus_ok and r.elt_ok and not r.counterexamples for r in record.reports)
+
+
+def test_sampling_memory_does_not_grow_with_the_trials(fresh_plans):
+    """Blocks bound what a run holds: a run over all the trials at once
+    peaked at 4.3 MB here, one block at a time at 0.7 MB, and the
+    trial-by-trial run it replaced at under 0.4 MB."""
+    run_suite(["a-adj-sq"], 1, 5, (3,))  # the plan, built outside the measurement
+    tracemalloc.start()
+    try:
+        run_suite(["a-adj-sq"], 8 * BLOCK, 5, (3,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------
