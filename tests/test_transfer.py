@@ -721,9 +721,8 @@ def test_block_edge_cases_report_as_trial_by_trial(components, relation):
 
 
 def test_sampling_memory_does_not_grow_with_the_trials(fresh_plans):
-    """Blocks bound what a run holds: a run over all the trials at once
-    peaked at 4.3 MB here, one block at a time at 0.7 MB, and the
-    trial-by-trial run it replaced at under 0.4 MB."""
+    """Blocks bound what a run holds: over all 2,048 trials at once a
+    run peaks at about 4.3 MB, one block at a time at about 0.7 MB."""
     run_suite(["a-adj-sq"], 1, 5, (3,))  # the plan, built outside the measurement
     tracemalloc.start()
     try:
