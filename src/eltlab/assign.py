@@ -16,8 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .core import BOTTOM, Bottom, exact_rational, integer_grid, parse_rational
-from .errors import InfeasibleAssignment, NotSquare, ParseError
+from .core import (
+    BOTTOM, Bottom, exact_rational, format_grid, grid, integer_grid, parse_grid, parse_rational
+)
+from .errors import InfeasibleAssignment, NotSquare
 
 if TYPE_CHECKING:
     from .reports import HungarianResult
@@ -29,16 +31,7 @@ TropicalMatrix = tuple[tuple[Entry, ...], ...]
 def tropical_matrix(rows: Sequence[Sequence[object]]) -> TropicalMatrix:
     """Normalise a grid of rationals / -inf markers into a tropical
     matrix."""
-    grid = tuple(
-        tuple(x if isinstance(x, Bottom) else exact_rational(x) for x in row)
-        for row in rows
-    )
-    if not grid or not grid[0]:
-        raise ValueError("matrix must have at least one row and one column")
-    width = len(grid[0])
-    if any(len(row) != width for row in grid):
-        raise ValueError("matrix rows must all have the same length")
-    return grid
+    return grid(rows, lambda x: x if isinstance(x, Bottom) else exact_rational(x))
 
 
 def _require_square_grid(t: TropicalMatrix) -> int:
@@ -275,29 +268,16 @@ def karp_max_mean_cycle(t: TropicalMatrix) -> Optional[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# plain text format: rational entries or -inf, same layout as the
-# scalar matrix format.
+# text format: the grid layout of ``core``, entries rational or -inf
 
 
 def parse_tropical_matrix(text: str) -> TropicalMatrix:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty matrix text")
-    rows = []
-    for ln in lines:
-        row: List[Entry] = []
-        for tok in ln.split(","):
-            tok = tok.strip()
-            row.append(BOTTOM if tok == "-inf" else parse_rational(tok))
-        rows.append(row)
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ParseError("matrix rows have inconsistent lengths")
-    return tropical_matrix(rows)
+    return tropical_matrix(parse_grid(text, _parse_entry))
+
+
+def _parse_entry(token: str) -> Entry:
+    return BOTTOM if token.strip() == "-inf" else parse_rational(token.strip())
 
 
 def format_tropical_matrix(t: TropicalMatrix) -> str:
-    return "\n".join(
-        ", ".join("-inf" if isinstance(x, Bottom) else str(x) for x in row)
-        for row in t
-    )
+    return format_grid([["-inf" if isinstance(x, Bottom) else str(x) for x in row] for row in t])

@@ -17,7 +17,8 @@ in kernel-style statements.
 
 Everything downstream (matrices, polynomials, the CLI) imports the
 scalar type and the order markers BOTTOM and TOP from here, and the
-modules' result types derive from ``Record``.
+modules' result types derive from ``Record``.  The grid layout of
+matrix files, ELT and tropical alike, lives here too.
 
 Layers live in a commutative ring, rationals by default.  The ring
 only matters where division or unit checks happen (invert, matrix
@@ -31,7 +32,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, Sequence, Tuple, Union
 
 from .errors import NonInvertible, ParseError
 
@@ -476,3 +477,72 @@ def parse_scalar(text: str) -> ELTScalar:
 
 def format_scalar(x: ELTScalar) -> str:
     return str(x)
+
+
+# ---------------------------------------------------------------------------
+# grid layout: every matrix file, ELT or tropical, has one row per line,
+# entries separated by commas.  The structured variant prefixes "rows:"
+# and "cols:" header lines and labels row i with "row<i>: ".  The caller
+# reads and writes the entries.
+
+
+def grid(rows: Iterable[Iterable[Any]], entry: Callable[[Any], Any]) -> Tuple[tuple, ...]:
+    """The rows as a nonempty rectangle of tuples of ``entry(x)``."""
+    out = tuple(tuple(map(entry, row)) for row in rows)
+    if not out or not out[0]:
+        raise ValueError("matrix must have at least one row and one column")
+    width = len(out[0])
+    if any(len(row) != width for row in out):
+        raise ValueError("matrix rows must all have the same length")
+    return out
+
+
+def parse_grid(text: str, entry: Callable[[str], Any]) -> list:
+    """The rows of a matrix file, each comma-separated token read by
+    ``entry``; the header, when there is one, must match the body."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("empty matrix text")
+    expected = None
+    if lines[0].startswith("rows:"):
+        if len(lines) < 2 or not lines[1].startswith("cols:"):
+            raise ParseError("structured matrix header needs a cols: line")
+        expected = (_parse_dim(lines[0], "rows"), _parse_dim(lines[1], "cols"))
+        lines = [_unlabel(ln, i) for i, ln in enumerate(lines[2:])]
+    rows = [[entry(tok) for tok in ln.split(",")] for ln in lines]
+    if not rows:
+        raise ParseError("matrix text has no entry rows")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ParseError("matrix rows have inconsistent lengths")
+    if expected is not None and expected != (len(rows), width):
+        raise ParseError(
+            f"matrix body is {len(rows)}x{width}, header says {expected[0]}x{expected[1]}"
+        )
+    return rows
+
+
+def format_grid(rows: Sequence[Sequence[str]], structured: bool = False) -> str:
+    lines = [", ".join(row) for row in rows]
+    if structured:
+        head = [f"rows: {len(rows)}", f"cols: {len(rows[0])}"]
+        lines = head + [f"row{i}: {ln}" for i, ln in enumerate(lines)]
+    return "\n".join(lines)
+
+
+def _parse_dim(line: str, label: str) -> int:
+    value = line.partition(":")[2].strip()
+    dim = parse_int(value) if value.isascii() and value.isdigit() else 0
+    if dim <= 0:
+        raise ParseError(f"malformed {label}: header {line!r}")
+    return dim
+
+
+def _unlabel(line: str, i: int) -> str:
+    """Row i of a structured matrix without its optional "row<i>:" label."""
+    label, sep, body = line.partition(":")
+    if not sep:
+        return line
+    if label != f"row{i}":
+        raise ParseError(f"row {i} is labelled {label!r}, expected 'row{i}'")
+    return body

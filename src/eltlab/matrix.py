@@ -41,9 +41,11 @@ from .core import (
     ONE,
     Q_RING,
     Record,
+    format_grid,
     format_scalar,
+    grid,
     integer_grid,
-    parse_int,
+    parse_grid,
     parse_scalar,
 )
 from .errors import (
@@ -80,17 +82,7 @@ class ELTMatrix:
     __slots__ = ("_rows", "_ints")
 
     def __init__(self, rows: Iterable[Iterable[ELTScalar]]):
-        grid = tuple(tuple(row) for row in rows)
-        if not grid or not grid[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        width = len(grid[0])
-        for row in grid:
-            if len(row) != width:
-                raise ValueError("matrix rows must all have the same length")
-            for x in row:
-                if not isinstance(x, ELTScalar):
-                    raise TypeError(f"matrix entry must be a scalar, got {type(x).__name__}")
-        self._rows = grid
+        self._rows = grid(rows, _scalar)
         self._ints: Optional[IntForm] = None
 
     @classmethod
@@ -187,48 +179,22 @@ class ELTMatrix:
         return self.to_text()
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            ", ".join(format_scalar(x) for x in row) for row in self._rows
-        )
-        return f"ELTMatrix[{body}]"
+        return "ELTMatrix[" + self.to_text().replace("\n", "; ") + "]"
 
-    # text format: one row per line, entries separated by commas.  The
-    # structured variant prefixes explicit "rows:"/"cols:" header lines
-    # and labels row i with "row<i>: ".
+    # text format: the grid layout of ``core``, scalar entries
 
     def to_text(self, structured: bool = False) -> str:
-        rows = [", ".join(format_scalar(x) for x in row) for row in self._rows]
-        if structured:
-            rows = [
-                f"rows: {self.nrows}",
-                f"cols: {self.ncols}",
-                *(f"row{i}: {row}" for i, row in enumerate(rows)),
-            ]
-        return "\n".join(rows)
+        return format_grid([[format_scalar(x) for x in row] for row in self._rows], structured)
 
     @classmethod
     def from_text(cls, text: str) -> "ELTMatrix":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ParseError("empty matrix text")
-        expected: Optional[Tuple[int, int]] = None
-        if lines[0].startswith("rows:"):
-            if len(lines) < 2 or not lines[1].startswith("cols:"):
-                raise ParseError("structured matrix header needs a cols: line")
-            expected = (_parse_dim(lines[0], "rows"), _parse_dim(lines[1], "cols"))
-            lines = [_unlabel(ln, i) for i, ln in enumerate(lines[2:])]
-        grid = [[parse_scalar(tok) for tok in ln.split(",")] for ln in lines]
-        if not grid:
-            raise ParseError("matrix text has no entry rows")
-        width = len(grid[0])
-        for row in grid:
-            if len(row) != width:
-                raise ParseError("matrix rows have inconsistent lengths")
-        if expected is not None and expected != (len(grid), width):
-            raise ParseError(
-                f"matrix body is {len(grid)}x{width}, header says {expected[0]}x{expected[1]}"
-            )
-        return cls(grid)
+        return cls(parse_grid(text, parse_scalar))
+
+
+def _scalar(x: object) -> ELTScalar:
+    if not isinstance(x, ELTScalar):
+        raise TypeError(f"matrix entry must be a scalar, got {type(x).__name__}")
+    return x
 
 
 def _products(left: IntForm, right: IntForm) -> IntForm:
@@ -300,24 +266,6 @@ def _rescaled(grid: IntGrid, k: int) -> IntGrid:
     if k == 1:
         return grid
     return [[None if x is None else x * k for x in row] for row in grid]
-
-
-def _parse_dim(line: str, label: str) -> int:
-    value = line.partition(":")[2].strip()
-    dim = parse_int(value) if value.isascii() and value.isdigit() else 0
-    if dim <= 0:
-        raise ParseError(f"malformed {label}: header {line!r}")
-    return dim
-
-
-def _unlabel(line: str, i: int) -> str:
-    """Row i of a structured matrix without its optional "row<i>:" label."""
-    label, sep, body = line.partition(":")
-    if not sep:
-        return line
-    if label != f"row{i}":
-        raise ParseError(f"row {i} is labelled {label!r}, expected 'row{i}'")
-    return body
 
 
 def parse_vector(text: str) -> Vector:

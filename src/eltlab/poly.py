@@ -335,12 +335,13 @@ def _divisors(n: int) -> Tuple[int, ...]:
 # candidate, 255/254 at degree 2^19, takes about 0.5 s
 ROOT_POWER_MAX_BITS = 2**22
 # the most work one root search spends, in steps of trial division; an
-# exactly evaluated candidate counts ROOT_CANDIDATE_WORK steps, about its
-# cost (10 us against 45 ns on a 2-vCPU host).  So the budget allows
-# about 0.2 s of trial division or 25,000 candidates: a layer of 10^14
-# alone takes 10^7 steps
+# evaluated candidate counts ROOT_CANDIDATE_WORK steps, the cost of the
+# dearer kind, a wide one tested mod the prime first (8-9 us against
+# 86-94 ns a step on a 2-vCPU host).  So the budget allows about 0.45 s
+# of trial division or 50,000 candidates: a layer of 10^14 alone takes
+# 10^7 steps
 ROOTS_MAX_WORK = 5 * 10**6
-ROOT_CANDIDATE_WORK = 200
+ROOT_CANDIDATE_WORK = 100
 
 
 def _roots_budget_exceeded(degree: int) -> WorkBudgetExceeded:

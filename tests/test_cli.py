@@ -165,6 +165,14 @@ def test_assignment_scaling(capsys):
     assert out.endswith("value: 0\n")
 
 
+def test_assignment_scaling_reads_the_structured_layout(capsys, tmp_path):
+    _, plain, _ = run(capsys, "hungarian", fixture("trop.mat"), "--machine")
+    path = tmp_path / "trop.mat"
+    for text in ("rows: 2\ncols: 2\n0, 9\n1, 10\n", "rows: 2\ncols: 2\nrow0: 0, 9\nrow1: 1, 10\n"):
+        path.write_text(text)
+        assert run(capsys, "hungarian", str(path), "--machine") == (0, plain, "")
+
+
 def test_mixed_denominator_outputs_are_pinned(capsys):
     # denominators 2, 3 and 7, tangible ties and -inf entries; two
     # permutations reach the assignment value, so sigma and the duals
@@ -562,6 +570,17 @@ def test_roots_with_wide_candidate_powers_are_fast(tmp_path):
         "interval (6/135911, +inf): layers {0}\n"
         "neg-inf: root\n"
     )
+
+
+def test_roots_within_the_work_budget_are_not_refused(tmp_path):
+    # 247110827 = 17*19*23*29*31*37 is coprime to 720720: all 240 x 64
+    # divisor pairs are distinct candidates, 30,720 with their signs.  At
+    # 200 steps a candidate they passed the budget, yet take about 30 ms
+    path = tmp_path / "coprime.poly"
+    path.write_text("0^[247110827]*L^2 + 0^[1]*L + 0^[720720]\n")
+    proc = run_within_cpu_seconds(2, "roots", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "corner 0: layers {}\ninterval (0, +inf): layers {0}\nneg-inf: not-a-root\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -13,13 +13,20 @@ any algorithm or of the parser behind the CLI must reproduce those
 transcripts exactly.  Paths are relative to the repository root, where
 the commands run.
 
-To write the file from the CLI as it stands::
+To compare the CLI as it stands with the file, under any interpreter
+and without pytest, and to rewrite the file::
 
     PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+
+The bare run exits 1 and names each command line whose transcript
+differs.
 """
 
+import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -91,12 +98,19 @@ def transcripts():
             os.environ["COLUMNS"] = columns
 
 
+def differences(got, golden):
+    """The command lines, as typed, whose transcripts differ from the
+    golden ones, in the grid's order."""
+    return [
+        " ".join(["eltlab", *(t or g)["argv"]])
+        for t, g in itertools.zip_longest(got, golden)
+        if t != g
+    ]
+
+
 def test_cli_transcripts_match_the_golden_file():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = transcripts()
-    assert [t["argv"] for t in got] == [g["argv"] for g in golden]
-    for t, g in zip(got, golden):
-        assert t == g, t["argv"]
+    assert differences(transcripts(), golden) == []
 
 
 def write() -> None:
@@ -105,5 +119,13 @@ def write() -> None:
 
 
 if __name__ == "__main__":
-    write()
-    sys.exit(0)
+    parser = argparse.ArgumentParser(description="Compare the CLI with the golden transcripts.")
+    parser.add_argument("--write", action="store_true", help="rewrite the golden file instead")
+    if parser.parse_args().write:
+        write()
+        sys.exit(0)
+    differing = differences(transcripts(), json.loads(GOLDEN.read_text(encoding="utf-8")))
+    for line in differing:
+        print(f"differs: {line}")
+    print(f"{len(differing)} transcripts differ" if differing else "all transcripts match")
+    sys.exit(1 if differing else 0)

@@ -1,4 +1,5 @@
-"""Scalar arithmetic laws, the surpassing relation, and the scalar text format."""
+"""Scalar arithmetic laws, the surpassing relation, the scalar text format
+and the grid layout of matrix files."""
 
 import itertools
 import operator
@@ -18,9 +19,10 @@ from eltlab import (
     invert,
     parse_scalar,
 )
-from eltlab.assign import tropical_matrix
+from eltlab.assign import format_tropical_matrix, parse_tropical_matrix, tropical_matrix
 from eltlab.core import Bottom, Top, format_scalar
 from eltlab.errors import NonInvertible, ParseError
+from eltlab.matrix import ELTMatrix
 from eltlab.poly import LayerSolutions, elt_roots, parse_polynomial
 from eltlab.puiseux import PuiseuxSeries
 
@@ -301,3 +303,52 @@ def test_order_markers_are_absorbing_singletons():
         for x in (Fraction(-10**9), Fraction(0), Fraction(7, 3), 5):
             assert marker + x is marker
             assert x + marker is marker
+
+
+# the grid layout of matrix files: every malformed layout, written with
+# the entry {x}, and the message both readers give for it
+MALFORMED_LAYOUTS = {
+    "": "empty matrix text",
+    " \n\t\n": "empty matrix text",
+    "{x}, {x}\n{x}": "matrix rows have inconsistent lengths",
+    "rows: 2\ncols: 1\n{x}, {x}\n{x}": "matrix rows have inconsistent lengths",
+    "rows: 1\n{x}": "structured matrix header needs a cols: line",
+    "rows: 0\ncols: 1\n{x}": "malformed rows: header 'rows: 0'",
+    "rows: 1\ncols: ²\n{x}": "malformed cols: header 'cols: ²'",
+    "rows: 2\ncols: 1\nrow1: {x}\nrow0: {x}": "row 0 is labelled 'row1', expected 'row0'",
+    "rows: 1\ncols: 1\nrow00: {x}": "row 0 is labelled 'row00', expected 'row0'",
+    "rows: 1\ncols: 1": "matrix text has no entry rows",
+    "rows: 1\ncols: 2\n{x}": "matrix body is 1x1, header says 1x2",
+    "rows: 1\ncols: 1\n{x}\n{x}": "matrix body is 2x1, header says 1x1",
+}
+
+
+@pytest.mark.parametrize("layout", MALFORMED_LAYOUTS)
+def test_both_matrix_readers_refuse_a_layout_alike(layout):
+    messages = []
+    for read, entry in ((ELTMatrix.from_text, "0^[1]"), (parse_tropical_matrix, "0")):
+        with pytest.raises(ParseError) as caught:
+            read(layout.replace("{x}", entry))
+        messages.append(str(caught.value))
+    assert messages == [MALFORMED_LAYOUTS[layout]] * 2
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], "matrix must have at least one row and one column"),
+    ([[]], "matrix must have at least one row and one column"),
+    ([[1, 2], [3]], "matrix rows must all have the same length"),
+])
+def test_both_matrix_types_refuse_a_shape_alike(rows, message):
+    for build, entry in ((ELTMatrix, ONE), (tropical_matrix, 0)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build([[entry] * len(row) for row in rows])
+
+
+def test_a_structured_tropical_matrix_reads_as_its_plain_form():
+    plain = "0, 9\n-inf, 1/2"
+    for structured in (
+        "rows: 2\ncols: 2\nrow0: 0, 9\nrow1: -inf, 1/2",
+        "rows: 2\ncols: 2\n0, 9\n-inf, 1/2",
+    ):
+        assert parse_tropical_matrix(structured) == parse_tropical_matrix(plain)
+    assert format_tropical_matrix(parse_tropical_matrix(plain)) == plain

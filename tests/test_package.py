@@ -230,3 +230,30 @@ def test_only_reports_imports_dataclasses():
     of its results load ``reports``."""
     importing = [p.stem for p in PACKAGE.glob("*.py") if imports_dataclasses(p)]
     assert importing == ["reports"]
+
+
+# the grid layout's header keywords and the messages of its shape checks
+LAYOUT_TEXTS = (
+    "rows:", "cols:",
+    "empty matrix text",
+    "matrix rows have inconsistent lengths",
+    "matrix must have at least one row and one column",
+    "matrix rows must all have the same length",
+)
+
+
+def string_constants(path):
+    """The string literals of one module, f-strings' literal parts and
+    docstrings included."""
+    return [node.value for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def test_only_core_knows_the_matrix_layout():
+    """ELT and tropical matrix files share one reader, one writer and one
+    shape check in ``core``, so the layout cannot drift between them."""
+    found = {
+        p.stem: [text for text in LAYOUT_TEXTS if any(text in s for s in string_constants(p))]
+        for p in PACKAGE.glob("*.py")
+    }
+    assert {name: texts for name, texts in found.items() if texts} == {"core": list(LAYOUT_TEXTS)}

@@ -296,11 +296,13 @@ def test_root_search_counts_candidates_against_its_budget():
     # 720720*x^2 + x + 720720 has a negative discriminant
     assert len(roots.corners) == 1
     assert roots.corners[0].layers == LayerSolutions(False, ())
-    # 247110827 = 17*19*23*29*31*37 is coprime to 720720: all 240 x 64
-    # pairs are distinct candidates, 30,720 with their signs
-    assert 2 * 240 * 64 * ROOT_CANDIDATE_WORK > ROOTS_MAX_WORK
-    with pytest.raises(WorkBudgetExceeded, match="degree 2"):
-        elt_roots(P("0^[247110827]*L^2 + 0^[1]*L + 0^[720720]"))
+    # 435656388001 = 17*19*23*29*31*37*41*43 is coprime to 720720: all
+    # 240 x 256 pairs are distinct candidates, 122,880 with their signs,
+    # of up to 117,000 bits at degree 3000, so tested mod the prime
+    # first: about twice the budget's time when it is lifted
+    assert 2 * 240 * 256 * ROOT_CANDIDATE_WORK > 2 * ROOTS_MAX_WORK
+    with pytest.raises(WorkBudgetExceeded, match="degree 3000"):
+        elt_roots(P("0^[435656388001]*L^3000 + 0^[1]*L + 0^[720720]"))
     # 5040 has 60 divisors: 7,200 candidates fit.  (70x - 72)(72x - 70)
     roots = elt_roots(P("0^[5040]*L^2 + 0^[-10084]*L + 0^[5040]"))
     assert roots.corners[0].layers == LayerSolutions(False, (Fraction(35, 36), Fraction(36, 35)))
